@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DeformationParams, ParityVector
-from .errors import DomainError, InvalidStateError
+from .errors import DomainError, InvalidStateError, check_positive
 from .specfun import build_quadrature, laguerre
 
 __all__ = ["CartesianState", "energy_1d", "wavefunction_1d", "total_energy"]
@@ -48,13 +48,13 @@ class CartesianState:
         return len(self.n)
 
 
-def _check_1d_args(mu: float, s: int, omega: float) -> None:
+def _check_1d_args(mu: float, s: int, omega: float, hbar: float,
+                   mass: float = 1.0) -> None:
     if not mu > -0.5:
         raise DomainError(f"coupling mu={mu} violates the bound mu > -1/2")
     if s not in (1, -1):
         raise DomainError(f"parity must be +1 or -1, got {s}")
-    if not omega > 0.0:
-        raise DomainError(f"frequency must be positive, got {omega}")
+    check_positive(omega=omega, hbar=hbar, mass=mass)
 
 
 def energy_1d(n: int, mu: float, s: int, omega: float,
@@ -64,7 +64,7 @@ def energy_1d(n: int, mu: float, s: int, omega: float,
     n_base selects the first admissible quantum number (0 by default; set 1
     to count levels from one instead, which only shifts the label).
     """
-    _check_1d_args(mu, s, omega)
+    _check_1d_args(mu, s, omega, hbar)
     if n_base not in (0, 1):
         raise DomainError(f"n_base must be 0 or 1, got {n_base}")
     if n < n_base:
@@ -91,7 +91,7 @@ def _norm_1d(n: int, mu: float, s: int, omega: float,
 def wavefunction_1d(n: int, mu: float, s: int, omega: float, x,
                     hbar: float = 1.0, mass: float = 1.0):
     """Normalized single-axis eigenfunction evaluated at x (scalar or array)."""
-    _check_1d_args(mu, s, omega)
+    _check_1d_args(mu, s, omega, hbar, mass)
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
     x = np.asarray(x, dtype=float)

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .core import DeformationParams
 from .errors import (ConvergenceError, DomainError, InvalidStateError,
                      SingularityError)
 from .polar import AngularState
-from .spectra import (Coulomb, EnergyLevel, Oscillator, Pseudoharmonic,
+from .spectra import (POTENTIALS, EnergyLevel, Oscillator, Pseudoharmonic,
                       bound_energy, coulomb_energy, oscillator_energy,
                       radial_solution, reduced_density)
 from .verify import DiscretizationConfig, oracle_report
@@ -101,14 +103,14 @@ def _angular_state(args, d: int) -> AngularState:
     return AngularState(two_ell=two_ell, parity=parity)
 
 
+def _constants(args, tag: str) -> dict:
+    """The potential's constants keyed by flag: the field name without '_'."""
+    flags = [f.name.replace("_", "") for f in fields(POTENTIALS[tag])]
+    return {flag: getattr(args, flag) for flag in flags}
+
+
 def _potential(args, tag: str):
-    if tag == "oscillator":
-        return Oscillator(omega=args.omega)
-    if tag == "pho":
-        return Pseudoharmonic(D_e=args.De, r_e=args.re)
-    if tag == "coulomb":
-        return Coulomb(e2=args.e2)
-    raise UsageError(f"unknown potential {tag!r}")
+    return POTENTIALS[tag](*_constants(args, tag).values())
 
 
 def _format_cell(value) -> str:
@@ -177,17 +179,9 @@ def cmd_spectrum(args) -> int:
             potential=potential)
         rows.append({"n": level.n, "energy": level.energy})
     meta = {"potential": args.potential, **_base_meta(args, params, state),
-            "levels": args.levels, **_constant_meta(args, args.potential)}
+            "levels": args.levels, **_constants(args, args.potential)}
     _emit(args, meta, ("n", "energy"), rows, "levels")
     return 0
-
-
-def _constant_meta(args, tag: str) -> dict:
-    if tag == "oscillator":
-        return {"omega": args.omega}
-    if tag == "pho":
-        return {"De": args.De, "re": args.re}
-    return {"e2": args.e2}
 
 
 def cmd_density(args) -> int:
@@ -196,6 +190,8 @@ def cmd_density(args) -> int:
     potential = _potential(args, args.potential)
     sol = radial_solution(potential, args.n, state, params, args.hbar, args.mass)
     r_max = args.rmax if args.rmax is not None else 10.0
+    if not 0.0 < r_max < math.inf:
+        raise UsageError(f"--rmax must be positive and finite, got {r_max}")
     npts = args.grid if args.grid is not None else 256
     if npts < 2:
         raise UsageError(f"--grid needs at least 2 samples, got {npts}")
@@ -204,34 +200,29 @@ def cmd_density(args) -> int:
     rows = [{"r": float(ri), "rho": float(vi)} for ri, vi in zip(r, values)]
     meta = {"potential": args.potential, **_base_meta(args, params, state),
             "n": args.n, "energy": sol.energy, "rmax": r_max, "grid": npts,
-            **_constant_meta(args, args.potential)}
+            **_constants(args, args.potential)}
     _emit(args, meta, ("r", "rho"), rows, "samples")
     return 0
 
 
-_SWEEP_D = (3, 4, 5)
 _SWEEP_MU = (-0.3, 0.0, 0.4)
+# per potential: levels, tolerance, grid points, dimensions, doubled L values
+_SWEEP = {"oscillator": (4, 1e-4, 4000, (3, 4, 5), (0, 1, 2)),
+          "coulomb": (3, 1e-3, 8000, (3, 4, 5), (0, 1)),
+          "pho": (2, 1e-4, 4000, (3, 4), (0,))}
 
 
 def _verify_jobs(args):
     """Yield (tag, potential, params, state, cfg, k, tol) comparisons."""
-    tags = [args.potential] if args.potential else ["oscillator", "coulomb", "pho"]
+    tags = [args.potential] if args.potential else list(_SWEEP)
     for tag in tags:
-        if tag == "oscillator":
-            k, tol, base_n, default_ds = 4, 1e-4, 4000, _SWEEP_D
-            ell_sweep = (0, 1, 2)
-        elif tag == "coulomb":
-            k, tol, base_n, default_ds = 3, 1e-3, 8000, _SWEEP_D
-            ell_sweep = (0, 1)
-        else:
-            k, tol, base_n, default_ds = 2, 1e-4, 4000, (3, 4)
-            ell_sweep = (0,)
+        k, tol, base_n, default_ds, ell_sweep = _SWEEP[tag]
         if args.levels is not None:
             k = args.levels
         n_points = args.grid if args.grid is not None else base_n
         cfg = DiscretizationConfig(r_max=args.rmax, n_points=n_points)
         if tag == "pho":
-            depths = [args.De] if args.De != 1.0 else [2.0, 8.0]
+            depths = [2.0, 8.0] if args.De is None else [args.De]
             potentials = [Pseudoharmonic(D_e=de, r_e=args.re) for de in depths]
         else:
             potentials = [_potential(args, tag)]
@@ -389,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="closed-form energy levels")
     p_spec.add_argument("--potential", required=True,
-                        choices=("oscillator", "pho", "coulomb"))
+                        choices=tuple(POTENTIALS))
     p_spec.add_argument("--levels", type=int, default=5,
                         help="number of levels, n = 0 .. levels-1")
     _add_common(p_spec, d_default=3)
@@ -397,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dens = sub.add_parser("density", help="reduced radial probability density")
     p_dens.add_argument("--potential", required=True,
-                        choices=("oscillator", "pho", "coulomb"))
+                        choices=tuple(POTENTIALS))
     p_dens.add_argument("--n", type=int, default=0, help="radial level")
     _add_common(p_dens, d_default=3)
     p_dens.set_defaults(func=cmd_density)
@@ -405,12 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify",
                            help="closed forms vs finite-volume eigensolver")
     p_ver.add_argument("--potential", default=None,
-                       choices=("oscillator", "pho", "coulomb"),
+                       choices=tuple(POTENTIALS),
                        help="restrict to one family (default: all three)")
     p_ver.add_argument("--levels", type=int, default=None,
                        help="levels per comparison (default per potential)")
     _add_common(p_ver, d_default=None)
-    p_ver.set_defaults(func=cmd_verify)
+    # None tells an explicit --De 1.0 from the default depth sweep
+    p_ver.set_defaults(func=cmd_verify, De=None)
 
     p_fig = sub.add_parser("figure", help="data series behind the standard plots")
     p_fig.add_argument("--id", required=True, choices=_FIGURE_IDS)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that every
+physical constant is positive and finite."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -19,3 +22,10 @@ class ConvergenceError(RuntimeError):
 
 class TailLeakWarning(UserWarning):
     """A discretization box is too small for the requested eigenstates."""
+
+
+def check_positive(**constants: float) -> None:
+    """Raise DomainError unless every named constant is positive and finite."""
+    for name, value in constants.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")

@@ -6,10 +6,15 @@ Radial functions solve
     U'' + (c/r) U' + [2m(E - V)/hbar^2 - W^2/r^2] U = 0,
     c = d - 1 + 2 sum mu,  W^2 = varpi_sq(state, params)
 
-and come in two shapes. The Gaussian family (harmonic and pseudoharmonic
-wells) is, in the variable u = decay_scale * r^2,
+Each potential class holds its level formula and, from `radial_problem`,
+returns one RadialProblem record per level. This module, the `verify`
+oracle and the CLI read those records instead of branching on the
+potential, so a new potential is one new class.
 
-    U(r) = N u^{p} e^{-u/2} M(-n, b, u)
+The solutions come in two shapes. The Gaussian family (harmonic and
+pseudoharmonic wells) is, in the variable u = decay_scale * r^2,
+
+    U(r) = N u^{p/2} e^{-u/2} M(-n, b, u)
 
 while the attractive 1/r problem decays exponentially,
 
@@ -21,20 +26,24 @@ the radial weight r^c; the energy formulas are exact closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import get_args
 
 import numpy as np
 
 from .core import DeformationParams
-from .errors import DomainError, InvalidStateError
+from .errors import DomainError, InvalidStateError, check_positive
 from .polar import AngularState, varpi_sq
 from .specfun import build_quadrature, kummer_m
 
 __all__ = [
+    "RadialProblem",
     "Oscillator",
     "Pseudoharmonic",
     "Coulomb",
+    "POTENTIALS",
     "RadialSolution",
     "EnergyLevel",
     "potential_tag",
@@ -54,46 +63,159 @@ __all__ = [
 ]
 
 
+def _weight_exponent(params: DeformationParams) -> float:
+    return params.d - 1.0 + 2.0 * params.mu_sum
+
+
 @dataclass(frozen=True)
-class Oscillator:
-    """Isotropic harmonic well (1/2) m w^2 r^2."""
-    omega: float
+class RadialProblem:
+    """Closed-form data of one bound level n with energy E.
+
+    U = r^p G, where U solves
+
+        U'' + (c/r) U' + [2m(E - shift - V)/hbar^2 - barrier/r^2] U = 0,
+        V(r) = sum of coeff * r^power over vterms,
+
+    and G is e^{-u/2} M(-n, b, u) in u = scale r^2 for the Gaussian family,
+    e^{-scale r} M(-n, b, 2 scale r) otherwise. r_max is the finite-volume
+    box for levels up to n, from the turning point and decay length.
+    """
+    n: int
+    energy: float
+    c: float
+    p: float
+    b: float
+    scale: float
+    barrier: float
+    vterms: tuple
+    shift: float
+    r_max: float
+
+
+class _Potential:
+    """Checks shared by the potential classes, whose fields are physical
+    constants. Subclasses set tag and implement _problem; gaussian marks
+    states u^{p/2} e^{-u/2} M(-n, b, u) sharing one scale across levels
+    (1/r states change decay rate and extent with n); bound states lie
+    below continuum.
+    """
+    gaussian = True
+    continuum = math.inf
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise DomainError(f"frequency must be positive, got {self.omega}")
+        check_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
+
+    def radial_problem(self, n: int, state: AngularState,
+                       params: DeformationParams, hbar: float = 1.0,
+                       mass: float = 1.0) -> RadialProblem:
+        """Closed-form data of radial level n, after checking every input."""
+        check_positive(hbar=hbar, mass=mass)
+        if n < 0 or n != int(n):
+            raise DomainError(
+                f"radial quantum number must be a nonnegative integer, got {n}")
+        if state.d != params.d:
+            raise InvalidStateError(
+                f"state has dimension {state.d}, parameters have {params.d}")
+        return self._problem(int(n), state, params, hbar, mass,
+                             _weight_exponent(params))
 
 
 @dataclass(frozen=True)
-class Pseudoharmonic:
-    """Molecular well D_e (r/r_e - r_e/r)^2 with depth D_e and minimum r_e."""
+class Oscillator(_Potential):
+    """Isotropic harmonic well (1/2) m w^2 r^2.
+
+    Level 2 hbar w (n + L + (d + 2 sum mu)/4); leading power 2L.
+    """
+    omega: float
+    tag = "oscillator"
+
+    def _problem(self, n, state, params, hbar, mass, c):
+        L = state.ell_total
+        energy = 2.0 * hbar * self.omega * (
+            n + L + (params.d + 2.0 * params.mu_sum) / 4.0)
+        turn = np.sqrt(2.0 * energy / mass) / self.omega
+        return RadialProblem(
+            n=n, energy=energy, c=c, p=2.0 * L,
+            b=(params.d + 2.0 * params.mu_sum) / 2.0 + 2.0 * L,
+            scale=mass * self.omega / hbar, barrier=varpi_sq(state, params),
+            vterms=((0.5 * mass * self.omega ** 2, 2.0),), shift=0.0,
+            r_max=max(8.0, 2.6 * turn))
+
+
+@dataclass(frozen=True)
+class Pseudoharmonic(_Potential):
+    """Molecular well D_e (r/r_e - r_e/r)^2 with depth D_e and minimum r_e.
+
+    E = -2 D_e + 4 hbar sqrt(D_e/(m r_e^2)) [n + 1/2 + (1/2) sqrt(rad)],
+    rad = 1 + (S + d/2)(S + d/2 - 2) + W^2 + 2 D_e m r_e^2 / hbar^2
+
+    with S = sum mu and W^2 the total angular constant. The radicand equals
+    ((c-1)/2)^2 + W^2 + 2 D_e m r_e^2/hbar^2 and is never negative. The
+    well adds 2 m D_e r_e^2/hbar^2 to the barrier, so the leading power p
+    is the positive root of the shifted indicial equation rather than 2L,
+    and the problem solved is a harmonic well of frequency
+    2 sqrt(D_e/m)/r_e measured from the well bottom -2 D_e.
+    """
     D_e: float
     r_e: float
+    tag = "pho"
 
-    def __post_init__(self):
-        if not self.D_e > 0.0:
-            raise DomainError(f"well depth must be positive, got {self.D_e}")
-        if not self.r_e > 0.0:
-            raise DomainError(f"equilibrium radius must be positive, got {self.r_e}")
+    def _problem(self, n, state, params, hbar, mass, c):
+        D_e, r_e = self.D_e, self.r_e
+        w_sq = varpi_sq(state, params)
+        s0 = params.mu_sum + params.d / 2.0
+        radicand = (1.0 + s0 * (s0 - 2.0) + w_sq
+                    + 2.0 * D_e * mass * r_e ** 2 / hbar ** 2)
+        energy = (-2.0 * D_e + 4.0 * hbar * np.sqrt(D_e / (mass * r_e ** 2))
+                  * (n + 0.5 + 0.5 * np.sqrt(radicand)))
+        delta_sq = w_sq + 2.0 * mass * D_e * r_e ** 2 / hbar ** 2
+        # delta_sq > 0 makes the positive root the unique normalizable branch
+        p = 0.5 * ((1.0 - c) + np.sqrt((c - 1.0) ** 2 + 4.0 * delta_sq))
+        big_omega = 2.0 * np.sqrt(D_e / mass) / r_e
+        turn = np.sqrt(2.0 * (energy + 2.0 * D_e) / mass) / big_omega
+        return RadialProblem(
+            n=n, energy=energy, c=c, p=p, b=(c + 1.0) / 2.0 + p,
+            scale=mass * big_omega / hbar, barrier=delta_sq,
+            vterms=((0.5 * mass * big_omega ** 2, 2.0),), shift=-2.0 * D_e,
+            r_max=max(8.0, 2.6 * turn + r_e))
 
 
 @dataclass(frozen=True)
-class Coulomb:
-    """Attractive -e2/r potential with coupling e2 > 0."""
-    e2: float
+class Coulomb(_Potential):
+    """Attractive -e2/r potential with coupling e2 > 0.
 
-    def __post_init__(self):
-        if not self.e2 > 0.0:
-            raise DomainError(f"coupling must be positive, got {self.e2}")
+    Level -(m e2^2 / 2 hbar^2) / (n + 2L + sum mu + (d-1)/2)^2; leading
+    power 2L; the decay rate eta = sqrt(-2 m E)/hbar changes with n.
+    """
+    e2: float
+    tag = "coulomb"
+    gaussian = False
+    continuum = 0.0
+
+    def _problem(self, n, state, params, hbar, mass, c):
+        L = state.ell_total
+        kappa = n + 2.0 * L + params.mu_sum + (params.d - 1.0) / 2.0
+        if kappa <= 0.0:
+            raise DomainError(
+                f"no bound state: effective principal number {kappa} is not positive")
+        energy = -mass * self.e2 ** 2 / (2.0 * hbar ** 2 * kappa ** 2)
+        return RadialProblem(
+            n=n, energy=energy, c=c, p=2.0 * L,
+            b=4.0 * L + 2.0 * params.mu_sum + params.d - 1.0,
+            scale=np.sqrt(-2.0 * mass * energy) / hbar,
+            barrier=varpi_sq(state, params), vterms=((-self.e2, -1.0),),
+            shift=0.0,
+            r_max=max(6.0 * self.e2 / abs(energy),
+                      35.0 * hbar / np.sqrt(2.0 * mass * abs(energy))))
 
 
 PotentialSpec = Oscillator | Pseudoharmonic | Coulomb
 
-_TAGS = {Oscillator: "oscillator", Pseudoharmonic: "pho", Coulomb: "coulomb"}
+POTENTIALS = {cls.tag: cls for cls in get_args(PotentialSpec)}
 
 
 def potential_tag(potential: PotentialSpec) -> str:
-    return _TAGS[type(potential)]
+    return potential.tag
 
 
 @dataclass(frozen=True)
@@ -137,36 +259,21 @@ class EnergyLevel:
     potential: PotentialSpec
 
     def __post_init__(self):
-        if isinstance(self.potential, Coulomb) and not self.energy < 0.0:
+        if not self.energy < self.potential.continuum:
             raise InvalidStateError(
-                f"attractive 1/r bound states must have negative energy, "
-                f"got {self.energy}")
+                f"{self.tag} bound states must lie below "
+                f"{self.potential.continuum}, got {self.energy}")
 
     @property
     def tag(self) -> str:
-        return potential_tag(self.potential)
+        return self.potential.tag
 
 
-def _check_inputs(n: int, state: AngularState, params: DeformationParams) -> None:
-    if n < 0 or n != int(n):
-        raise DomainError(f"radial quantum number must be a nonnegative integer, got {n}")
-    if state.d != params.d:
-        raise InvalidStateError(
-            f"state has dimension {state.d}, parameters have {params.d}")
-
-
-def _radial_weight_exponent(params: DeformationParams) -> float:
-    return params.d - 1.0 + 2.0 * params.mu_sum
-
-
-def oscillator_energy(n: int, state: AngularState, params: DeformationParams,
-                      omega: float, hbar: float = 1.0) -> float:
-    """Harmonic-well level 2 hbar w (n + L + (d + 2 sum mu)/4)."""
-    _check_inputs(n, state, params)
-    if not omega > 0.0:
-        raise DomainError(f"frequency must be positive, got {omega}")
-    L = state.ell_total
-    return 2.0 * hbar * omega * (n + L + (params.d + 2.0 * params.mu_sum) / 4.0)
+def bound_energy(potential: PotentialSpec, n: int, state: AngularState,
+                 params: DeformationParams, hbar: float = 1.0,
+                 mass: float = 1.0) -> float:
+    """Closed-form energy for any potential variant."""
+    return potential.radial_problem(n, state, params, hbar, mass).energy
 
 
 @lru_cache(maxsize=512)
@@ -179,29 +286,59 @@ def _gaussian_norm(p: float, c: float, n: int, b: float, scale: float) -> float:
     return 1.0 / np.sqrt(total)
 
 
+@lru_cache(maxsize=512)
+def _coulomb_norm(p: float, c: float, n: int, B: float, eta: float) -> float:
+    # integral U^2 r^c dr with U = r^p e^{-eta r} M(-n, B, 2 eta r)
+    gamma = 2.0 * p + c
+    rule = build_quadrature(gamma, "exp_r", max(n + 4, 8))
+    vals = kummer_m(-float(n), B, rule.nodes)
+    total = (2.0 * eta) ** (-(gamma + 1.0)) * float(np.sum(rule.weights * vals ** 2))
+    return 1.0 / np.sqrt(total)
+
+
+def radial_solution(potential: PotentialSpec, n: int, state: AngularState,
+                    params: DeformationParams, hbar: float = 1.0,
+                    mass: float = 1.0) -> RadialSolution:
+    """Build the radial state for any potential variant, normalized numerically."""
+    rec = potential.radial_problem(n, state, params, hbar, mass)
+    if potential.gaussian:
+        lead = rec.p / 2.0
+        norm = _gaussian_norm(lead, rec.c, rec.n, rec.b, rec.scale)
+    else:
+        lead = rec.p
+        norm = _coulomb_norm(lead, rec.c, rec.n, rec.b, rec.scale)
+    return RadialSolution(
+        potential=potential, params=params, state=state, n=rec.n,
+        leading_exponent=lead, decay_scale=rec.scale, kummer_a=-float(rec.n),
+        kummer_b=rec.b, energy=rec.energy, norm=norm, hbar=hbar, mass=mass)
+
+
+def radial_wavefunction(sol: RadialSolution, r):
+    """Evaluate any RadialSolution at r (scalar or array)."""
+    r = np.asarray(r, dtype=float)
+    if sol.potential.gaussian:
+        u = sol.decay_scale * r * r
+        out = (sol.norm * np.power(u, sol.leading_exponent) * np.exp(-0.5 * u)
+               * kummer_m(sol.kummer_a, sol.kummer_b, u))
+    else:
+        out = (sol.norm * np.power(r, sol.leading_exponent)
+               * np.exp(-sol.decay_scale * r)
+               * kummer_m(sol.kummer_a, sol.kummer_b, 2.0 * sol.decay_scale * r))
+    return out if out.ndim else float(out)
+
+
+def oscillator_energy(n: int, state: AngularState, params: DeformationParams,
+                      omega: float, hbar: float = 1.0) -> float:
+    """Harmonic-well level 2 hbar w (n + L + (d + 2 sum mu)/4)."""
+    return bound_energy(Oscillator(omega), n, state, params, hbar)
+
+
 def oscillator_radial_solution(n: int, state: AngularState,
                                params: DeformationParams, omega: float,
                                hbar: float = 1.0, mass: float = 1.0
                                ) -> RadialSolution:
     """Closed-form harmonic-well radial state, normalized numerically."""
-    _check_inputs(n, state, params)
-    L = state.ell_total
-    c = _radial_weight_exponent(params)
-    b = (params.d + 2.0 * params.mu_sum) / 2.0 + 2.0 * L
-    scale = mass * omega / hbar
-    return RadialSolution(
-        potential=Oscillator(omega), params=params, state=state, n=int(n),
-        leading_exponent=L, decay_scale=scale, kummer_a=-float(n),
-        kummer_b=b, energy=oscillator_energy(n, state, params, omega, hbar),
-        norm=_gaussian_norm(L, c, int(n), b, scale), hbar=hbar, mass=mass)
-
-
-def _gaussian_wavefunction(sol: RadialSolution, r):
-    r = np.asarray(r, dtype=float)
-    u = sol.decay_scale * r * r
-    out = (sol.norm * np.power(u, sol.leading_exponent) * np.exp(-0.5 * u)
-           * kummer_m(sol.kummer_a, sol.kummer_b, u))
-    return out if out.ndim else float(out)
+    return radial_solution(Oscillator(omega), n, state, params, hbar, mass)
 
 
 def oscillator_radial_wavefunction(sol: RadialSolution, r):
@@ -210,77 +347,30 @@ def oscillator_radial_wavefunction(sol: RadialSolution, r):
     Valid for harmonic and pseudoharmonic solutions; both share the
     u^p e^{-u/2} M(-n, b, u) shape.
     """
-    if isinstance(sol.potential, Coulomb):
+    if not sol.potential.gaussian:
         raise DomainError("solution is not in the Gaussian family")
-    return _gaussian_wavefunction(sol, r)
+    return radial_wavefunction(sol, r)
 
 
 def pho_energy(n: int, state: AngularState, params: DeformationParams,
                D_e: float, r_e: float, hbar: float = 1.0,
                mass: float = 1.0) -> float:
-    """Pseudoharmonic-well level.
-
-    E = -2 D_e + 4 hbar sqrt(D_e/(m r_e^2)) [n + 1/2 + (1/2) sqrt(rad)],
-    rad = 1 + (S + d/2)(S + d/2 - 2) + W^2 + 2 D_e m r_e^2 / hbar^2
-
-    with S = sum mu and W^2 the total angular constant. The radicand equals
-    ((c-1)/2)^2 + W^2 + 2 D_e m r_e^2/hbar^2 and is never negative.
-    """
-    Pseudoharmonic(D_e, r_e)
-    _check_inputs(n, state, params)
-    s0 = params.mu_sum + params.d / 2.0
-    radicand = (1.0 + s0 * (s0 - 2.0) + varpi_sq(state, params)
-                + 2.0 * D_e * mass * r_e ** 2 / hbar ** 2)
-    assert radicand >= 0.0
-    return (-2.0 * D_e + 4.0 * hbar * np.sqrt(D_e / (mass * r_e ** 2))
-            * (n + 0.5 + 0.5 * np.sqrt(radicand)))
+    """Pseudoharmonic-well level; the formula is on Pseudoharmonic."""
+    return bound_energy(Pseudoharmonic(D_e, r_e), n, state, params, hbar, mass)
 
 
 def pho_radial_solution(n: int, state: AngularState, params: DeformationParams,
                         D_e: float, r_e: float, hbar: float = 1.0,
                         mass: float = 1.0) -> RadialSolution:
-    """Closed-form pseudoharmonic radial state, normalized numerically.
-
-    The well contributes an extra 1/r^2 barrier, so the leading power is the
-    positive root p of the shifted indicial equation rather than 2L.
-    """
-    _check_inputs(n, state, params)
-    Pseudoharmonic(D_e, r_e)
-    c = _radial_weight_exponent(params)
-    delta_sq = varpi_sq(state, params) + 2.0 * mass * D_e * r_e ** 2 / hbar ** 2
-    # delta_sq > 0 makes the positive root the unique normalizable branch
-    p = 0.5 * ((1.0 - c) + np.sqrt((c - 1.0) ** 2 + 4.0 * delta_sq))
-    b = (c + 1.0) / 2.0 + p
-    big_omega = 2.0 * np.sqrt(D_e / mass) / r_e
-    scale = mass * big_omega / hbar
-    return RadialSolution(
-        potential=Pseudoharmonic(D_e, r_e), params=params, state=state,
-        n=int(n), leading_exponent=p / 2.0, decay_scale=scale,
-        kummer_a=-float(n), kummer_b=b,
-        energy=pho_energy(n, state, params, D_e, r_e, hbar, mass),
-        norm=_gaussian_norm(p / 2.0, c, int(n), b, scale), hbar=hbar, mass=mass)
+    """Closed-form pseudoharmonic radial state, normalized numerically."""
+    return radial_solution(Pseudoharmonic(D_e, r_e), n, state, params, hbar,
+                           mass)
 
 
 def coulomb_energy(n: int, state: AngularState, params: DeformationParams,
                    e2: float, hbar: float = 1.0, mass: float = 1.0) -> float:
     """Attractive 1/r level -(m e2^2 / 2 hbar^2) / (n + 2L + sum mu + (d-1)/2)^2."""
-    Coulomb(e2)
-    _check_inputs(n, state, params)
-    kappa = n + 2.0 * state.ell_total + params.mu_sum + (params.d - 1.0) / 2.0
-    if kappa <= 0.0:
-        raise DomainError(
-            f"no bound state: effective principal number {kappa} is not positive")
-    return -mass * e2 ** 2 / (2.0 * hbar ** 2 * kappa ** 2)
-
-
-@lru_cache(maxsize=512)
-def _coulomb_norm(L: float, c: float, n: int, B: float, eta: float) -> float:
-    # integral U^2 r^c dr with U = r^{2L} e^{-eta r} M(-n, B, 2 eta r)
-    gamma = 4.0 * L + c
-    rule = build_quadrature(gamma, "exp_r", max(n + 4, 8))
-    vals = kummer_m(-float(n), B, rule.nodes)
-    total = (2.0 * eta) ** (-(gamma + 1.0)) * float(np.sum(rule.weights * vals ** 2))
-    return 1.0 / np.sqrt(total)
+    return bound_energy(Coulomb(e2), n, state, params, hbar, mass)
 
 
 def coulomb_radial_solution(n: int, state: AngularState,
@@ -288,64 +378,14 @@ def coulomb_radial_solution(n: int, state: AngularState,
                             hbar: float = 1.0, mass: float = 1.0
                             ) -> RadialSolution:
     """Closed-form attractive-1/r radial state, normalized numerically."""
-    energy = coulomb_energy(n, state, params, e2, hbar, mass)
-    L = state.ell_total
-    c = _radial_weight_exponent(params)
-    eta = np.sqrt(-2.0 * mass * energy) / hbar
-    B = 4.0 * L + 2.0 * params.mu_sum + params.d - 1.0
-    return RadialSolution(
-        potential=Coulomb(e2), params=params, state=state, n=int(n),
-        leading_exponent=2.0 * L, decay_scale=eta, kummer_a=-float(n),
-        kummer_b=B, energy=energy,
-        norm=_coulomb_norm(L, c, int(n), B, eta), hbar=hbar, mass=mass)
+    return radial_solution(Coulomb(e2), n, state, params, hbar, mass)
 
 
 def coulomb_radial_wavefunction(sol: RadialSolution, r):
     """Evaluate an attractive-1/r radial state at r (scalar or array)."""
-    if not isinstance(sol.potential, Coulomb):
+    if sol.potential.gaussian:
         raise DomainError("solution is not an attractive-1/r state")
-    r = np.asarray(r, dtype=float)
-    out = (sol.norm * np.power(r, sol.leading_exponent)
-           * np.exp(-sol.decay_scale * r)
-           * kummer_m(sol.kummer_a, sol.kummer_b, 2.0 * sol.decay_scale * r))
-    return out if out.ndim else float(out)
-
-
-def radial_wavefunction(sol: RadialSolution, r):
-    """Evaluate any RadialSolution at r."""
-    if isinstance(sol.potential, Coulomb):
-        return coulomb_radial_wavefunction(sol, r)
-    return _gaussian_wavefunction(sol, r)
-
-
-def radial_solution(potential: PotentialSpec, n: int, state: AngularState,
-                    params: DeformationParams, hbar: float = 1.0,
-                    mass: float = 1.0) -> RadialSolution:
-    """Build the radial state for any potential variant."""
-    if isinstance(potential, Oscillator):
-        return oscillator_radial_solution(n, state, params, potential.omega,
-                                          hbar, mass)
-    if isinstance(potential, Pseudoharmonic):
-        return pho_radial_solution(n, state, params, potential.D_e,
-                                   potential.r_e, hbar, mass)
-    if isinstance(potential, Coulomb):
-        return coulomb_radial_solution(n, state, params, potential.e2,
-                                       hbar, mass)
-    raise DomainError(f"unknown potential {potential!r}")
-
-
-def bound_energy(potential: PotentialSpec, n: int, state: AngularState,
-                 params: DeformationParams, hbar: float = 1.0,
-                 mass: float = 1.0) -> float:
-    """Closed-form energy for any potential variant."""
-    if isinstance(potential, Oscillator):
-        return oscillator_energy(n, state, params, potential.omega, hbar)
-    if isinstance(potential, Pseudoharmonic):
-        return pho_energy(n, state, params, potential.D_e, potential.r_e,
-                          hbar, mass)
-    if isinstance(potential, Coulomb):
-        return coulomb_energy(n, state, params, potential.e2, hbar, mass)
-    raise DomainError(f"unknown potential {potential!r}")
+    return radial_wavefunction(sol, r)
 
 
 def coulomb_large_d_expansion(n: int, state: AngularState,
@@ -359,8 +399,7 @@ def coulomb_large_d_expansion(n: int, state: AngularState,
     order counts the retained bracket terms (0, 1, or 2). The remainder of
     the order-2 truncation is O(d^-4) times the prefactor 2 m e2^2/hbar^2.
     """
-    Coulomb(e2)
-    _check_inputs(n, state, params)
+    Coulomb(e2).radial_problem(n, state, params, hbar, mass)  # input checks
     if order not in (0, 1, 2):
         raise DomainError(f"truncation order must be 0, 1, or 2, got {order}")
     d = params.d
@@ -380,7 +419,7 @@ def reduced_density(sol: RadialSolution, r):
     against exactly this weight.
     """
     r = np.asarray(r, dtype=float)
-    c = _radial_weight_exponent(sol.params)
+    c = _weight_exponent(sol.params)
     u = radial_wavefunction(sol, r)
     out = np.asarray(u) ** 2 * np.power(r, c)
     return out if out.ndim else float(out)

@@ -27,6 +27,10 @@ whenever the reduced barrier strength falls into the limit-circle window
 (it selects the Friedrichs extension, whose levels differ by O(1)). The
 absorbed-power scheme pins the regular branch for every parameter set this
 package accepts.
+
+Each potential's RadialProblem record (see `spectra`) supplies c, p, the
+potential terms, the energy shift and the automatic box; only the Gram
+matrices and the per-level 1/r boxes also read its `gaussian` flag.
 """
 
 from __future__ import annotations
@@ -37,11 +41,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .cartesian import _check_1d_args
 from .core import DeformationParams
-from .errors import ConvergenceError, DomainError, TailLeakWarning
-from .polar import AngularState, varpi_sq
-from .spectra import (Coulomb, Oscillator, PotentialSpec, Pseudoharmonic,
-                      bound_energy, potential_tag, radial_solution,
+from .errors import (ConvergenceError, DomainError, TailLeakWarning,
+                     check_positive)
+from .polar import AngularState
+from .spectra import (PotentialSpec, RadialProblem, radial_solution,
                       radial_wavefunction)
 
 __all__ = [
@@ -71,8 +76,8 @@ class DiscretizationConfig:
     def __post_init__(self):
         if self.n_points < 100:
             raise DomainError(f"need at least 100 grid points, got {self.n_points}")
-        if self.r_max is not None and not self.r_max > 0.0:
-            raise DomainError(f"box size must be positive, got {self.r_max}")
+        if self.r_max is not None:
+            check_positive(r_max=self.r_max)
         if self.boundary != "dirichlet_at_rmax":
             raise DomainError(f"unsupported boundary {self.boundary!r}")
 
@@ -144,61 +149,26 @@ def _solve_with_config(q: float, vterms, r_max: float, cfg: DiscretizationConfig
     return (4.0 * fine - coarse) / 3.0
 
 
-def _problem_setup(potential: PotentialSpec, params: DeformationParams,
-                   state: AngularState, hbar: float, mass: float):
-    """Weight exponent q, potential terms, energy shift, and absorbed power."""
-    c = params.d - 1.0 + 2.0 * params.mu_sum
-    if isinstance(potential, Oscillator):
-        p = 2.0 * state.ell_total
-        return c + 2.0 * p, [(0.5 * mass * potential.omega ** 2, 2.0)], 0.0, p
-    if isinstance(potential, Coulomb):
-        p = 2.0 * state.ell_total
-        return c + 2.0 * p, [(-potential.e2, -1.0)], 0.0, p
-    if isinstance(potential, Pseudoharmonic):
-        delta_sq = (varpi_sq(state, params)
-                    + 2.0 * mass * potential.D_e * potential.r_e ** 2 / hbar ** 2)
-        p = 0.5 * ((1.0 - c) + np.sqrt((c - 1.0) ** 2 + 4.0 * delta_sq))
-        big_omega = 2.0 * np.sqrt(potential.D_e / mass) / potential.r_e
-        # solving the shifted problem: numeric eigenvalues are E + 2 D_e
-        return (c + 2.0 * p, [(0.5 * mass * big_omega ** 2, 2.0)],
-                -2.0 * potential.D_e, p)
-    raise DomainError(f"unknown potential {potential!r}")
-
-
-def _auto_rmax(potential: PotentialSpec, params: DeformationParams,
-               state: AngularState, n_top: int, hbar: float,
-               mass: float) -> float:
-    """Box size from the top level's turning point and decay length.
-
-    Analytic energies enter only here, for grid sizing; the eigensolve
-    itself never sees them.
-    """
-    energy = bound_energy(potential, n_top, state, params, hbar, mass)
-    if isinstance(potential, Oscillator):
-        turn = np.sqrt(2.0 * energy / mass) / potential.omega
-        return max(8.0, 2.6 * turn)
-    if isinstance(potential, Coulomb):
-        return max(6.0 * potential.e2 / abs(energy),
-                   35.0 * hbar / np.sqrt(2.0 * mass * abs(energy)))
-    shifted = energy + 2.0 * potential.D_e
-    big_omega = 2.0 * np.sqrt(potential.D_e / mass) / potential.r_e
-    turn = np.sqrt(2.0 * shifted / mass) / big_omega
-    return max(8.0, 2.6 * turn + potential.r_e)
+def _box(cfg: DiscretizationConfig, rec: RadialProblem) -> float:
+    """The configured box, or the automatic one of the record's level."""
+    return rec.r_max if cfg.r_max is None else cfg.r_max
 
 
 def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
                        state: AngularState, cfg: DiscretizationConfig, k: int,
                        hbar: float = 1.0, mass: float = 1.0) -> np.ndarray:
-    """Lowest k radial eigenvalues from the finite-volume discretization."""
+    """Lowest k radial eigenvalues from the finite-volume discretization.
+
+    The top level's closed-form record supplies the weight, the potential
+    terms and, with r_max = None, the box; its analytic energy enters only
+    through that box size, never the eigensolve itself.
+    """
     if k < 1:
         raise DomainError(f"need at least one level, got k={k}")
-    q, vterms, shift, _ = _problem_setup(potential, params, state, hbar, mass)
-    r_max = cfg.r_max
-    if r_max is None:
-        r_max = _auto_rmax(potential, params, state, k - 1, hbar, mass)
-    vals = _solve_with_config(q, vterms, r_max, cfg, k, hbar, mass,
-                              potential_tag(potential))
-    return vals + shift
+    rec = potential.radial_problem(k - 1, state, params, hbar, mass)
+    vals = _solve_with_config(rec.c + 2.0 * rec.p, rec.vterms, _box(cfg, rec),
+                              cfg, k, hbar, mass, potential.tag)
+    return vals + rec.shift
 
 
 def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
@@ -210,12 +180,7 @@ def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
     exponent 2 mu (zero-flux origin matches the even regular branch); the
     odd sector divides out one power of x and solves with 2 mu + 2.
     """
-    if not mu > -0.5:
-        raise DomainError(f"coupling mu={mu} violates the bound mu > -1/2")
-    if s not in (1, -1):
-        raise DomainError(f"parity must be +1 or -1, got {s}")
-    if not omega > 0.0:
-        raise DomainError(f"frequency must be positive, got {omega}")
+    _check_1d_args(mu, s, omega, hbar, mass)
     q = 2.0 * mu if s == 1 else 2.0 * mu + 2.0
     r_max = cfg.r_max
     if r_max is None:
@@ -239,30 +204,17 @@ def residual_check(potential: PotentialSpec, params: DeformationParams,
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 2.0 * step):
         raise DomainError("grid points must stay clear of the origin")
+    rec = potential.radial_problem(n, state, params, hbar, mass)
     sol = radial_solution(potential, n, state, params, hbar, mass)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     f = np.array([radial_wavefunction(sol, grid + o * step) for o in offsets])
     d2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * step ** 2)
     d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * step)
-    c = params.d - 1.0 + 2.0 * params.mu_sum
-    if isinstance(potential, Pseudoharmonic):
-        # shifted parameterization: harmonic well of the mapped frequency,
-        # augmented barrier, energy measured from the well bottom
-        big_omega = 2.0 * np.sqrt(potential.D_e / mass) / potential.r_e
-        barrier = (varpi_sq(state, params)
-                   + 2.0 * mass * potential.D_e * potential.r_e ** 2 / hbar ** 2)
-        shifted = sol.energy + 2.0 * potential.D_e
-        bracket = (2.0 * mass / hbar ** 2
-                   * (shifted - 0.5 * mass * big_omega ** 2 * grid ** 2)
-                   - barrier / grid ** 2)
-    else:
-        if isinstance(potential, Oscillator):
-            v = 0.5 * mass * potential.omega ** 2 * grid ** 2
-        else:
-            v = -potential.e2 / grid
-        bracket = (2.0 * mass / hbar ** 2 * (sol.energy - v)
-                   - varpi_sq(state, params) / grid ** 2)
-    terms = (d2, (c / grid) * d1, bracket * f[2])
+    # the record's problem: its barrier, potential terms and energy shift
+    v = sum(coeff * grid ** power for coeff, power in rec.vterms)
+    bracket = (2.0 * mass / hbar ** 2 * (rec.energy - rec.shift - v)
+               - rec.barrier / grid ** 2)
+    terms = (d2, (rec.c / grid) * d1, bracket * f[2])
     residual = np.abs(terms[0] + terms[1] + terms[2])
     magnitude = np.max(np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]))
     return float(np.max(residual) / magnitude)
@@ -283,12 +235,12 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
         raise DomainError(f"need at least one state, got {n_max}")
     sols = [radial_solution(potential, n, state, params, hbar, mass)
             for n in range(n_max)]
-    c = params.d - 1.0 + 2.0 * params.mu_sum
+    rec = potential.radial_problem(0, state, params, hbar, mass)
+    c, gamma = rec.c, rec.c + 2.0 * rec.p
     gram = np.empty((n_max, n_max))
-    if isinstance(potential, Coulomb):
+    if not potential.gaussian:
         # each pair has its own decay rate, so integrate each pair in the
         # variable u = (eta_i + eta_j) r against u^gamma e^{-u}
-        gamma = 4.0 * state.ell_total + c
         rule = build_quadrature(gamma, "exp_r", n_max + 6)
         for i, si in enumerate(sols):
             for j, sj in enumerate(sols[:i + 1]):
@@ -302,13 +254,10 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
                     * float(np.sum(rule.weights * vals)))
         return gram
     # Gaussian family: all states share the decay scale and leading power
-    p = sols[0].leading_exponent
-    scale = sols[0].decay_scale
-    gamma = c + 4.0 * p
     rule = build_quadrature(gamma, "exp_r2", max(2 * n_max + 6, 12))
     u = rule.nodes ** 2
     vals = [kummer_m(s.kummer_a, s.kummer_b, u) for s in sols]
-    pref = scale ** (-(c + 1.0) / 2.0)
+    pref = rec.scale ** (-(c + 1.0) / 2.0)
     for i in range(n_max):
         for j in range(i + 1):
             gram[i, j] = gram[j, i] = (
@@ -373,21 +322,26 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
 
     With an automatic box, levels of the attractive 1/r problem get
     individually sized grids (their spatial extents differ by orders of
-    magnitude); the Gaussian-family levels share one box.
+    magnitude); the Gaussian-family levels share one box. grid["r_max"] is
+    the box used: one number, or the list of per-level boxes.
     """
-    analytic = [float(bound_energy(potential, n, state, params, hbar, mass))
-                for n in range(k)]
-    if isinstance(potential, Coulomb) and cfg.r_max is None:
+    if k < 1:
+        raise DomainError(f"need at least one level, got k={k}")
+    recs = [potential.radial_problem(n, state, params, hbar, mass)
+            for n in range(k)]
+    if potential.gaussian or cfg.r_max is not None:
+        numeric = list(radial_eigenvalues(potential, params, state, cfg, k,
+                                          hbar, mass))
+        r_max = _box(cfg, recs[-1])
+    else:
         numeric = [radial_eigenvalues(potential, params, state, cfg, n + 1,
                                       hbar, mass)[n]
                    for n in range(k)]
-    else:
-        numeric = list(radial_eigenvalues(potential, params, state, cfg, k,
-                                          hbar, mass))
+        r_max = [_box(cfg, rec) for rec in recs]
     return OracleReport(
-        potential=potential_tag(potential), d=params.d, mu=params.mu,
+        potential=potential.tag, d=params.d, mu=params.mu,
         two_ell=state.two_ell, parity=state.parity.s,
-        levels=tuple(range(k)), analytic=tuple(analytic),
+        levels=tuple(range(k)), analytic=tuple(float(r.energy) for r in recs),
         numeric=tuple(float(v) for v in numeric), tolerance=tolerance,
-        grid={"r_max": cfg.r_max, "n_points": cfg.n_points,
+        grid={"r_max": r_max, "n_points": cfg.n_points,
               "richardson": cfg.richardson})

@@ -47,6 +47,18 @@ def test_energy_1d_domain_errors():
         energy_1d(-1, 0.1, 1, 1.0)
 
 
+def test_1d_constants_positive_and_finite():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            energy_1d(0, 0.1, 1, bad)
+        with pytest.raises(DomainError):
+            energy_1d(0, 0.1, 1, 1.0, hbar=bad)
+        with pytest.raises(DomainError):
+            wavefunction_1d(0, 0.1, 1, 1.0, 0.5, hbar=bad)
+        with pytest.raises(DomainError):
+            wavefunction_1d(0, 0.1, -1, 1.0, 0.5, mass=bad)
+
+
 def test_energy_1d_base_offset():
     # counting levels from one only relabels the ladder
     assert energy_1d(1, 0.3, -1, 2.0, n_base=1) == energy_1d(0, 0.3, -1, 2.0)

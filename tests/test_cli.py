@@ -14,6 +14,7 @@ from dunkl_spectra import (
     DiscretizationConfig,
     coulomb_energy,
     oscillator_energy,
+    pho_energy,
     radial_eigenvalues,
     reduced_density,
 )
@@ -408,3 +409,42 @@ def test_output_file_equals_stdout(tmp_path, capsys):
     code2, out2, err2 = run(argv + ["--output", str(target)], capsys)
     assert code2 == 0
     assert target.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--potential", "oscillator", "--hbar=-1"],
+    ["spectrum", "--potential", "oscillator", "--omega=inf"],
+    ["spectrum", "--potential", "pho", "--mass=-1"],
+    ["spectrum", "--potential", "coulomb", "--e2=nan"],
+    ["density", "--potential", "coulomb", "--mass=0"],
+    ["verify", "--potential", "oscillator", "--d", "3", "--rmax=inf"],
+])
+def test_bad_physical_constants_exit_3(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("rmax", ["-2", "0", "inf", "nan"])
+def test_density_bad_rmax_is_usage_error(rmax, capsys):
+    code, out, err = run(["density", "--potential", "oscillator",
+                          f"--rmax={rmax}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
+def test_verify_explicit_default_depth(capsys):
+    argv = ["verify", "--potential", "pho", "--d", "3", "--mu", "0.4"]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert parse_csv(out)[0]["checks"] == "4"  # depths 2 and 8, two levels
+    code, out, err = run(argv + ["--De", "1.0"], capsys)
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert meta["checks"] == "2"
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.0)
+    assert [float(r[-5]) for r in rows] == [
+        pho_energy(n, state, params, 1.0, 1.0) for n in range(2)]

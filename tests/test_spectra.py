@@ -397,3 +397,50 @@ def test_quantum_number_validation():
         oscillator_energy(-1, st, params, 1.0)
     with pytest.raises(InvalidStateError):
         oscillator_energy(0, AngularState.from_total(4, 0.0), params, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form records and physical constants
+# ---------------------------------------------------------------------------
+
+def test_radial_problem_record_matches_solution():
+    params = DeformationParams(d=4, mu=(0.3, -0.2, 0.5, 0.1))
+    st = AngularState.from_total(4, 1.0)
+    for pot in (Oscillator(1.7), Pseudoharmonic(3.0, 1.4), Coulomb(1.3)):
+        for n in range(3):
+            rec = pot.radial_problem(n, st, params, 1.2, 0.8)
+            sol = radial_solution(pot, n, st, params, 1.2, 0.8)
+            assert rec.energy == sol.energy == bound_energy(
+                pot, n, st, params, 1.2, 0.8)
+            assert (rec.n, rec.b, rec.scale) == (n, sol.kummer_b,
+                                                 sol.decay_scale)
+            assert rec.c == _weight_exponent(params)
+            assert sol.leading_exponent == (
+                rec.p / 2.0 if pot.gaussian else rec.p)
+            # U ~ r^p near the origin: p solves the indicial equation
+            npt.assert_allclose(rec.p * (rec.p + rec.c - 1.0), rec.barrier,
+                                rtol=1e-12)
+            assert rec.r_max > 0.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_physical_constants_positive_and_finite(bad):
+    params = DeformationParams.uniform(3, 0.2)
+    st = AngularState.from_total(3, 0.5)
+    for make in (Oscillator, Coulomb, lambda v: Pseudoharmonic(v, 1.0),
+                 lambda v: Pseudoharmonic(8.0, v)):
+        with pytest.raises(DomainError):
+            make(bad)
+    for pot in (Oscillator(1.0), Pseudoharmonic(8.0, 1.0), Coulomb(1.0)):
+        for consts in ({"hbar": bad}, {"mass": bad}):
+            with pytest.raises(DomainError):
+                bound_energy(pot, 0, st, params, **consts)
+            with pytest.raises(DomainError):
+                radial_solution(pot, 0, st, params, **consts)
+    with pytest.raises(DomainError):
+        oscillator_energy(0, st, params, 1.0, hbar=bad)
+    # a negative mass used to trip an assert instead
+    with pytest.raises(DomainError):
+        pho_energy(0, st, params, 8.0, 1.0, mass=bad)
+    with pytest.raises(DomainError):
+        coulomb_large_d_expansion(0, st, params, 1.0, hbar=bad)

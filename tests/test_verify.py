@@ -45,6 +45,12 @@ def test_config_validation():
     assert cfg.richardson
 
 
+def test_config_rejects_non_finite_box():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            DiscretizationConfig(r_max=bad)
+
+
 def test_level_count_validation():
     params = DeformationParams.uniform(3, 0.0)
     state = AngularState.from_total(3, 0.0)
@@ -285,3 +291,39 @@ def test_oracle_report_failure_flag():
                         2, tolerance=1e-9)
     assert not rep.passed
     assert rep.max_rel_err > 1e-9
+
+
+def test_oracle_report_records_box_used():
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.5)
+    cfg = DiscretizationConfig(n_points=400)
+    rep = oracle_report(Oscillator(1.0), params, state, cfg, 3, 1e-3)
+    box = DiscretizationConfig(r_max=rep.grid["r_max"], n_points=400)
+    assert tuple(float(v) for v in radial_eigenvalues(
+        Oscillator(1.0), params, state, box, 3)) == rep.numeric
+    # the 1/r levels each get their own box
+    rep = oracle_report(Coulomb(1.0), params, state, cfg, 3, 1e-2)
+    assert len(rep.grid["r_max"]) == 3
+    for n, r_max in enumerate(rep.grid["r_max"]):
+        box = DiscretizationConfig(r_max=r_max, n_points=400)
+        assert radial_eigenvalues(Coulomb(1.0), params, state, box,
+                                  n + 1)[n] == rep.numeric[n]
+    rep = oracle_report(Coulomb(1.0), params, state, box, 2, 1e-2)
+    assert rep.grid["r_max"] == box.r_max
+
+
+def test_oracle_report_needs_a_level():
+    params = DeformationParams.uniform(3, 0.0)
+    state = AngularState.from_total(3, 0.0)
+    for pot in (Oscillator(1.0), Coulomb(1.0)):
+        with pytest.raises(DomainError):
+            oracle_report(pot, params, state, DiscretizationConfig(), 0, 1e-3)
+
+
+def test_cartesian_oracle_rejects_bad_constants():
+    cfg = DiscretizationConfig(n_points=200)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        for omega, hbar, mass in ((bad, 1.0, 1.0), (1.0, bad, 1.0),
+                                  (1.0, 1.0, bad)):
+            with pytest.raises(DomainError):
+                cartesian_1d_eigenvalues(0.2, 1, omega, cfg, 2, hbar, mass)
