@@ -45,7 +45,7 @@ TWO_PI = 2.0 * np.pi
 class DeformationParams:
     """Spatial dimension d and the per-axis deformation couplings mu_j.
 
-    Each mu_j must exceed -1/2 so the weight |x_j|^{2 mu_j} is integrable
+    Each mu_j must be finite and exceed -1/2 so |x_j|^{2 mu_j} is integrable
     at the origin; mu_j = 0 on every axis recovers the undeformed theory.
     """
     d: int
@@ -59,9 +59,9 @@ class DeformationParams:
             raise DomainError(
                 f"need exactly d={self.d} couplings, got {len(mu)}")
         for j, m in enumerate(mu, start=1):
-            if not m > -0.5:
-                raise DomainError(
-                    f"coupling mu_{j}={m} violates the bound mu > -1/2")
+            if not -0.5 < m < np.inf:
+                raise DomainError(f"coupling mu_{j}={m} must be finite and "
+                                  f"exceed -1/2")
         object.__setattr__(self, "mu", mu)
 
     @classmethod

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the check that every
-physical constant is positive and finite."""
+"""Exception types shared across the package, and the checks that physical
+constants are positive and finite and quantum numbers nonnegative integers."""
 
 import math
 
@@ -29,3 +29,11 @@ def check_positive(**constants: float) -> None:
     for name, value in constants.items():
         if not 0.0 < value < math.inf:
             raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def check_count(value, name: str, error: type = DomainError) -> int:
+    """value as an int; raise `error` unless it is a nonnegative whole
+    number (2.0 passes, 2.5 and -1 do not)."""
+    if not (value >= 0 and float(value).is_integer()):
+        raise error(f"{name} must be a nonnegative integer, got {value}")
+    return int(value)

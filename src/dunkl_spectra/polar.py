@@ -29,13 +29,12 @@ whose top entry k = d-1 is the constant fed to the radial equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import DeformationParams, ParityVector
-from .errors import DomainError, InvalidStateError
-from .specfun import gauss_jacobi, jacobi
+from .errors import DomainError, InvalidStateError, check_count
+from .specfun import gauss_jacobi, jacobi, jacobi_norm_sq
 
 __all__ = [
     "AngularState",
@@ -66,9 +65,8 @@ class AngularState:
     parity: ParityVector
 
     def __post_init__(self):
-        two_ell = tuple(int(v) for v in self.two_ell)
-        if any(v < 0 for v in two_ell):
-            raise InvalidStateError(f"quantum numbers must be >= 0, got {self.two_ell}")
+        two_ell = tuple(check_count(v, "2*l_j", InvalidStateError)
+                        for v in self.two_ell)
         if not isinstance(self.parity, ParityVector):
             object.__setattr__(self, "parity", ParityVector(tuple(self.parity)))
         d = len(self.parity)
@@ -180,29 +178,13 @@ def angular_solution(j: int, state: AngularState,
         eigenvalue=_separation_eigenvalue(j, state.ell_partial(j), params))
 
 
-@lru_cache(maxsize=512)
-def _norm_constant(j: int, state: AngularState, params: DeformationParams) -> float:
-    # Squared norm against the level weight
-    #   |cos t|^{2 mu_1} |sin t|^{2 mu_2}                      (j = 1, full turn)
-    #   |cos t|^{2 mu_{j+1}} |sin t|^{j-1+2 sum_{i<=j} mu_i}   (j >= 2, half turn)
-    # maps under u = cos 2t to the Jacobi weight of the level's own (a, b):
-    #   norm^2 = mult * 2^{-(a+b+2)} * integral (1-u)^a (1+u)^b P_k(u)^2 du
-    # with mult = 4 on the full turn and 2 on the half turn.
-    sol = angular_solution(j, state, params)
-    a, b = sol.jacobi_alpha, sol.jacobi_beta
-    nodes, weights = gauss_jacobi(a, b, max(sol.degree + 2, 8))
-    vals = jacobi(sol.degree, a, b, nodes)
-    mult = 4.0 if j == 1 else 2.0
-    total = mult * 2.0 ** (-(a + b + 2.0)) * float(np.sum(weights * vals ** 2))
-    return 1.0 / np.sqrt(total)
-
-
 def theta_eigenfunction(j: int, state: AngularState, params: DeformationParams,
                         theta, normalized: bool = True):
     """Evaluate tower level j at angle(s) theta.
 
     Normalized (default) to unit norm against the level's weight over its
-    angular range; the constant is fixed by Gauss quadrature in u = cos 2t.
+    angular range; in u = cos 2t the constant is the closed-form Jacobi norm
+    h_k (DLMF 18.3).
     """
     sol = angular_solution(j, state, params)
     theta = np.asarray(theta, dtype=float)
@@ -213,14 +195,19 @@ def theta_eigenfunction(j: int, state: AngularState, params: DeformationParams,
     if sol.sin_exponent:
         out = out * np.sin(theta) ** sol.sin_exponent
     if normalized:
-        out = out * _norm_constant(j, state, params)
-    return out if out.ndim else float(out)
+        # in u = cos 2t the level weight, over the full turn for j = 1 and
+        # the half turn above, is mult 2^{-(a+b+2)} (1-u)^a (1+u)^b du
+        a, b = sol.jacobi_alpha, sol.jacobi_beta
+        mult = 4.0 if j == 1 else 2.0
+        out = out / np.sqrt(mult * 2.0 ** (-(a + b + 2.0))
+                            * jacobi_norm_sq(sol.degree, a, b))
+    return out if np.ndim(out) else float(out)
 
 
 def angular_inner_product(j: int, state_a: AngularState, state_b: AngularState,
                           params: DeformationParams) -> float:
     """Inner product of two normalized level-j eigenfunctions under the
-    level weight.
+    level weight, by Gauss-Jacobi quadrature in u = cos 2t.
 
     Both states must share the parity sector and the lower-level quantum
     numbers, so they live over one and the same weight.
@@ -235,10 +222,9 @@ def angular_inner_product(j: int, state_a: AngularState, state_b: AngularState,
     a, b = sa.jacobi_alpha, sa.jacobi_beta
     nodes, weights = gauss_jacobi(a, b, max(sa.degree, sb.degree) + 2)
     vals = (jacobi(sa.degree, a, b, nodes) * jacobi(sb.degree, a, b, nodes))
-    mult = 4.0 if j == 1 else 2.0
-    raw = mult * 2.0 ** (-(a + b + 2.0)) * float(np.sum(weights * vals))
-    return (raw * _norm_constant(j, state_a, params)
-            * _norm_constant(j, state_b, params))
+    # the level weight's factor mult 2^{-(a+b+2)} cancels against the norms
+    return float(np.sum(weights * vals)) / np.sqrt(
+        jacobi_norm_sq(sa.degree, a, b) * jacobi_norm_sq(sb.degree, a, b))
 
 
 def lambda_sq(k: int, state: AngularState, params: DeformationParams) -> float:

@@ -1,10 +1,11 @@
-"""Numerical kernels: classical orthogonal polynomials, the confluent
-hypergeometric function M(a, b, x), and Gauss quadrature builders for the
-half-line weights r^gamma e^{-r} and r^gamma e^{-r^2}.
+"""Numerical kernels: classical orthogonal polynomials and their norms, the
+confluent hypergeometric function M(a, b, x), and Gauss quadrature builders
+for the half-line weights r^gamma e^{-r} and r^gamma e^{-r^2}.
 
 Polynomials are evaluated by ascending three-term recurrences, which stay
 stable for the index ranges used here (factorial-ratio closed forms overflow
-near n ~ 20). All routines accept numpy arrays in the argument position.
+near n ~ 20); for the same reason their norms are formed from log-gamma
+values. All evaluation routines accept numpy arrays in the argument position.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import mpmath
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import betaln
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_count
 
 __all__ = [
     "QuadratureRule",
     "laguerre",
+    "laguerre_norm_sq",
     "jacobi",
+    "jacobi_norm_sq",
     "kummer_m",
     "gauss_jacobi",
     "build_quadrature",
@@ -31,17 +34,20 @@ __all__ = [
 _SERIES_CAP = 10000
 
 
+def _degree(n, *params) -> int:
+    """The checked degree; weight parameters must exceed -1 (integrable)."""
+    if any(p <= -1.0 for p in params):
+        raise DomainError(f"weight parameters must exceed -1, got {params}")
+    return check_count(n, "degree")
+
+
 def laguerre(n, alpha, x):
     """Generalized Laguerre polynomial L_n^alpha(x).
 
     Ascending recurrence in the degree. Requires alpha > -1 so the weight
     x^alpha e^{-x} is integrable at the origin.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"degree must be a nonnegative integer, got {n}")
-    if alpha <= -1.0:
-        raise DomainError(f"laguerre parameter must exceed -1, got alpha={alpha}")
-    n = int(n)
+    n = _degree(n, alpha)
     x = np.asarray(x, dtype=float)
     p0 = np.ones_like(x)
     if n == 0:
@@ -52,6 +58,14 @@ def laguerre(n, alpha, x):
     return p1 if p1.ndim else float(p1)
 
 
+def laguerre_norm_sq(n, alpha) -> float:
+    """Squared norm Gamma(n + alpha + 1)/n! of L_n^alpha under x^alpha e^{-x}
+    on (0, inf) (DLMF 18.3); alpha > -1.
+    """
+    n = _degree(n, alpha)
+    return math.exp(math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
+
+
 def jacobi(n, alpha, beta, x):
     """Jacobi polynomial P_n^{(alpha, beta)}(x) by ascending recurrence.
 
@@ -59,12 +73,7 @@ def jacobi(n, alpha, beta, x):
     k = 1 step is written out explicitly because the general formula has a
     removable 0/0 at alpha + beta = -1.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"degree must be a nonnegative integer, got {n}")
-    if alpha <= -1.0 or beta <= -1.0:
-        raise DomainError(
-            f"jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}")
-    n = int(n)
+    n = _degree(n, alpha, beta)
     x = np.asarray(x, dtype=float)
     p0 = np.ones_like(x)
     if n == 0:
@@ -78,6 +87,23 @@ def jacobi(n, alpha, beta, x):
         c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
         p0, p1 = p1, ((c2 + c3 * x) * p1 - c4 * p0) / c1
     return p1 if p1.ndim else float(p1)
+
+
+def jacobi_norm_sq(n, alpha, beta) -> float:
+    """Squared norm h_n of P_n^{(alpha, beta)} under (1-x)^alpha (1+x)^beta
+    on [-1, 1] (DLMF 18.3); alpha, beta > -1. At n = 0 the denominator
+    (2n+alpha+beta+1) Gamma(n+alpha+beta+1) is read as Gamma(alpha+beta+2),
+    which stays finite at alpha + beta = -1.
+    """
+    n = _degree(n, alpha, beta)
+    ab = alpha + beta + 1.0
+    if n == 0:
+        log_den = math.lgamma(ab + 1.0)
+    else:
+        log_den = (math.log(2.0 * n + ab) + math.lgamma(n + 1.0)
+                   + math.lgamma(n + ab))
+    return math.exp(ab * math.log(2.0) + math.lgamma(n + alpha + 1.0)
+                    + math.lgamma(n + beta + 1.0) - log_den)
 
 
 def _is_nonpos_int(v: float) -> bool:

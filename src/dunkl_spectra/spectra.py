@@ -20,23 +20,25 @@ while the attractive 1/r problem decays exponentially,
 
     U(r) = N r^{2L} e^{-eta r} M(-n, B, 2 eta r).
 
-Normalization constants are fixed numerically by Gauss quadrature against
-the radial weight r^c; the energy formulas are exact closed forms.
+Energies and normalization constants against r^c are exact closed forms:
+M(-n, b, u) = n!/(b)_n L_n^{b-1}(u) (DLMF 13.6.19) turns each squared norm
+into the Laguerre norm Gamma(n+b)/n! (DLMF 18.3), or for the 1/r problem
+its x^{alpha+1} moment (2n+b) Gamma(n+b)/n!.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import get_args
 
 import numpy as np
 
 from .core import DeformationParams
-from .errors import DomainError, InvalidStateError, check_positive
+from .errors import (DomainError, InvalidStateError, check_count,
+                     check_positive)
 from .polar import AngularState, varpi_sq
-from .specfun import build_quadrature, kummer_m
+from .specfun import kummer_m, laguerre_norm_sq
 
 __all__ = [
     "RadialProblem",
@@ -110,13 +112,11 @@ class _Potential:
                        mass: float = 1.0) -> RadialProblem:
         """Closed-form data of radial level n, after checking every input."""
         check_positive(hbar=hbar, mass=mass)
-        if n < 0 or n != int(n):
-            raise DomainError(
-                f"radial quantum number must be a nonnegative integer, got {n}")
+        n = check_count(n, "radial quantum number")
         if state.d != params.d:
             raise InvalidStateError(
                 f"state has dimension {state.d}, parameters have {params.d}")
-        return self._problem(int(n), state, params, hbar, mass,
+        return self._problem(n, state, params, hbar, mass,
                              _weight_exponent(params))
 
 
@@ -225,7 +225,8 @@ class RadialSolution:
     For the Gaussian family, leading_exponent is the power of
     u = decay_scale r^2 in front; for the 1/r problem it is the power of r
     itself and decay_scale is the exponential rate eta. kummer_a = -n always;
-    kummer_b must be positive for the state to be normalizable.
+    kummer_b must be positive for the state to be normalizable. norm is the
+    closed-form constant that gives U unit norm against r^c.
     """
     potential: PotentialSpec
     params: DeformationParams
@@ -236,7 +237,6 @@ class RadialSolution:
     kummer_a: float
     kummer_b: float
     energy: float
-    norm: float
     hbar: float
     mass: float
 
@@ -247,6 +247,19 @@ class RadialSolution:
         if self.kummer_a != -self.n:
             raise InvalidStateError(
                 f"bound state needs a=-n, got a={self.kummer_a}, n={self.n}")
+
+    @property
+    def norm(self) -> float:
+        n, b = self.n, self.kummer_b
+        # integral of u^{b-1} e^{-u} M(-n, b, u)^2 over (0, inf)
+        norm_sq = laguerre_norm_sq(n, b - 1.0) * math.exp(
+            2.0 * (math.lgamma(n + 1.0) + math.lgamma(b) - math.lgamma(n + b)))
+        if self.potential.gaussian:  # u = scale r^2, b = (c + 1)/2 + 2 lead
+            c = _weight_exponent(self.params)
+            norm_sq *= 0.5 * self.decay_scale ** (-(c + 1.0) / 2.0)
+        else:  # x = 2 eta r, b = c + 2 lead: one more power of x
+            norm_sq *= (2.0 * self.decay_scale) ** (-(b + 1.0)) * (2.0 * n + b)
+        return 1.0 / np.sqrt(norm_sq)
 
 
 @dataclass(frozen=True)
@@ -276,41 +289,17 @@ def bound_energy(potential: PotentialSpec, n: int, state: AngularState,
     return potential.radial_problem(n, state, params, hbar, mass).energy
 
 
-@lru_cache(maxsize=512)
-def _gaussian_norm(p: float, c: float, n: int, b: float, scale: float) -> float:
-    # integral U^2 r^c dr with U = u^p e^{-u/2} M(-n, b, u), u = scale r^2
-    gamma = c + 4.0 * p
-    rule = build_quadrature(gamma, "exp_r2", max(2 * n + 4, 8))
-    vals = kummer_m(-float(n), b, rule.nodes ** 2)
-    total = scale ** (-(c + 1.0) / 2.0) * float(np.sum(rule.weights * vals ** 2))
-    return 1.0 / np.sqrt(total)
-
-
-@lru_cache(maxsize=512)
-def _coulomb_norm(p: float, c: float, n: int, B: float, eta: float) -> float:
-    # integral U^2 r^c dr with U = r^p e^{-eta r} M(-n, B, 2 eta r)
-    gamma = 2.0 * p + c
-    rule = build_quadrature(gamma, "exp_r", max(n + 4, 8))
-    vals = kummer_m(-float(n), B, rule.nodes)
-    total = (2.0 * eta) ** (-(gamma + 1.0)) * float(np.sum(rule.weights * vals ** 2))
-    return 1.0 / np.sqrt(total)
-
-
 def radial_solution(potential: PotentialSpec, n: int, state: AngularState,
                     params: DeformationParams, hbar: float = 1.0,
                     mass: float = 1.0) -> RadialSolution:
-    """Build the radial state for any potential variant, normalized numerically."""
+    """Build the radial state for any potential variant, normalized in
+    closed form."""
     rec = potential.radial_problem(n, state, params, hbar, mass)
-    if potential.gaussian:
-        lead = rec.p / 2.0
-        norm = _gaussian_norm(lead, rec.c, rec.n, rec.b, rec.scale)
-    else:
-        lead = rec.p
-        norm = _coulomb_norm(lead, rec.c, rec.n, rec.b, rec.scale)
     return RadialSolution(
         potential=potential, params=params, state=state, n=rec.n,
-        leading_exponent=lead, decay_scale=rec.scale, kummer_a=-float(rec.n),
-        kummer_b=rec.b, energy=rec.energy, norm=norm, hbar=hbar, mass=mass)
+        leading_exponent=rec.p / 2.0 if potential.gaussian else rec.p,
+        decay_scale=rec.scale, kummer_a=-float(rec.n), kummer_b=rec.b,
+        energy=rec.energy, hbar=hbar, mass=mass)
 
 
 def radial_wavefunction(sol: RadialSolution, r):
@@ -337,7 +326,7 @@ def oscillator_radial_solution(n: int, state: AngularState,
                                params: DeformationParams, omega: float,
                                hbar: float = 1.0, mass: float = 1.0
                                ) -> RadialSolution:
-    """Closed-form harmonic-well radial state, normalized numerically."""
+    """Closed-form harmonic-well radial state, unit norm against r^c."""
     return radial_solution(Oscillator(omega), n, state, params, hbar, mass)
 
 
@@ -362,7 +351,7 @@ def pho_energy(n: int, state: AngularState, params: DeformationParams,
 def pho_radial_solution(n: int, state: AngularState, params: DeformationParams,
                         D_e: float, r_e: float, hbar: float = 1.0,
                         mass: float = 1.0) -> RadialSolution:
-    """Closed-form pseudoharmonic radial state, normalized numerically."""
+    """Closed-form pseudoharmonic radial state, unit norm against r^c."""
     return radial_solution(Pseudoharmonic(D_e, r_e), n, state, params, hbar,
                            mass)
 
@@ -377,7 +366,7 @@ def coulomb_radial_solution(n: int, state: AngularState,
                             params: DeformationParams, e2: float,
                             hbar: float = 1.0, mass: float = 1.0
                             ) -> RadialSolution:
-    """Closed-form attractive-1/r radial state, normalized numerically."""
+    """Closed-form attractive-1/r radial state, unit norm against r^c."""
     return radial_solution(Coulomb(e2), n, state, params, hbar, mass)
 
 

@@ -181,6 +181,8 @@ def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
     odd sector divides out one power of x and solves with 2 mu + 2.
     """
     _check_1d_args(mu, s, omega, hbar, mass)
+    if k < 1:
+        raise DomainError(f"need at least one level, got k={k}")
     q = 2.0 * mu if s == 1 else 2.0 * mu + 2.0
     r_max = cfg.r_max
     if r_max is None:

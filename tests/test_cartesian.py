@@ -69,6 +69,24 @@ def test_energy_1d_base_offset():
         energy_1d(0, 0.3, 1, 2.0, n_base=2)
 
 
+def test_fractional_quantum_numbers_rejected():
+    with pytest.raises(DomainError):
+        energy_1d(2.5, 0.0, 1, 1.0)
+    with pytest.raises(DomainError):
+        wavefunction_1d(1.5, 0.0, 1, 1.0, 0.5)
+    with pytest.raises(InvalidStateError):
+        CartesianState(n=(1.5, 0), parity=(1, 1))
+    assert energy_1d(2.0, 0.0, 1, 1.0) == energy_1d(2, 0.0, 1, 1.0)
+    assert CartesianState(n=(1.0, 0), parity=(1, 1)).n == (1, 0)
+
+
+def test_1d_coupling_finite():
+    with pytest.raises(DomainError):
+        energy_1d(0, math.inf, 1, 1.0)
+    with pytest.raises(DomainError):
+        wavefunction_1d(0, math.inf, 1, 1.0, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # total energy
 # ---------------------------------------------------------------------------

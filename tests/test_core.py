@@ -247,6 +247,12 @@ def test_deformation_params_validation():
     npt.assert_allclose(p.mu_partial(2), 0.5, rtol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_deformation_params_rejects_non_finite_coupling(bad):
+    with pytest.raises(DomainError):
+        DeformationParams(d=3, mu=(bad, 0.0, 0.0))
+
+
 def test_parity_vector_validation():
     with pytest.raises(DomainError):
         ParityVector((1, 0, -1))

@@ -89,6 +89,12 @@ def test_from_total():
         AngularState.from_total(3, 0.3)
 
 
+def test_state_rejects_fractional_quantum_numbers():
+    with pytest.raises(InvalidStateError):
+        AngularState(two_ell=(2.7, 0), parity=(1, 1, 1))
+    assert AngularState(two_ell=(2.0, 0), parity=(1, 1, 1)).two_ell == (2, 0)
+
+
 # ---------------------------------------------------------------------------
 # closed-form eigenfunctions at level 1
 # ---------------------------------------------------------------------------
@@ -120,6 +126,18 @@ def test_theta_unit_quantum_is_cos2t():
     ratio = vals / np.cos(2.0 * ts)
     npt.assert_allclose(ratio, ratio[0], rtol=1e-12)
     npt.assert_allclose(abs(ratio[0]), 1.0 / math.sqrt(math.pi), rtol=1e-12)
+
+
+def test_theta_scalar_angle_returns_float():
+    # a level with no cos/sin prefactor, at a scalar angle
+    params = DeformationParams.uniform(3, 0.2)
+    state = AngularState.from_total(3, 0.0)
+    for normalized in (False, True):
+        got = theta_eigenfunction(1, state, params, 0.3, normalized=normalized)
+        assert isinstance(got, float)
+        assert got == theta_eigenfunction(1, state, params, np.array([0.3]),
+                                          normalized=normalized)[0]
+    assert theta_eigenfunction(1, state, params, 0.3, normalized=False) == 1.0
 
 
 def test_theta_reflection_actions():

@@ -15,7 +15,7 @@ from dunkl_spectra import (
     kummer_m,
     laguerre,
 )
-from dunkl_spectra.specfun import gauss_jacobi
+from dunkl_spectra.specfun import gauss_jacobi, jacobi_norm_sq, laguerre_norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +171,45 @@ def test_polynomial_domain_errors():
         jacobi(2, 0.5, -1.5, 0.3)
     with pytest.raises(DomainError):
         jacobi(-2, 0.5, 0.5, 0.3)
+
+
+def test_polynomial_rejects_fractional_degree():
+    with pytest.raises(DomainError):
+        laguerre(2.5, 0.5, 1.0)
+    with pytest.raises(DomainError):
+        jacobi(1.5, 0.5, 0.5, 0.3)
+    assert laguerre(2.0, 0.5, 1.0) == laguerre(2, 0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form norms against independent Gauss rules
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, alpha", [(0, 0.0), (3, -0.9), (7, 2.5), (30, 0.4)])
+def test_laguerre_norm_against_quadrature(n, alpha):
+    rule = build_quadrature(alpha, "exp_r", n + 2)
+    direct = rule.integrate(lambda x: laguerre(n, alpha, x) ** 2)
+    npt.assert_allclose(laguerre_norm_sq(n, alpha), direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n, a, b", [
+    (0, 0.3, -0.2), (0, -0.75, -0.25), (1, -0.75, -0.25), (4, -0.5, -0.5),
+    (5, 2.5, 0.1), (12, 3.0, -0.45),
+])
+def test_jacobi_norm_against_quadrature(n, a, b):
+    # includes a + b = -1, where the n = 0 denominator is Gamma(a + b + 2)
+    nodes, weights = gauss_jacobi(a, b, n + 2)
+    direct = float(np.sum(weights * jacobi(n, a, b, nodes) ** 2))
+    npt.assert_allclose(jacobi_norm_sq(n, a, b), direct, rtol=1e-12)
+
+
+def test_norm_domain_errors():
+    for bad in ((2, -1.0), (2.5, 0.5), (-1, 0.5)):
+        with pytest.raises(DomainError):
+            laguerre_norm_sq(*bad)
+    for bad in ((2, -1.0, 0.5), (2, 0.5, -1.5), (1.5, 0.5, 0.5)):
+        with pytest.raises(DomainError):
+            jacobi_norm_sq(*bad)
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,17 @@ def test_quantum_number_validation():
         oscillator_energy(0, AngularState.from_total(4, 0.0), params, 1.0)
 
 
+def test_refused_coulomb_state_raises_package_error():
+    # 4L + c <= 0 (d = 2, L = 0, mu_1 + mu_2 <= -1/2) leaves Kummer b <= 0
+    # at n >= 1; the closed-form norm must refuse it before taking lgamma(b)
+    st = AngularState.from_total(2, 0.0)
+    for mu in ((-0.25, -0.25), (-0.3, -0.3)):
+        params = DeformationParams(d=2, mu=mu)
+        for n in (1, 3):
+            with pytest.raises((DomainError, InvalidStateError)):
+                radial_solution(Coulomb(1.0), n, st, params)
+
+
 # ---------------------------------------------------------------------------
 # closed-form records and physical constants
 # ---------------------------------------------------------------------------

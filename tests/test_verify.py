@@ -118,6 +118,11 @@ def test_single_axis_validation():
         cartesian_1d_eigenvalues(0.4, 1, -1.0, cfg, 2)
 
 
+def test_single_axis_level_count_validation():
+    with pytest.raises(DomainError):
+        cartesian_1d_eigenvalues(0.4, 1, 1.0, DiscretizationConfig(), 0)
+
+
 def test_negative_coupling_sector():
     cfg = DiscretizationConfig()
     for s in (1, -1):
