@@ -84,10 +84,9 @@ class ParityVector:
     s: tuple
 
     def __post_init__(self):
-        s = tuple(int(v) for v in self.s)
-        if not s or any(v not in (1, -1) for v in s):
+        if not self.s or any(v not in (1, -1) for v in self.s):
             raise DomainError(f"parity entries must be +1 or -1, got {self.s}")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", tuple(int(v) for v in self.s))
 
     def __len__(self) -> int:
         return len(self.s)

@@ -1,6 +1,7 @@
 """Numerical kernels: classical orthogonal polynomials and their norms, the
-confluent hypergeometric function M(a, b, x), and Gauss quadrature builders
-for the half-line weights r^gamma e^{-r} and r^gamma e^{-r^2}.
+confluent hypergeometric function M(a, b, x), and Gauss rules for the Jacobi
+weight and the half-line weights r^gamma e^{-r} and r^gamma e^{-r^2}, all
+three from one Golub-Welsch step on recurrence coefficients and zeroth moment.
 
 Polynomials are evaluated by ascending three-term recurrences, which stay
 stable for the index ranges used here (factorial-ratio closed forms overflow
@@ -16,7 +17,6 @@ import math
 import numpy as np
 import mpmath
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln
 
 from .errors import ConvergenceError, DomainError, check_count
 
@@ -172,9 +172,8 @@ def kummer_m(a: float, b: float, x):
 class QuadratureRule:
     """Gauss rule for integrals of f(r) r^gamma w(r) over (0, inf).
 
-    variant selects the exponential factor: "exp_r" means w(r) = e^{-r},
-    "exp_r2" means w(r) = e^{-r^2}. Exact for polynomial f up to degree
-    2 * npoints - 1.
+    variant names the exponential factor w (see `build_quadrature`). Exact
+    for polynomial f up to degree 2 * npoints - 1.
     """
     nodes: np.ndarray
     weights: np.ndarray
@@ -189,49 +188,19 @@ class QuadratureRule:
         return float(np.sum(self.weights * f(self.nodes)))
 
 
-def gauss_jacobi(alpha: float, beta: float, npoints: int):
-    """Nodes and weights for the weight (1-u)^alpha (1+u)^beta on [-1, 1].
+def _gauss_rule(diag, off_sq, mu0: float):
+    """Golub-Welsch nodes, Christoffel weights, from the recurrence
+    coefficients (diagonal, squared off-diagonal) and zeroth moment mu0.
 
-    Golub-Welsch on the known recurrence coefficients; the zeroth moment is
-    formed in log space through betaln to avoid overflow.
+    Weights are inverse sums of squared orthonormal polynomials at the
+    nodes. Eigenvector first components would lose all relative accuracy
+    once a weight drops below eps * mu0 (they underflow to zero outright for
+    the largest nodes of big exponential-weight rules); the Christoffel form
+    keeps each weight relatively accurate because the dominant recurrence
+    solution is forward-stable.
     """
-    if alpha <= -1.0 or beta <= -1.0:
-        raise DomainError(
-            f"jacobi weight needs alpha, beta > -1, got {alpha}, {beta}")
-    if npoints < 1:
-        raise DomainError("npoints must be positive")
-    n = int(npoints)
-    diag = np.empty(n)
-    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
-    k = np.arange(1, n, dtype=float)
-    diag[1:] = (beta * beta - alpha * alpha) / (
-        (2.0 * k + alpha + beta) * (2.0 * k + alpha + beta + 2.0))
-    with np.errstate(invalid="ignore"):
-        off_sq = (4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
-                  / ((2.0 * k + alpha + beta) ** 2
-                     * (2.0 * k + alpha + beta + 1.0)
-                     * (2.0 * k + alpha + beta - 1.0)))
-    if n > 1:
-        # k = 1 is 0/0 when alpha + beta = -1; the cancelled form is exact
-        # for every admissible (alpha, beta)
-        off_sq[0] = (4.0 * (alpha + 1.0) * (beta + 1.0)
-                     / ((alpha + beta + 2.0) ** 2 * (alpha + beta + 3.0)))
     off = np.sqrt(off_sq)
-    nodes, vecs = eigh_tridiagonal(diag, off)
-    mu0 = math.exp((alpha + beta + 1.0) * math.log(2.0)
-                   + betaln(alpha + 1.0, beta + 1.0))
-    return nodes, mu0 * vecs[0] ** 2
-
-
-def _christoffel_weights(diag, off, mu0: float, nodes: np.ndarray) -> np.ndarray:
-    """Gauss weights as inverse sums of squared orthonormal polynomials.
-
-    Eigenvector first components lose all relative accuracy once a weight
-    drops below eps * mu0 (they underflow to zero outright for the largest
-    nodes of big exponential-weight rules); the Christoffel form keeps each
-    weight relatively accurate because the dominant recurrence solution is
-    forward-stable.
-    """
+    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
     q_prev = np.zeros_like(nodes)
     q = np.full_like(nodes, 1.0 / math.sqrt(mu0))
     total = q * q
@@ -240,19 +209,34 @@ def _christoffel_weights(diag, off, mu0: float, nodes: np.ndarray) -> np.ndarray
         q_next = ((nodes - diag[j]) * q - b_prev * q_prev) / off[j]
         q_prev, q = q, q_next
         total += q * q
-    return 1.0 / total
+    return nodes, 1.0 / total
 
 
-def _laguerre_rule(gamma: float, n: int):
-    # Recurrence coefficients of the weight r^gamma e^{-r} are classical.
-    diag = 2.0 * np.arange(n, dtype=float) + gamma + 1.0
-    k = np.arange(1.0, n)
-    off = np.sqrt(k * (k + gamma))
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-    mu0 = math.exp(math.lgamma(gamma + 1.0))
-    if n == 1:
-        return nodes, np.array([mu0])
-    return nodes, _christoffel_weights(diag, off, mu0, nodes)
+def _npoints(npoints) -> int:
+    n = check_count(npoints, "npoints")
+    if n < 1:
+        raise DomainError("npoints must be positive")
+    return n
+
+
+def gauss_jacobi(alpha: float, beta: float, npoints: int):
+    """Nodes and weights for the weight (1-u)^alpha (1+u)^beta on [-1, 1].
+
+    Golub-Welsch with Christoffel weights on the classical recurrence
+    coefficients; the zeroth moment is the closed-form norm h_0.
+    """
+    mu0 = jacobi_norm_sq(0, alpha, beta)
+    n = _npoints(npoints)
+    ab = alpha + beta
+    s = 2.0 * np.arange(n) + ab  # 2k + alpha + beta, k = 0 .. n-1
+    diag = (beta - alpha) / (s + 2.0)
+    diag[1:] *= ab / s[1:]
+    k, s = np.arange(1.0, n), s[1:]
+    off_sq = 4.0 * k * (k + alpha) * (k + beta) / (s * s * (s + 1.0))
+    # the factor (k + alpha + beta)/(2k + alpha + beta - 1) is exactly 1 at
+    # k = 1 (0/0 at alpha + beta = -1), so it is applied from k = 2 on
+    off_sq[1:] *= (k[1:] + ab) / (s[1:] - 1.0)
+    return _gauss_rule(diag, off_sq, mu0)
 
 
 def _half_hermite_rule(gamma: float, n: int):
@@ -291,11 +275,7 @@ def _half_hermite_rule(gamma: float, n: int):
         except (ZeroDivisionError, ValueError):
             continue
         if np.all(off2 > 0.0):
-            off = np.sqrt(off2)
-            nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-            if n == 1:
-                return nodes, np.array([mu0])
-            return nodes, _christoffel_weights(diag, off, mu0, nodes)
+            return _gauss_rule(diag, off2, mu0)
     raise ConvergenceError(
         f"half-range rule construction failed for gamma={gamma}, n={n}")
 
@@ -303,17 +283,21 @@ def _half_hermite_rule(gamma: float, n: int):
 def build_quadrature(gamma: float, variant: str, npoints: int) -> QuadratureRule:
     """Build a Gauss rule for integral f(r) r^gamma w(r) dr on (0, inf).
 
-    variant "exp_r" uses w = e^{-r} (classical recurrence), "exp_r2" uses
-    w = e^{-r^2} (moment algorithm in extended precision). gamma > -1 is
-    required for integrability at the origin.
+    variant "exp_r" uses w = e^{-r}, the classical Laguerre recurrence with
+    zeroth moment Gamma(gamma + 1); "exp_r2" uses w = e^{-r^2}, whose
+    recurrence comes from the moment algorithm in extended precision. Both
+    share the Golub-Welsch step with Christoffel weights. gamma > -1 is
+    required for integrability at the origin; npoints is a positive whole
+    number.
     """
     if gamma <= -1.0:
         raise DomainError(f"weight exponent must exceed -1, got {gamma}")
-    if npoints < 1:
-        raise DomainError("npoints must be positive")
-    n = int(npoints)
+    n = _npoints(npoints)
     if variant == "exp_r":
-        nodes, weights = _laguerre_rule(gamma, n)
+        k = np.arange(1.0, n)
+        nodes, weights = _gauss_rule(
+            2.0 * np.arange(n, dtype=float) + gamma + 1.0, k * (k + gamma),
+            laguerre_norm_sq(0, gamma))
     elif variant == "exp_r2":
         nodes, weights = _half_hermite_rule(gamma, n)
     else:

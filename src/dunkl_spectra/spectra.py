@@ -48,7 +48,6 @@ __all__ = [
     "POTENTIALS",
     "RadialSolution",
     "EnergyLevel",
-    "potential_tag",
     "oscillator_energy",
     "oscillator_radial_solution",
     "oscillator_radial_wavefunction",
@@ -212,10 +211,6 @@ class Coulomb(_Potential):
 PotentialSpec = Oscillator | Pseudoharmonic | Coulomb
 
 POTENTIALS = {cls.tag: cls for cls in get_args(PotentialSpec)}
-
-
-def potential_tag(potential: PotentialSpec) -> str:
-    return potential.tag
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -44,8 +45,9 @@ from scipy.linalg import eigh_tridiagonal
 from .cartesian import _check_1d_args
 from .core import DeformationParams
 from .errors import (ConvergenceError, DomainError, TailLeakWarning,
-                     check_positive)
+                     check_count, check_positive)
 from .polar import AngularState
+from .specfun import build_quadrature, kummer_m
 from .spectra import (PotentialSpec, RadialProblem, radial_solution,
                       radial_wavefunction)
 
@@ -66,20 +68,20 @@ class DiscretizationConfig:
 
     r_max = None asks the solver to size the box from the target level's
     classical turning point and decay length. The post-hoc tail check warns
-    when the chosen box still truncates an eigenstate.
+    when the chosen box still truncates an eigenstate. n_points is a whole
+    number of cells, at least 100; the box edge is a Dirichlet boundary.
     """
     r_max: float | None = None
     n_points: int = 4000
-    boundary: str = "dirichlet_at_rmax"
     richardson: bool = True
 
     def __post_init__(self):
-        if self.n_points < 100:
-            raise DomainError(f"need at least 100 grid points, got {self.n_points}")
+        n_points = check_count(self.n_points, "n_points")
+        if n_points < 100:
+            raise DomainError(f"need at least 100 grid points, got {n_points}")
+        object.__setattr__(self, "n_points", n_points)
         if self.r_max is not None:
             check_positive(r_max=self.r_max)
-        if self.boundary != "dirichlet_at_rmax":
-            raise DomainError(f"unsupported boundary {self.boundary!r}")
 
 
 def _power_int(q: float, a, b):
@@ -229,42 +231,40 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
 
     Orthonormality of the closed forms under the radial weight is a
     consequence of self-adjointness; deviations expose either a wrong
-    solution or a wrong weight.
+    solution or a wrong weight. Each state is U = A r^p e^{-lam r^sigma}
+    M(-n, b, 2 lam r^sigma), with sigma = 2 for the Gaussian family and 1
+    for 1/r, so in t = rho r^sigma, rho = lam_i + lam_j, a pair's integrand
+    is t^alpha e^{-t}, alpha = (c + 2p + 1)/sigma - 1, times a polynomial of
+    degree below 2 n_max: one Gauss-Laguerre rule integrates every pair
+    exactly.
     """
-    from .specfun import build_quadrature, kummer_m
-
     if n_max < 1:
         raise DomainError(f"need at least one state, got {n_max}")
     sols = [radial_solution(potential, n, state, params, hbar, mass)
             for n in range(n_max)]
     rec = potential.radial_problem(0, state, params, hbar, mass)
-    c, gamma = rec.c, rec.c + 2.0 * rec.p
+    sigma = 2.0 if potential.gaussian else 1.0
+    alpha = (rec.c + 2.0 * rec.p + 1.0) / sigma - 1.0
+    rule = build_quadrature(alpha, "exp_r", n_max + 6)
+    # lam = decay_scale/sigma; the Gaussian family's A = N scale^{p/2}
+    # (u^{p/2} = scale^{p/2} r^p) adds rho^p, as rho = scale there
+    power = (rec.p if potential.gaussian else 0.0) - (alpha + 1.0)
+
+    @cache
+    def kummer(n: int, x: float) -> np.ndarray:
+        # M(-n, b, 2 lam r^sigma) at the nodes, x = 2 lam/rho: x = 1 for
+        # every Gaussian pair, so each state is evaluated once there
+        return kummer_m(sols[n].kummer_a, sols[n].kummer_b, x * rule.nodes)
+
     gram = np.empty((n_max, n_max))
-    if not potential.gaussian:
-        # each pair has its own decay rate, so integrate each pair in the
-        # variable u = (eta_i + eta_j) r against u^gamma e^{-u}
-        rule = build_quadrature(gamma, "exp_r", n_max + 6)
-        for i, si in enumerate(sols):
-            for j, sj in enumerate(sols[:i + 1]):
-                rate = si.decay_scale + sj.decay_scale
-                vals = (kummer_m(si.kummer_a, si.kummer_b,
-                                 2.0 * si.decay_scale * rule.nodes / rate)
-                        * kummer_m(sj.kummer_a, sj.kummer_b,
-                                   2.0 * sj.decay_scale * rule.nodes / rate))
-                gram[i, j] = gram[j, i] = (
-                    si.norm * sj.norm * rate ** (-(gamma + 1.0))
-                    * float(np.sum(rule.weights * vals)))
-        return gram
-    # Gaussian family: all states share the decay scale and leading power
-    rule = build_quadrature(gamma, "exp_r2", max(2 * n_max + 6, 12))
-    u = rule.nodes ** 2
-    vals = [kummer_m(s.kummer_a, s.kummer_b, u) for s in sols]
-    pref = rec.scale ** (-(c + 1.0) / 2.0)
-    for i in range(n_max):
-        for j in range(i + 1):
+    for i, si in enumerate(sols):
+        for j, sj in enumerate(sols[:i + 1]):
+            rate = si.decay_scale + sj.decay_scale  # sigma * rho
+            vals = (kummer(i, 2.0 * si.decay_scale / rate)
+                    * kummer(j, 2.0 * sj.decay_scale / rate))
             gram[i, j] = gram[j, i] = (
-                sols[i].norm * sols[j].norm * pref
-                * float(np.sum(rule.weights * vals[i] * vals[j])))
+                si.norm * sj.norm * (rate / sigma) ** power / sigma
+                * float(np.sum(rule.weights * vals)))
     return gram
 
 

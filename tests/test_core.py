@@ -258,3 +258,11 @@ def test_parity_vector_validation():
         ParityVector((1, 0, -1))
     v = ParityVector((1, -1))
     assert len(v) == 2
+
+
+def test_parity_vector_rejects_non_integer_entries():
+    with pytest.raises(DomainError):
+        ParityVector((1.5, -1))
+    v = ParityVector((1.0, -1.0))
+    assert v.s == (1, -1)
+    assert all(type(x) is int for x in v.s)

@@ -326,6 +326,14 @@ def test_level2_orthonormal():
             assert abs(got - target) < tol
 
 
+def test_level1_norm_at_rounded_weight_sum_minus_one():
+    # mu_1 + mu_2 = 0 puts the level-1 Jacobi exponents at a + b = -1 up to
+    # rounding, where the recurrence's k = 1 term is 0/0
+    s = AngularState.from_total(3, 0.0)
+    params = DeformationParams(3, (0.2, -0.2, 0.0))
+    assert abs(angular_inner_product(1, s, s, params) - 1.0) < 1e-13
+
+
 def test_inner_product_rejects_mixed_sectors():
     params = DeformationParams(d=3, mu=(0.4, 0.2, 0.0))
     a = AngularState(two_ell=(0, 0), parity=(1, 1, 1))

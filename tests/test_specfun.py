@@ -1,12 +1,16 @@
 """Tests for the polynomial and quadrature building blocks."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import dunkl_spectra
 from dunkl_spectra import (
     ConvergenceError,
     DomainError,
@@ -287,6 +291,13 @@ def test_build_quadrature_domain_errors():
         build_quadrature(0.5, "exp_r", 0)
 
 
+@pytest.mark.parametrize("variant", ["exp_r", "exp_r2"])
+def test_build_quadrature_rejects_fractional_npoints(variant):
+    with pytest.raises(DomainError):
+        build_quadrature(0.5, variant, 2.7)
+    assert build_quadrature(0.5, variant, 3.0).npoints == 3
+
+
 def test_gauss_jacobi_orthogonality():
     for alpha, beta in [(-0.5, -0.5), (0.3, -0.4), (1.1, 0.6), (2.4, -0.1)]:
         nodes, weights = gauss_jacobi(alpha, beta, 14)
@@ -342,3 +353,21 @@ def test_gauss_jacobi_domain_errors():
         gauss_jacobi(0.5, -1.3, 8)
     with pytest.raises(DomainError):
         gauss_jacobi(0.5, 0.5, 0)
+
+
+def test_gauss_jacobi_rejects_fractional_npoints():
+    with pytest.raises(DomainError):
+        gauss_jacobi(0.2, 0.1, 3.9)
+    assert len(gauss_jacobi(0.2, 0.1, 4.0)[0]) == 4
+
+
+def test_import_leaves_scipy_special_out():
+    # the package needs only scipy.linalg; scipy.special costs start-up time
+    src = os.path.dirname(os.path.dirname(dunkl_spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dunkl_spectra; print('scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

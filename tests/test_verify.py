@@ -37,12 +37,21 @@ def test_config_validation():
         DiscretizationConfig(n_points=99)
     with pytest.raises(DomainError):
         DiscretizationConfig(r_max=-2.0)
-    with pytest.raises(DomainError):
-        DiscretizationConfig(boundary="neumann_at_rmax")
     cfg = DiscretizationConfig()
     assert cfg.r_max is None
     assert cfg.n_points == 4000
     assert cfg.richardson
+
+
+def test_config_rejects_fractional_grid():
+    with pytest.raises(DomainError):
+        DiscretizationConfig(n_points=400.5)
+    cfg = DiscretizationConfig(r_max=10.0, n_points=400.0, richardson=False)
+    assert type(cfg.n_points) is int
+    params = DeformationParams.uniform(3, 0.2)
+    state = AngularState.from_total(3, 0.0)
+    vals = radial_eigenvalues(Oscillator(1.0), params, state, cfg, 2)
+    assert vals.shape == (2,)
 
 
 def test_config_rejects_non_finite_box():
@@ -230,6 +239,16 @@ def test_gram_coulomb():
     params = DeformationParams.uniform(3, 0.4)
     state = AngularState.from_total(3, 0.5)
     gram = orthogonality_matrix(Coulomb(1.0), params, state, 4)
+    off = gram - np.diag(np.diag(gram))
+    assert np.max(np.abs(off)) < 1e-9
+    npt.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
+
+
+def test_gram_pseudoharmonic():
+    # non-integer leading power p, so the integrand's power of r is too
+    params = DeformationParams.uniform(3, 0.3)
+    state = AngularState.from_total(3, 1.0)
+    gram = orthogonality_matrix(Pseudoharmonic(2.0, 1.1), params, state, 8)
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) < 1e-9
     npt.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
