@@ -17,9 +17,18 @@ loads are exact power-moment integrals of w and w V, interface fluxes are
 harmonic averages 1/integral(r^-q), the origin gets the natural (zero-flux)
 condition, and r_max a Dirichlet condition. A similarity transform by the
 square roots of the cell masses turns the generalized problem into a plain
-symmetric tridiagonal eigenproblem, solved by bisection plus inverse
-iteration for the lowest k eigenvalues. The scheme is second order in h;
-optional two-grid Richardson extrapolation removes the leading error term.
+symmetric tridiagonal eigenproblem. The scheme is second order in h;
+optional Richardson extrapolation over the grid and its doubling removes
+the leading error term.
+
+Every level is found by its own index, so its value depends only on that
+index, the box and the grid. On the grid it is bisected at its index, with
+its eigenvector. On the doubled grid that vector, interpolated, starts a
+Rayleigh-quotient iteration (a two-grid eigensolve: Xu & Zhou, Math. Comp.
+70 (2001) 17-25); the result is kept only when it converged and Sturm
+counts place it at the level's index, and otherwise the doubled grid is
+bisected at that index too. Rejections are logged at DEBUG level under the
+`dunkl_spectra` logger.
 
 Absorbing the exact power matters: the naive substitution u = r^{c/2} U
 with a Dirichlet origin converges to the wrong self-adjoint extension
@@ -35,12 +44,14 @@ matrices and the per-level 1/r boxes also read its `gaussian` flag.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .cartesian import _check_1d_args
 from .core import DeformationParams
@@ -50,6 +61,8 @@ from .polar import AngularState
 from .specfun import build_quadrature, kummer_m
 from .spectra import (PotentialSpec, RadialProblem, radial_solution,
                       radial_wavefunction)
+
+_log = logging.getLogger("dunkl_spectra")
 
 __all__ = [
     "DiscretizationConfig",
@@ -84,51 +97,126 @@ class DiscretizationConfig:
             check_positive(r_max=self.r_max)
 
 
-def _power_int(q: float, a, b):
-    """Integral of r^q over (a, b); q = -1 gets the log branch.
+def _cell_int(q: float, x: np.ndarray) -> np.ndarray:
+    """Integrals of r^q between consecutive points of x; q = -1 gets the log
+    branch. Each power of x is taken once, as neighbouring intervals share
+    their endpoints.
 
-    a = 0 is allowed for q > -1 (the antiderivative vanishes there).
+    x[0] = 0 is allowed for q > -1 (the antiderivative vanishes there).
     """
     if abs(q + 1.0) < 1e-12:
-        return np.log(b / a)
-    return (b ** (q + 1.0) - a ** (q + 1.0)) / (q + 1.0)
+        return np.log(x[1:] / x[:-1])
+    xq = x ** (q + 1.0)
+    return (xq[1:] - xq[:-1]) / (q + 1.0)
 
 
-def _fv_eigensolve(q: float, vterms, r_max: float, n: int, k: int,
-                   hbar: float, mass: float, want_vectors: bool = False):
-    """Lowest k eigenvalues of the weighted form with w = r^q.
+def _fv_matrix(q: float, vterms, r_max: float, n: int, scale: float):
+    """The weighted form with w = r^q on n cells as a symmetric tridiagonal
+    matrix.
 
-    vterms is a list of (coeff, power) pairs, V(r) = sum coeff * r^power.
+    vterms is a list of (coeff, power) pairs, V(r) = sum coeff * r^power,
+    and scale = 2m/hbar^2. Returns (diag, off, s, nodes): the eigenvalues of
+    the matrix are scale times the energies, s holds the square roots of the
+    cell masses, and an eigenvector x is G = x/s at the cell nodes.
     """
     h = r_max / n
-    i = np.arange(1, n + 1)
-    lo = (i - 1.0) * h
-    hi = i * h
-    cell_mass = _power_int(q, lo, hi)
+    edges = np.arange(n + 1) * h
+    nodes = (np.arange(1, n + 1) - 0.5) * h
+    cell_mass = _cell_int(q, edges)
     load = np.zeros(n)
     for coeff, power in vterms:
-        load += coeff * _power_int(q + power, lo, hi)
-    nodes = (i - 0.5) * h
-    flux = 1.0 / _power_int(-q, nodes[:-1], nodes[1:])
-    flux_boundary = 1.0 / _power_int(-q, nodes[-1], np.asarray(r_max))
-    scale = 2.0 * mass / hbar ** 2
+        load += coeff * _cell_int(q + power, edges)
+    # interface fluxes, the last one from the outer node to the box edge
+    flux = 1.0 / _cell_int(-q, np.append(nodes, r_max))
     diag = scale * load
-    diag[:-1] += flux
-    diag[1:] += flux
-    diag[-1] += flux_boundary
+    diag[:-1] += flux[:-1]
+    diag[1:] += flux[:-1]
+    diag[-1] += flux[-1]
     # similarity transform by sqrt(cell masses): the generalized problem
     # A x = E B x becomes symmetric tridiagonal, same spectrum
     s = np.sqrt(cell_mass)
+    return diag / cell_mass, -flux[:-1] / (s[:-1] * s[1:]), s, nodes
+
+
+def _bisect(diag: np.ndarray, off: np.ndarray, j: int, vector: bool = False):
+    """Eigenvalue j of the tridiagonal matrix by bisection, with its vector."""
     try:
-        out = eigh_tridiagonal(diag / cell_mass, -flux / (s[:-1] * s[1:]),
-                               select="i", select_range=(0, k - 1),
-                               eigvals_only=not want_vectors)
+        out = eigh_tridiagonal(diag, off, select="i", select_range=(j, j),
+                               eigvals_only=not vector)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-    if want_vectors:
-        vals, vecs = out
-        return vals / scale, vecs
-    return out / scale
+    return (out[0][0], out[1][:, 0]) if vector else out[0]
+
+
+# Fine-grid refinement: Rayleigh-quotient iteration stops once the residual
+# |T x - sigma x| falls to _RESIDUAL * |T|, a few hundred roundoffs; a
+# Sturm count then needs the window sigma -+ _WINDOW * |T| to hold exactly
+# one eigenvalue, of the level's own index. That bounds the quotient's error
+# by residual^2/window (Kato-Temple), far below the roundoff of bisection.
+_RQI_STEPS = 6
+_RESIDUAL = 1e-13
+_WINDOW = 1e-9
+
+
+def _rqi(diag: np.ndarray, off: np.ndarray, x: np.ndarray, tol: float):
+    """Rayleigh-quotient iteration from x: the quotient once the residual is
+    at most tol, or None. Reductions are ufunc sums, as BLAS threading only
+    slows vectors this short."""
+    for _ in range(_RQI_STEPS):
+        x = x / np.sqrt(np.sum(x * x))
+        tx = diag * x
+        tx[:-1] += off * x[1:]
+        tx[1:] += off * x[:-1]
+        sigma = np.sum(x * tx)
+        r = tx - sigma * x
+        if np.sqrt(np.sum(r * r)) <= tol:
+            return float(sigma)
+        *_, x, info = dgtsv(off, diag - sigma, off, x)
+        if info:
+            return None
+    return None
+
+
+def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
+            r_max: float):
+    """Fine-grid eigenvalues of the consecutive indices `levels`, and per
+    level "rqi" or "bisection" for how each was found.
+
+    Each level's iteration starts from its vector in `starts`. A converged
+    quotient is kept when Sturm counts place it at its own index; when
+    every level converged and their windows are disjoint, one count at the
+    top (and one at the bottom unless the levels start at 0) confirms them
+    all. Any other level is bisected at its index, so each value depends
+    on its index and the matrix alone, never on which other levels are
+    solved with it.
+    """
+    tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+    floor = np.min(diag) - tnorm  # below every eigenvalue (Gershgorin)
+    width = _WINDOW * tnorm
+
+    def count(x):  # eigenvalues in (floor, x]: a bisection stopped at once
+        m, *_, info = dstebz(diag, off, 1, floor, x, 0, 0, 2.0 * tnorm, b"E")
+        return None if info else m
+
+    found = [_rqi(diag, off, x, _RESIDUAL * tnorm) for x in starts]
+    lo, top = levels[0], levels[-1]
+    confirmed = (None not in found
+                 and all(b - a > 2.0 * width for a, b in zip(found, found[1:]))
+                 and count(found[-1] + width) == top + 1
+                 and (lo == 0 or count(found[0] - width) == lo))
+    values, how = [], []
+    for j, sigma in zip(levels, found):
+        index = None if confirmed or sigma is None else count(sigma - width)
+        if confirmed or (index == j and count(sigma + width) == j + 1):
+            values.append(sigma)
+            how.append("rqi")
+            continue
+        _log.debug("level %d: fine-grid refinement rejected (Sturm index "
+                   "%s), bisected at its index on the box r_max=%g",
+                   j, index, r_max)
+        values.append(_bisect(diag, off, j))
+        how.append("bisection")
+    return np.array(values), how
 
 
 def _check_tail(vecs: np.ndarray, r_max: float, label: str) -> None:
@@ -140,15 +228,28 @@ def _check_tail(vecs: np.ndarray, r_max: float, label: str) -> None:
             TailLeakWarning, stacklevel=3)
 
 
-def _solve_with_config(q: float, vterms, r_max: float, cfg: DiscretizationConfig,
-                       k: int, hbar: float, mass: float, label: str) -> np.ndarray:
-    coarse, vecs = _fv_eigensolve(q, vterms, r_max, cfg.n_points, k,
-                                  hbar, mass, want_vectors=True)
+def _solve_levels(q: float, vterms, r_max: float, cfg: DiscretizationConfig,
+                  levels: range, hbar: float, mass: float, label: str):
+    """Eigenvalues of the consecutive indices `levels` on one box, and how
+    each fine value was found (None without Richardson).
+
+    Each coarse level is bisected at its own index with its vector; the
+    vector, as G = x/s interpolated onto the doubled grid, starts that
+    level's fine-grid iteration.
+    """
+    scale = 2.0 * mass / hbar ** 2
+    diag, off, s, nodes = _fv_matrix(q, vterms, r_max, cfg.n_points, scale)
+    pairs = [_bisect(diag, off, j, vector=True) for j in levels]
+    coarse = np.array([value for value, _ in pairs]) / scale
+    vecs = np.column_stack([vec for _, vec in pairs])
     _check_tail(vecs, r_max, label)
     if not cfg.richardson:
-        return coarse
-    fine = _fv_eigensolve(q, vterms, r_max, 2 * cfg.n_points, k, hbar, mass)
-    return (4.0 * fine - coarse) / 3.0
+        return coarse, None
+    fdiag, foff, fs, fnodes = _fv_matrix(q, vterms, r_max, 2 * cfg.n_points,
+                                         scale)
+    starts = [fs * np.interp(fnodes, nodes, vec / s) for vec in vecs.T]
+    fine, how = _refine(fdiag, foff, levels, starts, r_max)
+    return (4.0 * (fine / scale) - coarse) / 3.0, how
 
 
 def _box(cfg: DiscretizationConfig, rec: RadialProblem) -> float:
@@ -156,21 +257,45 @@ def _box(cfg: DiscretizationConfig, rec: RadialProblem) -> float:
     return rec.r_max if cfg.r_max is None else cfg.r_max
 
 
+def _record_levels(rec: RadialProblem, cfg: DiscretizationConfig,
+                   levels: range, hbar: float, mass: float, label: str):
+    """_solve_levels on the record's weight, potential terms and box."""
+    vals, how = _solve_levels(rec.c + 2.0 * rec.p, rec.vterms, _box(cfg, rec),
+                              cfg, levels, hbar, mass, label)
+    return vals + rec.shift, how
+
+
+def _level_count(k, name: str = "k") -> int:
+    """k as an int; DomainError unless it is a whole number of at least 1."""
+    k = check_count(k, name)
+    if k < 1:
+        raise DomainError(f"need at least one level, got {name}={k}")
+    return k
+
+
 def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
                        state: AngularState, cfg: DiscretizationConfig, k: int,
-                       hbar: float = 1.0, mass: float = 1.0) -> np.ndarray:
+                       hbar: float = 1.0, mass: float = 1.0, *,
+                       fine_solve: list | None = None) -> np.ndarray:
     """Lowest k radial eigenvalues from the finite-volume discretization.
 
     The top level's closed-form record supplies the weight, the potential
     terms and, with r_max = None, the box; its analytic energy enters only
-    through that box size, never the eigensolve itself.
+    through that box size, never the eigensolve itself. Level j is found by
+    its own index: bisection at index j on the grid, then, with Richardson
+    extrapolation, Rayleigh-quotient iteration on the doubled grid from
+    that eigenvector, kept only when a Sturm count confirms index j and
+    otherwise replaced by bisection at index j. So on a given box entry j
+    is the same for every k > j. A list passed as fine_solve receives, per
+    level, "rqi" or "bisection" for how its fine value was found (nothing
+    without Richardson).
     """
-    if k < 1:
-        raise DomainError(f"need at least one level, got k={k}")
+    k = _level_count(k)
     rec = potential.radial_problem(k - 1, state, params, hbar, mass)
-    vals = _solve_with_config(rec.c + 2.0 * rec.p, rec.vterms, _box(cfg, rec),
-                              cfg, k, hbar, mass, potential.tag)
-    return vals + rec.shift
+    vals, how = _record_levels(rec, cfg, range(k), hbar, mass, potential.tag)
+    if fine_solve is not None and how is not None:
+        fine_solve.extend(how)
+    return vals
 
 
 def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
@@ -180,19 +305,19 @@ def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
 
     The even sector is solved directly on the half line with weight
     exponent 2 mu (zero-flux origin matches the even regular branch); the
-    odd sector divides out one power of x and solves with 2 mu + 2.
+    odd sector divides out one power of x and solves with 2 mu + 2. Levels
+    are found by index as in `radial_eigenvalues`.
     """
     _check_1d_args(mu, s, omega, hbar, mass)
-    if k < 1:
-        raise DomainError(f"need at least one level, got k={k}")
+    k = _level_count(k)
     q = 2.0 * mu if s == 1 else 2.0 * mu + 2.0
     r_max = cfg.r_max
     if r_max is None:
         top = hbar * omega * (2.0 * (k - 1) + mu + 1.5)
         r_max = max(8.0, 2.6 * np.sqrt(2.0 * top / mass) / omega)
     vterms = [(0.5 * mass * omega ** 2, 2.0)]
-    return _solve_with_config(q, vterms, r_max, cfg, k, hbar, mass,
-                              f"axis sector s={s:+d}")
+    return _solve_levels(q, vterms, r_max, cfg, range(k), hbar, mass,
+                         f"axis sector s={s:+d}")[0]
 
 
 def residual_check(potential: PotentialSpec, params: DeformationParams,
@@ -238,8 +363,7 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
     degree below 2 n_max: one Gauss-Laguerre rule integrates every pair
     exactly.
     """
-    if n_max < 1:
-        raise DomainError(f"need at least one state, got {n_max}")
+    n_max = _level_count(n_max, "n_max")
     sols = [radial_solution(potential, n, state, params, hbar, mass)
             for n in range(n_max)]
     rec = potential.radial_problem(0, state, params, hbar, mass)
@@ -324,21 +448,28 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
 
     With an automatic box, levels of the attractive 1/r problem get
     individually sized grids (their spatial extents differ by orders of
-    magnitude); the Gaussian-family levels share one box. grid["r_max"] is
-    the box used: one number, or the list of per-level boxes.
+    magnitude), and each is solved alone on its own box; the Gaussian-family
+    levels share one box. grid["r_max"] is the box used: one number, or the
+    list of per-level boxes. grid["fine_solve"] says per level whether the
+    fine Richardson value came from Rayleigh-quotient iteration ("rqi") or
+    from bisection at the level's index ("bisection"); it is None without
+    Richardson extrapolation.
     """
-    if k < 1:
-        raise DomainError(f"need at least one level, got k={k}")
+    k = _level_count(k)
     recs = [potential.radial_problem(n, state, params, hbar, mass)
             for n in range(k)]
+    how = []
     if potential.gaussian or cfg.r_max is not None:
         numeric = list(radial_eigenvalues(potential, params, state, cfg, k,
-                                          hbar, mass))
+                                          hbar, mass, fine_solve=how))
         r_max = _box(cfg, recs[-1])
     else:
-        numeric = [radial_eigenvalues(potential, params, state, cfg, n + 1,
-                                      hbar, mass)[n]
-                   for n in range(k)]
+        numeric = []
+        for n, rec in enumerate(recs):
+            vals, level = _record_levels(rec, cfg, range(n, n + 1), hbar,
+                                         mass, potential.tag)
+            numeric.append(vals[0])
+            how.extend(level or ())
         r_max = [_box(cfg, rec) for rec in recs]
     return OracleReport(
         potential=potential.tag, d=params.d, mu=params.mu,
@@ -346,4 +477,5 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
         levels=tuple(range(k)), analytic=tuple(float(r.energy) for r in recs),
         numeric=tuple(float(v) for v in numeric), tolerance=tolerance,
         grid={"r_max": r_max, "n_points": cfg.n_points,
-              "richardson": cfg.richardson})
+              "richardson": cfg.richardson,
+              "fine_solve": how if cfg.richardson else None})

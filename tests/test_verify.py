@@ -1,10 +1,13 @@
 """Tests for the independent grid-based eigenvalue oracle."""
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from dunkl_spectra import (
     AngularState,
@@ -26,6 +29,7 @@ from dunkl_spectra import (
     radial_eigenvalues,
     residual_check,
 )
+from dunkl_spectra.verify import _fv_matrix, _refine
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +355,206 @@ def test_cartesian_oracle_rejects_bad_constants():
                                   (1.0, 1.0, bad)):
             with pytest.raises(DomainError):
                 cartesian_1d_eigenvalues(0.2, 1, omega, cfg, 2, hbar, mass)
+
+
+# ---------------------------------------------------------------------------
+# level counts
+# ---------------------------------------------------------------------------
+
+def test_gram_rejects_fractional_count():
+    params = DeformationParams.uniform(3, 0.0)
+    state = AngularState.from_total(3, 0.0)
+    with pytest.raises(DomainError):
+        orthogonality_matrix(Oscillator(1.0), params, state, 2.5)
+
+
+def test_oracle_report_rejects_fractional_count():
+    params = DeformationParams.uniform(3, 0.0)
+    state = AngularState.from_total(3, 0.0)
+    with pytest.raises(DomainError):
+        oracle_report(Oscillator(1.0), params, state, DiscretizationConfig(),
+                      2.5, 1e-3)
+
+
+def test_single_axis_rejects_fractional_count():
+    with pytest.raises(DomainError):
+        cartesian_1d_eigenvalues(0.4, 1, 1.0, DiscretizationConfig(), 1.5)
+
+
+# ---------------------------------------------------------------------------
+# assembly and the two-grid eigensolve
+# ---------------------------------------------------------------------------
+
+def _per_cell_matrix(q, vterms, r_max, n, scale):
+    """The tridiagonal form with every cell's mass, loads and flux taken
+    from that cell's own endpoints."""
+    def power_int(q, a, b):
+        if abs(q + 1.0) < 1e-12:
+            return np.log(b / a)
+        return (b ** (q + 1.0) - a ** (q + 1.0)) / (q + 1.0)
+
+    h = r_max / n
+    i = np.arange(1, n + 1)
+    lo, hi, nodes = (i - 1.0) * h, i * h, (i - 0.5) * h
+    cell_mass = power_int(q, lo, hi)
+    load = np.zeros(n)
+    for coeff, power in vterms:
+        load += coeff * power_int(q + power, lo, hi)
+    flux = 1.0 / power_int(-q, nodes, np.append(nodes[1:], r_max))
+    diag = scale * load
+    diag[:-1] += flux[:-1]
+    diag[1:] += flux[:-1]
+    diag[-1] += flux[-1]
+    s = np.sqrt(cell_mass)
+    return diag / cell_mass, -flux[:-1] / (s[:-1] * s[1:]), s, nodes
+
+
+@pytest.mark.parametrize("q, vterms", [
+    (1.0, [(0.5, 2.0)]),               # flux integrals take the log branch
+    (-0.8, [(0.5, 2.0)]),
+    (0.3, [(-1.0, -1.0)]),
+    (2.4, [(0.7, 2.0), (-4.0, 0.0)]),
+    (28.6, [(0.5, 2.0)]),
+])
+def test_shared_powers_match_per_cell_formulas(q, vterms):
+    for r_max, n in ((12.0, 400), (37.3, 1234)):
+        got = _fv_matrix(q, vterms, r_max, n, 2.0)
+        want = _per_cell_matrix(q, vterms, r_max, n, 2.0)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def _index_bisection(potential, params, state, cfg, k):
+    """Richardson values with both grids bisected at each level's index."""
+    rec = potential.radial_problem(k - 1, state, params, 1.0, 1.0)
+    r_max = rec.r_max if cfg.r_max is None else cfg.r_max
+    grids = []
+    for n in (cfg.n_points, 2 * cfg.n_points):
+        diag, off, _, _ = _fv_matrix(rec.c + 2.0 * rec.p, rec.vterms, r_max,
+                                     n, 2.0)
+        grids.append(np.array([
+            eigh_tridiagonal(diag, off, select="i", select_range=(j, j),
+                             eigvals_only=True)[0] for j in range(k)]) / 2.0)
+    coarse, fine = grids
+    return (4.0 * fine - coarse) / 3.0 + rec.shift
+
+
+@pytest.mark.parametrize("potential, r_max", [
+    (Oscillator(1.0), 12.0), (Pseudoharmonic(8.0, 1.0), 12.0),
+    (Coulomb(1.0), 500.0)])
+def test_level_value_independent_of_level_count(potential, r_max):
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.5)
+    cfg = DiscretizationConfig(r_max=r_max, n_points=400)
+    runs = [radial_eigenvalues(potential, params, state, cfg, k)
+            for k in range(1, 5)]
+    for j in range(4):
+        assert len({float(vals[j]) for vals in runs[j:]}) == 1
+
+
+def test_single_axis_level_independent_of_level_count():
+    cfg = DiscretizationConfig(r_max=9.0, n_points=400)
+    for s in (1, -1):
+        runs = [cartesian_1d_eigenvalues(0.4, s, 1.0, cfg, k)
+                for k in range(1, 5)]
+        for j in range(4):
+            assert len({float(vals[j]) for vals in runs[j:]}) == 1
+
+
+def test_refined_levels_match_index_bisection():
+    rng = np.random.default_rng(20010117)
+    potentials = (Oscillator(1.0), Pseudoharmonic(5.0, 1.2), Coulomb(1.0))
+    cfg = DiscretizationConfig(n_points=500)
+    for case in range(12):
+        potential = potentials[case % 3]
+        d = int(rng.integers(2, 13))
+        params = DeformationParams.uniform(d, float(rng.uniform(-0.4, 1.0)))
+        state = AngularState.from_total(d, float(rng.integers(0, 3)))
+        how = []
+        got = radial_eigenvalues(potential, params, state, cfg, 3,
+                                 fine_solve=how)
+        want = _index_bisection(potential, params, state, cfg, 3)
+        assert len(how) == 3
+        for g, w, h in zip(got, want, how):
+            if h == "rqi":
+                assert abs(g - w) <= 1e-9 * abs(w)
+            else:
+                assert g == w
+
+
+def test_refinement_refuses_a_neighbour_in_its_window():
+    # eigenvalues 1, 1 + 1e-10, 4, 6, 9: the iteration from the vector of
+    # index 0 converges at once to 1, which lies within the window of
+    # index 1 but is not its eigenvalue; for index 0 the window holds two
+    diag = np.array([1.0, 1.0 + 1e-10, 4.0, 6.0, 9.0])
+    off = np.zeros(4)
+    start = np.eye(5)[0]
+    values, how = _refine(diag, off, range(1, 2), [start], 1.0)
+    assert how == ["bisection"]
+    assert values[0] == eigh_tridiagonal(diag, off, select="i",
+                                         select_range=(1, 1),
+                                         eigvals_only=True)[0]
+    assert _refine(diag, off, range(0, 1), [start], 1.0)[1] == ["bisection"]
+    diag[1] = 2.0
+    values, how = _refine(diag, off, range(0, 1), [start], 1.0)
+    assert how == ["rqi"] and values[0] == 1.0
+
+
+def test_smooth_case_refines_every_level():
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.0)
+    rep = oracle_report(Oscillator(1.0), params, state,
+                        DiscretizationConfig(), 4, 1e-4)
+    assert rep.grid["fine_solve"] == ["rqi"] * 4
+    rep = oracle_report(Oscillator(1.0), params, state,
+                        DiscretizationConfig(n_points=400, richardson=False),
+                        2, 1e-2)
+    assert rep.grid["fine_solve"] is None
+
+
+def test_spurious_level_falls_back_to_index_bisection(caplog):
+    # q = c + 2p = 28.6: the first cell decouples into a spurious level, so
+    # the coarse vector of index 0 does not lead to fine index 0
+    params = DeformationParams.uniform(12, 0.4)
+    state = AngularState.from_total(12, 2.0)
+    cfg = DiscretizationConfig()
+    with caplog.at_level(logging.DEBUG, logger="dunkl_spectra"):
+        rep = oracle_report(Oscillator(1.0), params, state, cfg, 4, 1e-4)
+    how = rep.grid["fine_solve"]
+    assert "bisection" in how
+    want = _index_bisection(Oscillator(1.0), params, state, cfg, 4)
+    for got, ref, h in zip(rep.numeric, want, how):
+        if h == "bisection":
+            assert got == ref
+        else:
+            assert abs(got - ref) <= 1e-9 * abs(ref)
+    records = [r for r in caplog.records if r.name == "dunkl_spectra"]
+    assert len(records) == how.count("bisection")
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert f"r_max={rep.grid['r_max']:g}" in records[0].getMessage()
+    assert "Sturm index" in records[0].getMessage()
+
+
+def test_tail_leak_warning_per_level_coulomb_report():
+    @dataclasses.dataclass(frozen=True)
+    class TightCoulomb(Coulomb):
+        """1/r whose automatic boxes are far too small."""
+        def radial_problem(self, n, state, params, hbar=1.0, mass=1.0):
+            rec = super().radial_problem(n, state, params, hbar, mass)
+            return dataclasses.replace(rec, r_max=rec.r_max / 10.0)
+
+    params = DeformationParams.uniform(3, 0.0)
+    state = AngularState.from_total(3, 0.0)
+    with pytest.warns(TailLeakWarning) as caught:
+        rep = oracle_report(TightCoulomb(1.0), params, state,
+                            DiscretizationConfig(n_points=400), 2, 1e-2)
+    # each level is solved, and its tail checked, on its own box
+    assert len(rep.grid["r_max"]) == 2
+    assert sum(w.category is TailLeakWarning for w in caught) == 2
+
+
+def test_tail_leak_warning_single_axis():
+    cfg = DiscretizationConfig(r_max=2.5, n_points=400)
+    for s in (1, -1):
+        with pytest.warns(TailLeakWarning):
+            cartesian_1d_eigenvalues(0.4, s, 1.0, cfg, 2)
