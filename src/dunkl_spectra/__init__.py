@@ -19,9 +19,8 @@ from .specfun import (QuadratureRule, build_quadrature, jacobi, kummer_m,
 from .spectra import (Coulomb, EnergyLevel, Oscillator, PotentialSpec,
                       Pseudoharmonic, RadialSolution, bound_energy,
                       coulomb_energy, coulomb_large_d_expansion,
-                      coulomb_radial_wavefunction, oscillator_energy,
-                      oscillator_radial_wavefunction, pho_energy,
-                      radial_solution, radial_wavefunction, reduced_density)
+                      oscillator_energy, pho_energy, radial_solution,
+                      radial_wavefunction, reduced_density)
 from .verify import (DiscretizationConfig, OracleReport,
                      cartesian_1d_eigenvalues, oracle_report,
                      orthogonality_matrix, radial_eigenvalues, residual_check)
@@ -41,7 +40,6 @@ __all__ = [
     "RadialSolution", "EnergyLevel",
     "oscillator_energy", "pho_energy", "coulomb_energy", "bound_energy",
     "radial_solution", "radial_wavefunction",
-    "oscillator_radial_wavefunction", "coulomb_radial_wavefunction",
     "coulomb_large_d_expansion", "reduced_density",
     "DiscretizationConfig", "OracleReport", "radial_eigenvalues",
     "cartesian_1d_eigenvalues", "residual_check", "orthogonality_matrix",

@@ -58,19 +58,11 @@ def _check_1d_args(mu: float, s: int, omega: float, hbar: float,
 
 
 def energy_1d(n: int, mu: float, s: int, omega: float,
-              hbar: float = 1.0, n_base: int = 0) -> float:
-    """Single-axis level hbar w (2n + mu + 1 - s/2).
-
-    n_base selects the first admissible quantum number (0 by default; set 1
-    to count levels from one instead, which only shifts the label).
-    """
+              hbar: float = 1.0) -> float:
+    """Single-axis level hbar w (2n + mu + 1 - s/2)."""
     _check_1d_args(mu, s, omega, hbar)
-    if n_base not in (0, 1):
-        raise DomainError(f"n_base must be 0 or 1, got {n_base}")
-    k = check_count(n, "quantum number") - n_base
-    if k < 0:
-        raise DomainError(f"quantum number {n} below base {n_base}")
-    return hbar * omega * (2.0 * k + mu + 1.0 - s / 2.0)
+    n = check_count(n, "quantum number")
+    return hbar * omega * (2.0 * n + mu + 1.0 - s / 2.0)
 
 
 def wavefunction_1d(n: int, mu: float, s: int, omega: float, x,
@@ -90,12 +82,12 @@ def wavefunction_1d(n: int, mu: float, s: int, omega: float, x,
 
 
 def total_energy(state: CartesianState, params: DeformationParams,
-                 omega: float, hbar: float = 1.0, n_base: int = 0) -> float:
+                 omega: float, hbar: float = 1.0) -> float:
     """Sum of the per-axis levels; equals
     hbar w (2 sum n_j + d + sum mu_j - sum s_j / 2)."""
     if state.d != params.d:
         raise InvalidStateError(
             f"state has {state.d} axes, parameters have {params.d}")
     return sum(
-        energy_1d(nj, muj, sj, omega, hbar=hbar, n_base=n_base)
+        energy_1d(nj, muj, sj, omega, hbar=hbar)
         for nj, muj, sj in zip(state.n, params.mu, state.parity.s))

@@ -3,10 +3,17 @@
 Four subcommands: `spectrum` prints closed-form bound-state energies,
 `density` samples a reduced radial probability density, `verify` runs the
 finite-volume oracle against the closed forms, and `figure` emits the data
-behind the standard plots. Every command writes CSV (comment header of
-`# key=value` lines, then a column header, floats at 17 significant
-digits) or JSON (`{"meta": ..., "levels": [...], "samples": [...]}`,
-schema shipped as output_schema.json next to this module).
+behind the standard plots.
+
+Every subcommand runs one pipeline. Level rows come from `bound_energy`
+through the `EnergyLevel` continuum check, density rows from
+`reduced_density` on an even grid, verify rows from `oracle_report`; the
+figures are level and density rows tagged with their curve. One writer
+sends each document to stdout, to `--output`, or, for figures, to one file
+per curve: CSV (comment header of `# key=value` lines, then a column
+header, floats at 17 significant digits) or JSON (`{"meta": ...,
+"levels": [...], "samples": [...]}`, schema shipped as output_schema.json
+next to this module).
 
 The CLI is a thin shell: every number it prints is produced by a library
 call and serialized losslessly, so parsing the output recovers the library
@@ -23,6 +30,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 
 import numpy as np
@@ -31,14 +39,12 @@ from .core import DeformationParams
 from .errors import (ConvergenceError, DomainError, InvalidStateError,
                      SingularityError)
 from .polar import AngularState
-from .spectra import (POTENTIALS, EnergyLevel, Oscillator, Pseudoharmonic,
-                      bound_energy, coulomb_energy, oscillator_energy,
-                      radial_solution, reduced_density)
+from .spectra import (POTENTIALS, Coulomb, EnergyLevel, Oscillator,
+                      Pseudoharmonic, bound_energy, radial_solution,
+                      reduced_density)
 from .verify import DiscretizationConfig, oracle_report
 
 __all__ = ["main", "build_parser"]
-
-_FIGURE_IDS = ("1a", "1b", "2a", "2b", "2c", "3a", "3b")
 
 
 class UsageError(Exception):
@@ -63,26 +69,26 @@ def _parse_half_token(tok: str) -> int:
     return int(doubled)
 
 
+def _per_axis(values: list, count: int, flag: str) -> list:
+    """One entry broadcast to all count axes, or exactly count entries."""
+    if len(values) == 1:
+        values = values * count
+    if len(values) != count:
+        raise UsageError(f"--{flag} needs 1 or {count} entries, got {len(values)}")
+    return values
+
+
 def _parse_mu(text: str, d: int) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
     try:
-        values = [float(p) for p in parts]
+        values = [float(p.strip()) for p in text.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse coupling list {text!r}") from None
-    if len(values) == 1:
-        values = values * d
-    if len(values) != d:
-        raise UsageError(f"--mu needs 1 or {d} entries, got {len(values)}")
-    return tuple(values)
+    return tuple(_per_axis(values, d, "mu"))
 
 
 def _parse_parity(text: str, count: int) -> tuple:
     table = {"+1": 1, "1": 1, "+": 1, "-1": -1, "-": -1}
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 1:
-        parts = parts * count
-    if len(parts) != count:
-        raise UsageError(f"--parity needs 1 or {count} entries, got {len(parts)}")
+    parts = _per_axis([p.strip() for p in text.split(",")], count, "parity")
     try:
         return tuple(table[p] for p in parts)
     except KeyError as exc:
@@ -93,7 +99,7 @@ def _angular_state(args, d: int) -> AngularState:
     parity = _parse_parity(args.parity, d) if args.parity else (1,) * d
     if args.ell is None:
         return AngularState(two_ell=(0,) * (d - 1), parity=parity)
-    tokens = [t for t in args.ell.split(",")]
+    tokens = args.ell.split(",")
     if len(tokens) == 1:
         two_ell = (_parse_half_token(tokens[0]),) + (0,) * (d - 2)
     elif len(tokens) == d - 1:
@@ -121,73 +127,73 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(stream, meta: dict, columns, rows) -> None:
-    for key, value in meta.items():
-        stream.write(f"# {key}={_format_cell(value)}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
-
-
-def _write_json(stream, meta: dict, levels, samples) -> None:
-    doc = {"meta": meta, "levels": list(levels), "samples": list(samples)}
-    json.dump(doc, stream, indent=1)
-    stream.write("\n")
-
-
-def _emit(args, meta: dict, columns, rows, kind: str) -> None:
+def _write(args, path, meta: dict, columns, rows, kind: str) -> None:
+    """Write one document to path, or to stdout when path is None; kind
+    ("levels" or "samples") names the JSON list that holds the rows."""
     meta = {"command": args.command, "format": args.format, **meta}
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            _dispatch_write(fh, args.format, meta, columns, rows, kind)
-    else:
-        _dispatch_write(sys.stdout, args.format, meta, columns, rows, kind)
+    with (open(path, "w", encoding="utf-8") if path
+          else nullcontext(sys.stdout)) as stream:
+        if args.format == "csv":
+            for key, value in meta.items():
+                stream.write(f"# {key}={_format_cell(value)}\n")
+            stream.write(",".join(columns) + "\n")
+            for row in rows:
+                stream.write(",".join(_format_cell(row[c]) for c in columns)
+                             + "\n")
+        else:
+            doc = {"meta": meta, "levels": [], "samples": []}
+            doc[kind] = rows
+            json.dump(doc, stream, indent=1)
+            stream.write("\n")
 
 
-def _dispatch_write(stream, fmt, meta, columns, rows, kind) -> None:
-    if fmt == "csv":
-        _write_csv(stream, meta, columns, rows)
-    elif kind == "levels":
-        _write_json(stream, meta, rows, [])
-    else:
-        _write_json(stream, meta, [], rows)
+def _inputs(args):
+    """Parameters, angular state and potential of a spectrum or density run."""
+    params = DeformationParams(d=args.d, mu=_parse_mu(args.mu or "0", args.d))
+    return params, _angular_state(args, args.d), _potential(args, args.potential)
 
 
-def _base_meta(args, params: DeformationParams, state: AngularState | None) -> dict:
-    meta = {
-        "d": params.d,
-        "mu": ",".join(repr(m) for m in params.mu),
-        "hbar": args.hbar,
-        "mass": args.mass,
-    }
-    if state is not None:
-        meta["two_ell"] = ",".join(str(t) for t in state.two_ell)
-        meta["parity"] = ",".join(f"{s:+d}" for s in state.parity.s)
-    return meta
+def _meta(args, params: DeformationParams, state: AngularState,
+          **extra) -> dict:
+    """Metadata of a spectrum or density run: its inputs, extra, then the
+    potential's constants."""
+    return {"potential": args.potential, "d": params.d,
+            "mu": ",".join(repr(m) for m in params.mu),
+            "hbar": args.hbar, "mass": args.mass,
+            "two_ell": ",".join(str(t) for t in state.two_ell),
+            "parity": ",".join(f"{s:+d}" for s in state.parity.s),
+            **extra, **_constants(args, args.potential)}
+
+
+def _level_rows(potential, params: DeformationParams, state: AngularState,
+                count: int, hbar: float = 1.0, mass: float = 1.0) -> list:
+    """Rows {n, energy} of levels 0 .. count-1, each checked to lie below
+    the potential's continuum."""
+    levels = [EnergyLevel(n=n, state=state, d=params.d, potential=potential,
+                          energy=float(bound_energy(potential, n, state,
+                                                    params, hbar, mass)))
+              for n in range(count)]
+    return [{"n": level.n, "energy": level.energy} for level in levels]
+
+
+def _density_rows(sol, r_max: float, npts: int) -> list:
+    """Rows {r, rho} of the reduced density at npts even steps up to r_max."""
+    r = np.linspace(r_max / npts, r_max, npts)
+    return [{"r": float(ri), "rho": float(vi)}
+            for ri, vi in zip(r, reduced_density(sol, r))]
 
 
 def cmd_spectrum(args) -> int:
-    params = DeformationParams(d=args.d, mu=_parse_mu(args.mu or "0", args.d))
-    state = _angular_state(args, args.d)
-    potential = _potential(args, args.potential)
-    rows = []
-    for n in range(args.levels):
-        level = EnergyLevel(
-            n=n, state=state, d=params.d,
-            energy=float(bound_energy(potential, n, state, params,
-                                      args.hbar, args.mass)),
-            potential=potential)
-        rows.append({"n": level.n, "energy": level.energy})
-    meta = {"potential": args.potential, **_base_meta(args, params, state),
-            "levels": args.levels, **_constants(args, args.potential)}
-    _emit(args, meta, ("n", "energy"), rows, "levels")
+    params, state, potential = _inputs(args)
+    rows = _level_rows(potential, params, state, args.levels, args.hbar,
+                       args.mass)
+    _write(args, args.output, _meta(args, params, state, levels=args.levels),
+           ("n", "energy"), rows, "levels")
     return 0
 
 
 def cmd_density(args) -> int:
-    params = DeformationParams(d=args.d, mu=_parse_mu(args.mu or "0", args.d))
-    state = _angular_state(args, args.d)
-    potential = _potential(args, args.potential)
+    params, state, potential = _inputs(args)
     sol = radial_solution(potential, args.n, state, params, args.hbar, args.mass)
     r_max = args.rmax if args.rmax is not None else 10.0
     if not 0.0 < r_max < math.inf:
@@ -195,13 +201,10 @@ def cmd_density(args) -> int:
     npts = args.grid if args.grid is not None else 256
     if npts < 2:
         raise UsageError(f"--grid needs at least 2 samples, got {npts}")
-    r = np.linspace(r_max / npts, r_max, npts)
-    values = reduced_density(sol, r)
-    rows = [{"r": float(ri), "rho": float(vi)} for ri, vi in zip(r, values)]
-    meta = {"potential": args.potential, **_base_meta(args, params, state),
-            "n": args.n, "energy": sol.energy, "rmax": r_max, "grid": npts,
-            **_constants(args, args.potential)}
-    _emit(args, meta, ("r", "rho"), rows, "samples")
+    meta = _meta(args, params, state, n=args.n, energy=sol.energy,
+                 rmax=r_max, grid=npts)
+    _write(args, args.output, meta, ("r", "rho"),
+           _density_rows(sol, r_max, npts), "samples")
     return 0
 
 
@@ -245,81 +248,62 @@ def _verify_jobs(args):
 
 
 def cmd_verify(args) -> int:
+    columns = ("potential", "d", "mu", "two_ell", "n", "energy", "numeric",
+               "rel_err", "tolerance", "passed")
     rows = []
     all_passed = True
     for tag, potential, params, state, cfg, k, tol in _verify_jobs(args):
         report = oracle_report(potential, params, state, cfg, k, tol,
                                args.hbar, args.mass)
         all_passed = all_passed and report.passed
-        for n, analytic, numeric in zip(report.levels, report.analytic,
-                                        report.numeric):
-            rows.append({
-                "potential": tag,
-                "d": params.d,
-                "mu": ",".join(repr(m) for m in params.mu),
-                "two_ell": ",".join(str(t) for t in state.two_ell),
-                "n": n,
-                "energy": analytic,
-                "numeric": numeric,
-                "rel_err": abs(numeric - analytic) / abs(analytic),
-                "tolerance": tol,
-                "passed": report.passed,
-            })
+        labels = (tag, params.d, ",".join(repr(m) for m in params.mu),
+                  ",".join(str(t) for t in state.two_ell))
+        rows += [dict(zip(columns, (*labels, *level, tol, report.passed)))
+                 for level in zip(report.levels, report.analytic,
+                                  report.numeric, report.rel_err)]
     meta = {"checks": len(rows), "all_passed": all_passed,
             "hbar": args.hbar, "mass": args.mass,
             "rmax": "auto" if args.rmax is None else args.rmax,
             "grid": "auto" if args.grid is None else args.grid}
-    columns = ("potential", "d", "mu", "two_ell", "n", "energy", "numeric",
-               "rel_err", "tolerance", "passed")
-    _emit(args, meta, columns, rows, "levels")
+    _write(args, args.output, meta, columns, rows, "levels")
     return 0 if all_passed else 1
 
 
-def _figure_oscillator_levels(mu_value: float):
+def _ladders(potential, mu_value: float, L: float, count: int,
+             ratio: bool = False):
+    """Figure of level ladders over d = 3 .. 6 at uniform coupling; with
+    ratio, each level also over its curve's ground level."""
     rows = []
     for d in (3, 4, 5, 6):
-        params = DeformationParams.uniform(d, mu_value)
-        state = AngularState.from_total(d, 0.0)
-        for n in range(8):
-            energy = oscillator_energy(n, state, params, omega=1.0)
-            rows.append({"d": d, "n": n, "energy": float(energy)})
-    return ("d", "n", "energy"), rows, "levels", {"mu_value": mu_value}
+        ladder = _level_rows(potential, DeformationParams.uniform(d, mu_value),
+                             AngularState.from_total(d, L), count)
+        for row in ladder:
+            rows.append({"d": d, **row})
+            if ratio:
+                rows[-1]["ratio"] = abs(row["energy"] / ladder[0]["energy"])
+    columns = ("d", "n", "energy") + (("ratio",) if ratio else ())
+    return columns, rows, "levels", {"mu_value": mu_value}
 
 
-def _figure_density(d: int):
-    rows = []
-    for mu_value in (-0.4, 0.0, 0.4):
-        params = DeformationParams.uniform(d, mu_value)
-        state = AngularState.from_total(d, 1.0)
-        sol = radial_solution(Oscillator(omega=1.0), 1, state, params)
-        r = np.linspace(8.0 / 400, 8.0, 400)
-        values = reduced_density(sol, r)
-        rows.extend({"mu_value": mu_value, "r": float(ri), "rho": float(vi)}
-                    for ri, vi in zip(r, values))
+def _densities(d: int):
+    """Figure of the trap's n = 1, L = 1 density at d, per coupling."""
+    rows = [{"mu_value": mu_value, **row} for mu_value in (-0.4, 0.0, 0.4)
+            for row in _density_rows(radial_solution(
+                Oscillator(omega=1.0), 1, AngularState.from_total(d, 1.0),
+                DeformationParams.uniform(d, mu_value)), 8.0, 400)]
     return ("mu_value", "r", "rho"), rows, "samples", {"d": d, "n": 1}
 
 
-def _figure_coulomb_ratio(mu_value: float):
-    rows = []
-    for d in (3, 4, 5, 6):
-        params = DeformationParams.uniform(d, mu_value)
-        state = AngularState.from_total(d, 1.0)
-        ground = coulomb_energy(0, state, params, e2=1.0)
-        for n in range(21):
-            energy = coulomb_energy(n, state, params, e2=1.0)
-            rows.append({"d": d, "n": n, "energy": float(energy),
-                         "ratio": float(abs(energy / ground))})
-    return ("d", "n", "energy", "ratio"), rows, "levels", {"mu_value": mu_value}
-
-
+# each returns (columns, rows, kind, extra metadata); the leading column is
+# the curve key
 _FIGURES = {
-    "1a": lambda: _figure_oscillator_levels(0.4),
-    "1b": lambda: _figure_oscillator_levels(-0.4),
-    "2a": lambda: _figure_density(3),
-    "2b": lambda: _figure_density(4),
-    "2c": lambda: _figure_density(5),
-    "3a": lambda: _figure_coulomb_ratio(0.4),
-    "3b": lambda: _figure_coulomb_ratio(-0.4),
+    "1a": lambda: _ladders(Oscillator(1.0), 0.4, 0.0, 8),
+    "1b": lambda: _ladders(Oscillator(1.0), -0.4, 0.0, 8),
+    "2a": lambda: _densities(3),
+    "2b": lambda: _densities(4),
+    "2c": lambda: _densities(5),
+    "3a": lambda: _ladders(Coulomb(1.0), 0.4, 1.0, 21, ratio=True),
+    "3b": lambda: _ladders(Coulomb(1.0), -0.4, 1.0, 21, ratio=True),
 }
 
 
@@ -327,18 +311,15 @@ def cmd_figure(args) -> int:
     columns, rows, kind, extra = _FIGURES[args.id]()
     meta = {"figure": args.id, **extra}
     if args.output is None:
-        _emit(args, meta, columns, rows, kind)
+        _write(args, None, meta, columns, rows, kind)
         return 0
-    # one file per curve: the leading column is the curve key
+    # one file per curve, named and tagged by its value of the curve key
     stem, ext = os.path.splitext(args.output)
-    curve_key = columns[0]
-    for value in dict.fromkeys(row[curve_key] for row in rows):
-        sub = [row for row in rows if row[curve_key] == value]
-        path = f"{stem}_{curve_key.split('_')[0]}{value}{ext}"
-        curve_meta = {"command": args.command, "format": args.format,
-                      **meta, curve_key: value}
-        with open(path, "w", encoding="utf-8") as fh:
-            _dispatch_write(fh, args.format, curve_meta, columns, sub, kind)
+    key = columns[0]
+    for value in dict.fromkeys(row[key] for row in rows):
+        _write(args, f"{stem}_{key.split('_')[0]}{value}{ext}",
+               {**meta, key: value}, columns,
+               [row for row in rows if row[key] == value], kind)
     return 0
 
 
@@ -405,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify, De=None)
 
     p_fig = sub.add_parser("figure", help="data series behind the standard plots")
-    p_fig.add_argument("--id", required=True, choices=_FIGURE_IDS)
+    p_fig.add_argument("--id", required=True, choices=tuple(_FIGURES))
     p_fig.add_argument("--format", choices=("csv", "json"), default="csv")
     p_fig.add_argument("--output", type=str, default=None)
     p_fig.set_defaults(func=cmd_figure)

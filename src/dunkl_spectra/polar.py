@@ -107,9 +107,6 @@ class AngularState:
     def d(self) -> int:
         return len(self.parity)
 
-    def ell(self, k: int) -> float:
-        return self.two_ell[k - 1] / 2.0
-
     def ell_partial(self, k: int) -> float:
         """L_k = l_1 + ... + l_k."""
         return sum(self.two_ell[:k]) / 2.0
@@ -142,10 +139,15 @@ def _separation_eigenvalue(k: int, L_k: float, params: DeformationParams) -> flo
     return 4.0 * L_k * (L_k + params.mu_partial(k + 1) + (k - 1) / 2.0)
 
 
-def _check_level(j: int, state: AngularState, params: DeformationParams) -> None:
+def _check_dimension(state: AngularState, params: DeformationParams) -> None:
+    """InvalidStateError unless state and params share one dimension."""
     if state.d != params.d:
         raise InvalidStateError(
             f"state has dimension {state.d}, parameters have {params.d}")
+
+
+def _check_level(j: int, state: AngularState, params: DeformationParams) -> None:
+    _check_dimension(state, params)
     if not 1 <= j <= params.d - 1:
         raise DomainError(f"level must lie in [1, {params.d - 1}], got {j}")
 
@@ -229,9 +231,7 @@ def angular_inner_product(j: int, state_a: AngularState, state_b: AngularState,
 
 def lambda_sq(k: int, state: AngularState, params: DeformationParams) -> float:
     """Separation constant of tower level k, 1 <= k <= d-2."""
-    if state.d != params.d:
-        raise InvalidStateError(
-            f"state has dimension {state.d}, parameters have {params.d}")
+    _check_dimension(state, params)
     if not 1 <= k <= params.d - 2:
         raise DomainError(f"level must lie in [1, {params.d - 2}], got {k}")
     return _separation_eigenvalue(k, state.ell_partial(k), params)
@@ -239,7 +239,5 @@ def lambda_sq(k: int, state: AngularState, params: DeformationParams) -> float:
 
 def varpi_sq(state: AngularState, params: DeformationParams) -> float:
     """Total angular constant 4 L (L + sum mu + (d-2)/2), L = sum of all l."""
-    if state.d != params.d:
-        raise InvalidStateError(
-            f"state has dimension {state.d}, parameters have {params.d}")
+    _check_dimension(state, params)
     return _separation_eigenvalue(params.d - 1, state.ell_total, params)

@@ -37,7 +37,7 @@ import numpy as np
 from .core import DeformationParams
 from .errors import (DomainError, InvalidStateError, check_count,
                      check_positive)
-from .polar import AngularState, varpi_sq
+from .polar import AngularState, _check_dimension, varpi_sq
 from .specfun import kummer_m, laguerre_norm_sq
 
 __all__ = [
@@ -50,12 +50,10 @@ __all__ = [
     "EnergyLevel",
     "oscillator_energy",
     "oscillator_radial_solution",
-    "oscillator_radial_wavefunction",
     "pho_energy",
     "pho_radial_solution",
     "coulomb_energy",
     "coulomb_radial_solution",
-    "coulomb_radial_wavefunction",
     "coulomb_large_d_expansion",
     "radial_wavefunction",
     "radial_solution",
@@ -112,9 +110,7 @@ class _Potential:
         """Closed-form data of radial level n, after checking every input."""
         check_positive(hbar=hbar, mass=mass)
         n = check_count(n, "radial quantum number")
-        if state.d != params.d:
-            raise InvalidStateError(
-                f"state has dimension {state.d}, parameters have {params.d}")
+        _check_dimension(state, params)
         return self._problem(n, state, params, hbar, mass,
                              _weight_exponent(params))
 
@@ -325,17 +321,6 @@ def oscillator_radial_solution(n: int, state: AngularState,
     return radial_solution(Oscillator(omega), n, state, params, hbar, mass)
 
 
-def oscillator_radial_wavefunction(sol: RadialSolution, r):
-    """Evaluate a Gaussian-family radial state at r (scalar or array).
-
-    Valid for harmonic and pseudoharmonic solutions; both share the
-    u^p e^{-u/2} M(-n, b, u) shape.
-    """
-    if not sol.potential.gaussian:
-        raise DomainError("solution is not in the Gaussian family")
-    return radial_wavefunction(sol, r)
-
-
 def pho_energy(n: int, state: AngularState, params: DeformationParams,
                D_e: float, r_e: float, hbar: float = 1.0,
                mass: float = 1.0) -> float:
@@ -363,13 +348,6 @@ def coulomb_radial_solution(n: int, state: AngularState,
                             ) -> RadialSolution:
     """Closed-form attractive-1/r radial state, unit norm against r^c."""
     return radial_solution(Coulomb(e2), n, state, params, hbar, mass)
-
-
-def coulomb_radial_wavefunction(sol: RadialSolution, r):
-    """Evaluate an attractive-1/r radial state at r (scalar or array)."""
-    if sol.potential.gaussian:
-        raise DomainError("solution is not an attractive-1/r state")
-    return radial_wavefunction(sol, r)
 
 
 def coulomb_large_d_expansion(n: int, state: AngularState,

@@ -118,16 +118,24 @@ def _fv_matrix(q: float, vterms, r_max: float, n: int, scale: float):
     and scale = 2m/hbar^2. Returns (diag, off, s, nodes): the eigenvalues of
     the matrix are scale times the energies, s holds the square roots of the
     cell masses, and an eigenvector x is G = x/s at the cell nodes.
+
+    Raises ConvergenceError when a cell mass, load or flux is not finite in
+    double precision (large q on a large box overflows r^(q+1)).
     """
     h = r_max / n
     edges = np.arange(n + 1) * h
     nodes = (np.arange(1, n + 1) - 0.5) * h
-    cell_mass = _cell_int(q, edges)
-    load = np.zeros(n)
-    for coeff, power in vterms:
-        load += coeff * _cell_int(q + power, edges)
-    # interface fluxes, the last one from the outer node to the box edge
-    flux = 1.0 / _cell_int(-q, np.append(nodes, r_max))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cell_mass = _cell_int(q, edges)
+        load = np.zeros(n)
+        for coeff, power in vterms:
+            load += coeff * _cell_int(q + power, edges)
+        # interface fluxes, the last one from the outer node to the box edge
+        flux = 1.0 / _cell_int(-q, np.append(nodes, r_max))
+    if not all(np.isfinite(a).all() for a in (cell_mass, load, flux)):
+        raise ConvergenceError(
+            f"finite-volume cells overflow double precision for weight "
+            f"exponent q={q:g} on the box r_max={r_max:g}")
     diag = scale * load
     diag[:-1] += flux[:-1]
     diag[1:] += flux[:-1]

@@ -59,16 +59,6 @@ def test_1d_constants_positive_and_finite():
             wavefunction_1d(0, 0.1, -1, 1.0, 0.5, mass=bad)
 
 
-def test_energy_1d_base_offset():
-    # counting levels from one only relabels the ladder
-    assert energy_1d(1, 0.3, -1, 2.0, n_base=1) == energy_1d(0, 0.3, -1, 2.0)
-    assert energy_1d(4, 0.3, 1, 2.0, n_base=1) == energy_1d(3, 0.3, 1, 2.0)
-    with pytest.raises(DomainError):
-        energy_1d(0, 0.3, 1, 2.0, n_base=1)
-    with pytest.raises(DomainError):
-        energy_1d(0, 0.3, 1, 2.0, n_base=2)
-
-
 def test_fractional_quantum_numbers_rejected():
     with pytest.raises(DomainError):
         energy_1d(2.5, 0.0, 1, 1.0)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -10,12 +11,15 @@ import pytest
 
 from dunkl_spectra import (
     AngularState,
+    Coulomb,
     DeformationParams,
     DiscretizationConfig,
+    bound_energy,
     coulomb_energy,
     oscillator_energy,
     pho_energy,
     radial_eigenvalues,
+    radial_solution,
     reduced_density,
 )
 from dunkl_spectra.spectra import Oscillator, oscillator_radial_solution
@@ -400,6 +404,92 @@ def test_figure_writes_one_file_per_curve(tmp_path, capsys):
         tmp_path / "fig2a_mu0.0.csv").exists()
 
 
+def figure_reference(fid):
+    """(curve key, extra metadata, rows) of a figure, rebuilt from
+    bound_energy, and from radial_solution with reduced_density."""
+    if fid.startswith("2"):
+        d = {"2a": 3, "2b": 4, "2c": 5}[fid]
+        r = np.linspace(8.0 / 400, 8.0, 400)
+        rows = []
+        for mu in (-0.4, 0.0, 0.4):
+            sol = radial_solution(Oscillator(1.0), 1,
+                                  AngularState.from_total(d, 1.0),
+                                  DeformationParams.uniform(d, mu))
+            rows += [{"mu_value": mu, "r": float(ri), "rho": float(vi)}
+                     for ri, vi in zip(r, reduced_density(sol, r))]
+        return "mu_value", {"d": d, "n": 1}, rows
+    mu = 0.4 if fid.endswith("a") else -0.4
+    potential, L, count = ((Oscillator(1.0), 0.0, 8) if fid.startswith("1")
+                           else (Coulomb(1.0), 1.0, 21))
+    rows = []
+    for d in (3, 4, 5, 6):
+        params = DeformationParams.uniform(d, mu)
+        state = AngularState.from_total(d, L)
+        energies = [float(bound_energy(potential, n, state, params))
+                    for n in range(count)]
+        for n, energy in enumerate(energies):
+            rows.append({"d": d, "n": n, "energy": energy})
+            if fid.startswith("3"):
+                rows[-1]["ratio"] = abs(energy / energies[0])
+    return "d", {"mu_value": mu}, rows
+
+
+def parse_doc(fmt, text):
+    """(meta, rows, JSON list name) of a document; CSV cells stay strings."""
+    if fmt == "json":
+        doc = json.loads(text)
+        kind = "samples" if doc["samples"] else "levels"
+        return doc["meta"], doc["levels"] + doc["samples"], kind
+    meta, header, rows = parse_csv(text)
+    return meta, [dict(zip(header, row)) for row in rows], None
+
+
+def assert_same(got: dict, want: dict):
+    """Same keys in the same order, every value read back exactly."""
+    assert list(got) == list(want)
+    for key, value in want.items():
+        printed = got[key]
+        if isinstance(printed, str):
+            printed = type(value)(printed)
+        assert type(printed) is type(value) and printed == value, \
+            f"{key}: printed {got[key]!r}, library {value!r}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fid", ["1a", "1b", "2a", "2b", "2c", "3a", "3b"])
+def test_figure_values_match_library(fid, fmt, tmp_path, capsys):
+    key, extra, want = figure_reference(fid)
+    kind = None if fmt == "csv" else (
+        "samples" if key == "mu_value" else "levels")
+    base = {"command": "figure", "format": fmt, "figure": fid, **extra}
+    code, out, err = run(["figure", "--id", fid, "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    meta, rows, got_kind = parse_doc(fmt, out)
+    assert got_kind == kind
+    assert_same(meta, base)
+    assert len(rows) == len(want)
+    for got, ref in zip(rows, want):
+        assert_same(got, ref)
+
+    # --output: one file per curve, each with exactly that curve's rows and
+    # the curve's key value appended to the metadata
+    target = tmp_path / f"fig.{fmt}"
+    code, out, err = run(["figure", "--id", fid, "--format", fmt,
+                          "--output", str(target)], capsys)
+    assert (code, out, err) == (0, "", "")
+    curves = {f"fig_{key.split('_')[0]}{row[key]}.{fmt}": row[key]
+              for row in want}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(curves)
+    for name, value in curves.items():
+        meta, rows, got_kind = parse_doc(fmt, (tmp_path / name).read_text())
+        assert got_kind == kind
+        assert_same(meta, {**base, key: value})
+        curve = [row for row in want if row[key] == value]
+        assert len(rows) == len(curve)
+        for got, ref in zip(rows, curve):
+            assert_same(got, ref)
+
+
 def test_output_file_equals_stdout(tmp_path, capsys):
     argv = ["spectrum", "--potential", "coulomb", "--d", "3", "--mu", "0.4",
             "--levels", "4"]
@@ -448,3 +538,14 @@ def test_verify_explicit_default_depth(capsys):
     state = AngularState.from_total(3, 0.0)
     assert [float(r[-5]) for r in rows] == [
         pho_energy(n, state, params, 1.0, 1.0) for n in range(2)]
+
+
+def test_verify_overflowing_cells_exit_3(capsys):
+    argv = ["verify", "--potential", "coulomb", "--d", "12", "--mu", "3",
+            "--ell", "3", "--levels", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "q=95" in err
+    assert not [w for w in caught if w.category is RuntimeWarning]

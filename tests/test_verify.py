@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from dunkl_spectra import (
     AngularState,
+    ConvergenceError,
     Coulomb,
     DeformationParams,
     DiscretizationConfig,
@@ -355,6 +357,18 @@ def test_cartesian_oracle_rejects_bad_constants():
                                   (1.0, 1.0, bad)):
             with pytest.raises(DomainError):
                 cartesian_1d_eigenvalues(0.2, 1, omega, cfg, 2, hbar, mass)
+
+
+def test_oracle_report_overflowing_cells_fail_fast():
+    # q = 95 on the automatic boxes (~2.7e4): r^(q+1) overflows double
+    params = DeformationParams.uniform(12, 3.0)
+    state = AngularState.from_total(12, 3.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceError, match=r"q=95 .*r_max=27075"):
+            oracle_report(Coulomb(1.0), params, state,
+                          DiscretizationConfig(n_points=400), 2, 1e-2)
+    assert not [w for w in caught if w.category is RuntimeWarning]
 
 
 # ---------------------------------------------------------------------------
