@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import DeformationParams
 from .errors import (ConvergenceError, DomainError, InvalidStateError,
-                     SingularityError)
+                     SingularityError, check_levels)
 from .polar import AngularState
 from .spectra import (POTENTIALS, Coulomb, EnergyLevel, Oscillator,
                       Pseudoharmonic, bound_energy, radial_solution,
@@ -172,7 +172,7 @@ def _level_rows(potential, params: DeformationParams, state: AngularState,
     levels = [EnergyLevel(n=n, state=state, d=params.d, potential=potential,
                           energy=float(bound_energy(potential, n, state,
                                                     params, hbar, mass)))
-              for n in range(count)]
+              for n in range(check_levels(count, "levels"))]
     return [{"n": level.n, "energy": level.energy} for level in levels]
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, check_count
 
 __all__ = [
     "DeformationParams",
@@ -52,8 +52,10 @@ class DeformationParams:
     mu: tuple
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 2:
-            raise DomainError(f"dimension must be an integer >= 2, got {self.d}")
+        d = check_count(self.d, "dimension")
+        if d < 2:
+            raise DomainError(f"dimension must be an integer >= 2, got {d}")
+        object.__setattr__(self, "d", d)
         mu = tuple(float(m) for m in self.mu)
         if len(mu) != self.d:
             raise DomainError(

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks that physical
-constants are positive and finite and quantum numbers nonnegative integers."""
+constants are positive and finite and that counts are whole numbers."""
 
 import math
 
@@ -37,3 +37,11 @@ def check_count(value, name: str, error: type = DomainError) -> int:
     if not (value >= 0 and float(value).is_integer()):
         raise error(f"{name} must be a nonnegative integer, got {value}")
     return int(value)
+
+
+def check_levels(k, name: str = "k") -> int:
+    """k as an int; DomainError unless it is a whole number of at least 1."""
+    k = check_count(k, name)
+    if k < 1:
+        raise DomainError(f"need at least one level, got {name}={k}")
+    return k

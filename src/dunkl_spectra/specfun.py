@@ -1,7 +1,8 @@
 """Numerical kernels: classical orthogonal polynomials and their norms, the
 confluent hypergeometric function M(a, b, x), and Gauss rules for the Jacobi
 weight and the half-line weights r^gamma e^{-r} and r^gamma e^{-r^2}, all
-three from one Golub-Welsch step on recurrence coefficients and zeroth moment.
+three from one Golub-Welsch step on recurrence coefficients and zeroth moment
+in double precision.
 
 Polynomials are evaluated by ascending three-term recurrences, which stay
 stable for the index ranges used here (factorial-ratio closed forms overflow
@@ -240,44 +241,36 @@ def gauss_jacobi(alpha: float, beta: float, npoints: int):
 
 
 def _half_hermite_rule(gamma: float, n: int):
-    """Rule for r^gamma e^{-r^2} on (0, inf) via moment determinants.
+    """Rule for r^gamma e^{-r^2} on (0, inf) by the discretized Stieltjes
+    procedure in double precision (Gautschi 2004, sec. 2.2).
 
-    No classical recurrence exists for this weight. The Chebyshev moment
-    algorithm is run in mpmath because the Hankel determinants lose
-    positivity in double precision already near n ~ 20. Moments must be
-    formed entirely in mpf arithmetic; mixing in double-precision sums bakes
-    inconsistent rounding into the modified moment table and the algorithm
-    fails regardless of working precision.
+    No classical recurrence exists for this weight, so it is read off a
+    positive discrete stand-in: Gauss-Jacobi with r^gamma exact on [0, a],
+    and on [a, R] Gauss-Jacobi in s under r = a + (R - a) (1 + s)^2 / 4,
+    which grades the nodes toward the origin and whose Jacobian is the
+    Jacobi weight 1 + s. One panel on [0, R] would lose digits near
+    gamma = -1, where the first node carries most of the mass and
+    Golub-Welsch places it only to absolute accuracy. Weights are formed in
+    logs, since r^gamma alone overflows at large gamma.
     """
-    dps = max(60, 40 + 6 * n)
-    for attempt in range(3):
-        try:
-            with mpmath.workdps(dps << attempt):
-                g = mpmath.mpf(gamma)
-                m = [mpmath.gamma((g + k + 1) / 2) / 2 for k in range(2 * n)]
-                sig_prev = [mpmath.mpf(0)] * (2 * n + 1)
-                sig = list(m) + [mpmath.mpf(0)]
-                alpha = [m[1] / m[0]]
-                beta = [m[0]]
-                for k in range(1, n):
-                    nxt = [mpmath.mpf(0)] * (2 * n + 1)
-                    for l in range(k, 2 * n - k):
-                        t = sig[l + 1] - alpha[k - 1] * sig[l]
-                        if k > 1:
-                            t -= beta[k - 1] * sig_prev[l]
-                        nxt[l] = t
-                    alpha.append(nxt[k + 1] / nxt[k] - sig[k] / sig[k - 1])
-                    beta.append(nxt[k] / sig[k - 1])
-                    sig_prev, sig = sig, nxt
-                diag = np.array([float(v) for v in alpha])
-                off2 = np.array([float(v) for v in beta[1:]])
-                mu0 = float(beta[0])
-        except (ZeroDivisionError, ValueError):
-            continue
-        if np.all(off2 > 0.0):
-            return _gauss_rule(diag, off2, mu0)
-    raise ConvergenceError(
-        f"half-range rule construction failed for gamma={gamma}, n={n}")
+    a, big_r = 1e-3, math.sqrt(4.0 * n + 2.0 * abs(gamma)) + 12.0
+    u, wu = gauss_jacobi(0.0, gamma, 16)
+    s, ws = gauss_jacobi(0.0, 1.0, max(200, 8 * n, math.ceil(3.0 * gamma)))
+    r = np.concatenate([0.5 * a * (1.0 + u),
+                        a + (big_r - a) * (0.25 * (1.0 + s) ** 2)])
+    log_w = np.concatenate([np.log(0.5 * a * wu) + gamma * math.log(0.5 * a),
+                            np.log(0.5 * (big_r - a) * ws)
+                            + gamma * np.log(r[len(u):])])
+    w = np.exp(log_w - r * r)
+    mu0 = float(np.sum(w))
+    diag, off = np.empty(n), np.empty(n)
+    q_prev, q, b = np.zeros_like(r), np.sqrt(w / mu0), 0.0
+    for k in range(n):  # q_k orthonormal under w: q_{k+1} = t / b_{k+1}
+        diag[k] = np.sum(r * q * q)
+        t = (r - diag[k]) * q - b * q_prev
+        b = off[k] = math.sqrt(np.sum(t * t))
+        q_prev, q = q, t / b
+    return _gauss_rule(diag, off[:-1] ** 2, mu0)
 
 
 def build_quadrature(gamma: float, variant: str, npoints: int) -> QuadratureRule:
@@ -285,10 +278,10 @@ def build_quadrature(gamma: float, variant: str, npoints: int) -> QuadratureRule
 
     variant "exp_r" uses w = e^{-r}, the classical Laguerre recurrence with
     zeroth moment Gamma(gamma + 1); "exp_r2" uses w = e^{-r^2}, whose
-    recurrence comes from the moment algorithm in extended precision. Both
-    share the Golub-Welsch step with Christoffel weights. gamma > -1 is
-    required for integrability at the origin; npoints is a positive whole
-    number.
+    recurrence comes from the discretized Stieltjes procedure in double
+    precision. Both share the Golub-Welsch step with Christoffel weights.
+    gamma > -1 is required for integrability at the origin; npoints is a
+    positive whole number.
     """
     if gamma <= -1.0:
         raise DomainError(f"weight exponent must exceed -1, got {gamma}")

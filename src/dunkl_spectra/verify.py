@@ -45,6 +45,7 @@ matrices and the per-level 1/r boxes also read its `gaussian` flag.
 from __future__ import annotations
 
 import logging
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
@@ -56,7 +57,7 @@ from scipy.linalg.lapack import dgtsv, dstebz
 from .cartesian import _check_1d_args
 from .core import DeformationParams
 from .errors import (ConvergenceError, DomainError, TailLeakWarning,
-                     check_count, check_positive)
+                     check_count, check_levels, check_positive)
 from .polar import AngularState
 from .specfun import build_quadrature, kummer_m
 from .spectra import (PotentialSpec, RadialProblem, radial_solution,
@@ -221,12 +222,16 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
 
 
 def _check_tail(vecs: np.ndarray, r_max: float, label: str) -> None:
+    """Warn of a truncated state, naming the first caller outside verify."""
     leak = np.max(np.abs(vecs[-1, :]) / np.max(np.abs(vecs), axis=0))
     if leak > 1e-6:
+        level = 2  # stacklevel L names the frame sys._getframe(L - 1)
+        while sys._getframe(level - 1).f_globals["__name__"] == __name__:
+            level += 1
         warnings.warn(
             f"{label}: eigenstate amplitude {leak:.1e} at r_max={r_max:g}; "
             f"the box truncates the state, enlarge r_max",
-            TailLeakWarning, stacklevel=3)
+            TailLeakWarning, stacklevel=level)
 
 
 def _solve_levels(q: float, vterms, r_max: float, cfg: DiscretizationConfig,
@@ -266,14 +271,6 @@ def _record_levels(rec: RadialProblem, cfg: DiscretizationConfig,
     return vals + rec.shift, how
 
 
-def _level_count(k, name: str = "k") -> int:
-    """k as an int; DomainError unless it is a whole number of at least 1."""
-    k = check_count(k, name)
-    if k < 1:
-        raise DomainError(f"need at least one level, got {name}={k}")
-    return k
-
-
 def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
                        state: AngularState, cfg: DiscretizationConfig, k: int,
                        hbar: float = 1.0, mass: float = 1.0, *,
@@ -294,7 +291,7 @@ def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
     this public function, whose spans perfbench's per-layer verify figures
     are taken from.
     """
-    k = _level_count(k)
+    k = check_levels(k)
     rec = potential.radial_problem(k - 1, state, params, hbar, mass)
     vals, how = _record_levels(rec, cfg, range(k), hbar, mass, potential.tag)
     if fine_solve is not None and how is not None:
@@ -313,7 +310,7 @@ def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
     are found by index as in `radial_eigenvalues`.
     """
     _check_1d_args(mu, s, omega, hbar, mass)
-    k = _level_count(k)
+    k = check_levels(k)
     q = 2.0 * mu if s == 1 else 2.0 * mu + 2.0
     r_max = cfg.r_max
     if r_max is None:
@@ -367,7 +364,7 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
     degree below 2 n_max: one Gauss-Laguerre rule integrates every pair
     exactly.
     """
-    n_max = _level_count(n_max, "n_max")
+    n_max = check_levels(n_max, "n_max")
     sols = [radial_solution(potential, n, state, params, hbar, mass)
             for n in range(n_max)]
     rec = potential.radial_problem(0, state, params, hbar, mass)
@@ -459,7 +456,7 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
     from bisection at the level's index ("bisection"); it is None without
     Richardson extrapolation.
     """
-    k = _level_count(k)
+    k = check_levels(k)
     recs = [potential.radial_problem(n, state, params, hbar, mass)
             for n in range(k)]
     how = []

@@ -549,3 +549,12 @@ def test_verify_overflowing_cells_exit_3(capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "q=95" in err
     assert not [w for w in caught if w.category is RuntimeWarning]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("levels", ["-2", "0"])
+def test_level_count_below_one_exits_3(command, levels, capsys):
+    code, out, err = run([command, "--potential", "oscillator", "--d", "3",
+                          f"--levels={levels}"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")

@@ -253,6 +253,15 @@ def test_deformation_params_rejects_non_finite_coupling(bad):
         DeformationParams(d=3, mu=(bad, 0.0, 0.0))
 
 
+def test_deformation_params_dimension_is_a_count():
+    for d in (np.int64(3), 3.0):
+        p = DeformationParams(d, (0.1,) * 3)
+        assert p.d == 3 and type(p.d) is int
+    for bad in (2.5, 1, True):
+        with pytest.raises(DomainError):
+            DeformationParams(bad, (0.1,) * 3)
+
+
 def test_parity_vector_validation():
     with pytest.raises(DomainError):
         ParityVector((1, 0, -1))

@@ -19,7 +19,8 @@ from dunkl_spectra import (
     kummer_m,
     laguerre,
 )
-from dunkl_spectra.specfun import gauss_jacobi, jacobi_norm_sq, laguerre_norm_sq
+from dunkl_spectra.specfun import (_gauss_rule, gauss_jacobi, jacobi_norm_sq,
+                                   laguerre_norm_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +290,46 @@ def test_build_quadrature_domain_errors():
         build_quadrature(0.5, "exp_cube", 8)
     with pytest.raises(DomainError):
         build_quadrature(0.5, "exp_r", 0)
+
+
+def _half_hermite_reference(gamma, n):
+    """The r^gamma e^{-r^2} rule from its exact moments Gamma((gamma+l+1)/2)/2:
+    the Chebyshev algorithm (Gautschi 2004, sec. 2.1) in mpmath at 40 + 6n
+    digits, then the package's Golub-Welsch step."""
+    with mpmath.workdps(40 + 6 * n):
+        g = mpmath.mpf(gamma)
+        sig = [mpmath.gamma((g + l + 1) / 2) / 2 for l in range(2 * n)]
+        prev = [mpmath.mpf(0)] * (2 * n)
+        alpha, beta = [sig[1] / sig[0]], [sig[0]]
+        for k in range(1, n):
+            nxt = [mpmath.mpf(0)] * (2 * n)
+            for l in range(k, 2 * n - k):
+                nxt[l] = sig[l + 1] - alpha[-1] * sig[l] - beta[-1] * prev[l]
+            alpha.append(nxt[k + 1] / nxt[k] - sig[k] / sig[k - 1])
+            beta.append(nxt[k] / sig[k - 1])
+            prev, sig = sig, nxt
+        return _gauss_rule(np.array([float(a) for a in alpha]),
+                           np.array([float(b) for b in beta[1:]]),
+                           float(beta[0]))
+
+
+@pytest.mark.parametrize("gamma", [-0.99, -0.6, 0.0, 2.4, 18.0, 60.0, 200.0])
+@pytest.mark.parametrize("npoints", [2, 24, 64])
+def test_half_range_rule_against_moment_reference(gamma, npoints):
+    # nodes as well as weights: a rule can match every monomial moment to
+    # 1e-13 while its nodes are off in the second digit
+    rule = build_quadrature(gamma, "exp_r2", npoints)
+    nodes, weights = _half_hermite_reference(gamma, npoints)
+    npt.assert_allclose(rule.nodes, nodes, rtol=1e-12, atol=0.0)
+    npt.assert_allclose(rule.weights, weights, rtol=2e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [-0.999, 0.5, 60.0])
+def test_half_range_rule_at_128_points(gamma):
+    rule = build_quadrature(gamma, "exp_r2", 128)
+    assert rule.npoints == 128
+    npt.assert_allclose(np.sum(rule.weights),
+                        0.5 * math.gamma((gamma + 1.0) / 2.0), rtol=1e-13)
 
 
 @pytest.mark.parametrize("variant", ["exp_r", "exp_r2"])

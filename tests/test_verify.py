@@ -572,3 +572,30 @@ def test_tail_leak_warning_single_axis():
     for s in (1, -1):
         with pytest.warns(TailLeakWarning):
             cartesian_1d_eigenvalues(0.4, s, 1.0, cfg, 2)
+
+
+@dataclasses.dataclass(frozen=True)
+class _TightCoulomb(Coulomb):
+    """1/r whose automatic per-level boxes are far too small."""
+    def radial_problem(self, n, state, params, hbar=1.0, mass=1.0):
+        rec = super().radial_problem(n, state, params, hbar, mass)
+        return dataclasses.replace(rec, r_max=rec.r_max / 10.0)
+
+
+_TIGHT = DiscretizationConfig(r_max=2.5, n_points=400)
+_P3, _S3 = DeformationParams.uniform(3, 0.0), AngularState.from_total(3, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: radial_eigenvalues(Oscillator(1.0), _P3, _S3, _TIGHT, 2),
+    lambda: oracle_report(Oscillator(1.0), _P3, _S3, _TIGHT, 2, 1e-2),
+    lambda: oracle_report(_TightCoulomb(1.0), _P3, _S3,
+                          DiscretizationConfig(n_points=400), 2, 1e-2),
+    lambda: cartesian_1d_eigenvalues(0.4, 1, 1.0, _TIGHT, 2),
+], ids=["radial_eigenvalues", "oracle_report_gaussian", "oracle_report_1_r",
+        "cartesian_1d_eigenvalues"])
+def test_tail_leak_warning_names_caller(call):
+    # the warning points at the calling line, never inside verify
+    with pytest.warns(TailLeakWarning) as caught:
+        call()
+    assert {w.filename for w in caught} == {__file__}
