@@ -16,7 +16,7 @@ from .polar import (AngularState, angular_inner_product, lambda_sq,
                     parity_offsets, theta_eigenfunction, varpi_sq)
 from .specfun import (QuadratureRule, build_quadrature, jacobi, kummer_m,
                       laguerre)
-from .spectra import (Coulomb, EnergyLevel, Oscillator, PotentialSpec,
+from .spectra import (Coulomb, Oscillator, PotentialSpec,
                       Pseudoharmonic, RadialSolution, bound_energy,
                       coulomb_energy, coulomb_large_d_expansion,
                       oscillator_energy, pho_energy, radial_solution,
@@ -37,7 +37,7 @@ __all__ = [
     "angular_inner_product", "lambda_sq", "varpi_sq",
     "laguerre", "jacobi", "kummer_m", "QuadratureRule", "build_quadrature",
     "Oscillator", "Pseudoharmonic", "Coulomb", "PotentialSpec",
-    "RadialSolution", "EnergyLevel",
+    "RadialSolution",
     "oscillator_energy", "pho_energy", "coulomb_energy", "bound_energy",
     "radial_solution", "radial_wavefunction",
     "coulomb_large_d_expansion", "reduced_density",

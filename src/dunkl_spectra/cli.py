@@ -5,8 +5,8 @@ Four subcommands: `spectrum` prints closed-form bound-state energies,
 finite-volume oracle against the closed forms, and `figure` emits the data
 behind the standard plots.
 
-Every subcommand runs one pipeline. Level rows come from `bound_energy`
-through the `EnergyLevel` continuum check, density rows from
+Every subcommand runs one pipeline. Level rows come from `bound_energy`,
+whose record refuses a level at or above the continuum, density rows from
 `reduced_density` on an even grid, verify rows from `oracle_report`; the
 figures are level and density rows tagged with their curve. One writer
 sends each document to stdout, to `--output`, or, for figures, to one file
@@ -39,9 +39,8 @@ from .core import DeformationParams
 from .errors import (ConvergenceError, DomainError, InvalidStateError,
                      SingularityError, check_levels)
 from .polar import AngularState
-from .spectra import (POTENTIALS, Coulomb, EnergyLevel, Oscillator,
-                      Pseudoharmonic, bound_energy, radial_solution,
-                      reduced_density)
+from .spectra import (POTENTIALS, Coulomb, Oscillator, Pseudoharmonic,
+                      bound_energy, radial_solution, reduced_density)
 from .verify import DiscretizationConfig, oracle_report
 
 __all__ = ["main", "build_parser"]
@@ -167,13 +166,10 @@ def _meta(args, params: DeformationParams, state: AngularState,
 
 def _level_rows(potential, params: DeformationParams, state: AngularState,
                 count: int, hbar: float = 1.0, mass: float = 1.0) -> list:
-    """Rows {n, energy} of levels 0 .. count-1, each checked to lie below
-    the potential's continuum."""
-    levels = [EnergyLevel(n=n, state=state, d=params.d, potential=potential,
-                          energy=float(bound_energy(potential, n, state,
-                                                    params, hbar, mass)))
-              for n in range(check_levels(count, "levels"))]
-    return [{"n": level.n, "energy": level.energy} for level in levels]
+    """Rows {n, energy} of levels 0 .. count-1."""
+    return [{"n": n, "energy": float(bound_energy(potential, n, state, params,
+                                                  hbar, mass))}
+            for n in range(check_levels(count, "levels"))]
 
 
 def _density_rows(sol, r_max: float, npts: int) -> list:

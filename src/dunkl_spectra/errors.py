@@ -2,6 +2,7 @@
 constants are positive and finite and that counts are whole numbers."""
 
 import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -33,8 +34,9 @@ def check_positive(**constants: float) -> None:
 
 def check_count(value, name: str, error: type = DomainError) -> int:
     """value as an int; raise `error` unless it is a nonnegative whole
-    number (2.0 passes, 2.5 and -1 do not)."""
-    if not (value >= 0 and float(value).is_integer()):
+    number (2.0 passes, 2.5, -1 and '2' do not)."""
+    if not (isinstance(value, numbers.Real) and value >= 0
+            and float(value).is_integer()):
         raise error(f"{name} must be a nonnegative integer, got {value}")
     return int(value)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 import mpmath
@@ -280,22 +281,29 @@ def build_quadrature(gamma: float, variant: str, npoints: int) -> QuadratureRule
     zeroth moment Gamma(gamma + 1); "exp_r2" uses w = e^{-r^2}, whose
     recurrence comes from the discretized Stieltjes procedure in double
     precision. Both share the Golub-Welsch step with Christoffel weights.
-    gamma > -1 is required for integrability at the origin; npoints is a
-    positive whole number.
+    gamma > -1 is required for integrability at the origin, and the
+    weight's zeroth moment, Gamma(gamma + 1) or Gamma((gamma + 1)/2)/2, must
+    be finite in double precision; npoints is a positive whole number.
     """
     if gamma <= -1.0:
         raise DomainError(f"weight exponent must exceed -1, got {gamma}")
     n = _npoints(npoints)
+    if variant not in ("exp_r", "exp_r2"):
+        raise DomainError(f"unknown quadrature variant {variant!r}")
+    log_mu0 = (math.lgamma(gamma + 1.0) if variant == "exp_r"
+               else math.lgamma((gamma + 1.0) / 2.0) - math.log(2.0))
+    if not log_mu0 < math.log(sys.float_info.max):
+        raise DomainError(f"the {variant} weight's zeroth moment overflows "
+                          f"double precision at gamma={gamma}")
     if variant == "exp_r":
         k = np.arange(1.0, n)
         nodes, weights = _gauss_rule(
             2.0 * np.arange(n, dtype=float) + gamma + 1.0, k * (k + gamma),
             laguerre_norm_sq(0, gamma))
-    elif variant == "exp_r2":
-        nodes, weights = _half_hermite_rule(gamma, n)
     else:
-        raise DomainError(f"unknown quadrature variant {variant!r}")
-    if not (np.all(weights > 0.0) and np.all(nodes > 0.0)
+        nodes, weights = _half_hermite_rule(gamma, n)
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+            and np.all(weights > 0.0) and np.all(nodes > 0.0)
             and np.all(np.diff(nodes) > 0.0)):
         raise ConvergenceError(
             f"quadrature construction produced an invalid rule "

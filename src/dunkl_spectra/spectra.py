@@ -7,28 +7,26 @@ Radial functions solve
     c = d - 1 + 2 sum mu,  W^2 = varpi_sq(state, params)
 
 Each potential class holds its level formula and, from `radial_problem`,
-returns one RadialProblem record per level. This module, the `verify`
+returns one RadialSolution record per level. This module, the `verify`
 oracle and the CLI read those records instead of branching on the
 potential, so a new potential is one new class.
 
-The solutions come in two shapes. The Gaussian family (harmonic and
-pseudoharmonic wells) is, in the variable u = decay_scale * r^2,
+Every state has one shape,
 
-    U(r) = N u^{p/2} e^{-u/2} M(-n, b, u)
+    U(r) = N r^p e^{-t/2} M(-n, b, t),  t = (2/sigma) scale r^sigma,
 
-while the attractive 1/r problem decays exponentially,
+with sigma = 2 for the Gaussian family (harmonic and pseudoharmonic wells,
+one scale for every level) and sigma = 1 for the attractive 1/r problem
+(scale is the decay rate eta, which changes with n).
 
-    U(r) = N r^{2L} e^{-eta r} M(-n, B, 2 eta r).
-
-Energies and normalization constants against r^c are exact closed forms:
-M(-n, b, u) = n!/(b)_n L_n^{b-1}(u) (DLMF 13.6.19) turns each squared norm
-into the Laguerre norm Gamma(n+b)/n! (DLMF 18.3), or for the 1/r problem
-its x^{alpha+1} moment (2n+b) Gamma(n+b)/n!.
+Energies and normalization constants against r^c are exact closed forms
+(DLMF 13.6.19 and 18.3; see RadialSolution.norm).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import get_args
 
@@ -38,16 +36,14 @@ from .core import DeformationParams
 from .errors import (DomainError, InvalidStateError, check_count,
                      check_positive)
 from .polar import AngularState, _check_dimension, varpi_sq
-from .specfun import kummer_m, laguerre_norm_sq
+from .specfun import kummer_m
 
 __all__ = [
-    "RadialProblem",
     "Oscillator",
     "Pseudoharmonic",
     "Coulomb",
     "POTENTIALS",
     "RadialSolution",
-    "EnergyLevel",
     "oscillator_energy",
     "oscillator_radial_solution",
     "pho_energy",
@@ -62,23 +58,21 @@ __all__ = [
 ]
 
 
-def _weight_exponent(params: DeformationParams) -> float:
-    return params.d - 1.0 + 2.0 * params.mu_sum
-
-
 @dataclass(frozen=True)
-class RadialProblem:
-    """Closed-form data of one bound level n with energy E.
+class RadialSolution:
+    """Closed-form data and state of one bound level n with energy E.
 
     U = r^p G, where U solves
 
         U'' + (c/r) U' + [2m(E - shift - V)/hbar^2 - barrier/r^2] U = 0,
         V(r) = sum of coeff * r^power over vterms,
 
-    and G is e^{-u/2} M(-n, b, u) in u = scale r^2 for the Gaussian family,
-    e^{-scale r} M(-n, b, 2 scale r) otherwise. r_max is the finite-volume
-    box for levels up to n, from the turning point and decay length.
+    and U = N r^p e^{-t/2} M(-n, b, t) with t = (2/sigma) scale r^sigma.
+    r_max is the finite-volume box for levels up to n, from the turning
+    point and decay length. Fields that left double range (an underflowed
+    energy too) and energies at or above the continuum are refused.
     """
+    potential: PotentialSpec
     n: int
     energy: float
     c: float
@@ -90,14 +84,64 @@ class RadialProblem:
     shift: float
     r_max: float
 
+    def __post_init__(self):
+        values = (self.energy, self.c, self.p, self.b, self.barrier,
+                  self.shift, *(x for term in self.vterms for x in term))
+        if not (all(map(math.isfinite, values)) and
+                abs(self.energy - self.shift) >= sys.float_info.min):
+            raise DomainError(f"{self.potential.tag} level {self.n} leaves "
+                              f"double range: energy {self.energy}")
+        check_positive(scale=self.scale, r_max=self.r_max)
+        if not self.energy < self.potential.continuum:
+            raise InvalidStateError(
+                f"{self.potential.tag} bound states must lie below "
+                f"{self.potential.continuum}, got {self.energy}")
+
+    @property
+    def sigma(self) -> float:
+        """Power of r in the Kummer variable t."""
+        return 2.0 if self.potential.gaussian else 1.0
+
+    @property
+    def alpha(self) -> float:
+        """Power of t in the norm integral, r^{c+2p} dr ~ t^alpha dt."""
+        return (self.c + 2.0 * self.p + 1.0) / self.sigma - 1.0
+
+    # Kummer a and b, the decay scale, and p/sigma, the power of t in front
+    kummer_a = property(lambda self: -float(self.n))
+    kummer_b = property(lambda self: self.b)
+    decay_scale = property(lambda self: self.scale)
+    leading_exponent = property(lambda self: self.p / self.sigma)
+
+    @property
+    def norm(self) -> float:
+        """N giving U unit norm against r^c, in log form:
+
+            N^-2 = Gamma(b)^2 n!/Gamma(n+b) (2n+b)^{2-sigma} / (sigma rho^{alpha+1})
+
+        with rho = (2/sigma) scale: by DLMF 13.6.19 and 18.3 the integral is
+        the Laguerre norm (alpha = b - 1, Gaussian family) or its t^{alpha+1}
+        moment (alpha = b, 1/r).
+        """
+        n, b, sigma = self.n, self.b, self.sigma
+        log_norm = -0.5 * (2.0 * math.lgamma(b) + math.lgamma(n + 1.0)
+                           - math.lgamma(n + b)
+                           + (2.0 - sigma) * math.log(2.0 * n + b)
+                           - math.log(sigma)
+                           - (self.alpha + 1.0)
+                           * math.log(2.0 / sigma * self.scale))
+        norm = (math.exp(log_norm) if log_norm < math.log(sys.float_info.max)
+                else math.inf)
+        if not 0.0 < norm < math.inf:
+            raise DomainError(f"{self.potential.tag} level {self.n}: norm "
+                              f"{norm} leaves double range")
+        return norm
+
 
 class _Potential:
     """Checks shared by the potential classes, whose fields are physical
-    constants. Subclasses set tag and implement _problem; gaussian marks
-    states u^{p/2} e^{-u/2} M(-n, b, u) sharing one scale across levels
-    (1/r states change decay rate and extent with n); bound states lie
-    below continuum.
-    """
+    constants; subclasses set tag, the family flag behind RadialSolution.sigma
+    and continuum, and implement _problem."""
     gaussian = True
     continuum = math.inf
 
@@ -106,13 +150,17 @@ class _Potential:
 
     def radial_problem(self, n: int, state: AngularState,
                        params: DeformationParams, hbar: float = 1.0,
-                       mass: float = 1.0) -> RadialProblem:
-        """Closed-form data of radial level n, after checking every input."""
+                       mass: float = 1.0) -> RadialSolution:
+        """Closed-form record of radial level n, after checking every input."""
         check_positive(hbar=hbar, mass=mass)
         n = check_count(n, "radial quantum number")
         _check_dimension(state, params)
-        return self._problem(n, state, params, hbar, mass,
-                             _weight_exponent(params))
+        try:
+            return self._problem(n, state, params, hbar, mass,
+                                 params.d - 1.0 + 2.0 * params.mu_sum)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"{self.tag} level {n} leaves double range"
+                              ) from exc
 
 
 @dataclass(frozen=True)
@@ -129,8 +177,8 @@ class Oscillator(_Potential):
         energy = 2.0 * hbar * self.omega * (
             n + L + (params.d + 2.0 * params.mu_sum) / 4.0)
         turn = np.sqrt(2.0 * energy / mass) / self.omega
-        return RadialProblem(
-            n=n, energy=energy, c=c, p=2.0 * L,
+        return RadialSolution(
+            potential=self, n=n, energy=energy, c=c, p=2.0 * L,
             b=(params.d + 2.0 * params.mu_sum) / 2.0 + 2.0 * L,
             scale=mass * self.omega / hbar, barrier=varpi_sq(state, params),
             vterms=((0.5 * mass * self.omega ** 2, 2.0),), shift=0.0,
@@ -168,8 +216,9 @@ class Pseudoharmonic(_Potential):
         p = 0.5 * ((1.0 - c) + np.sqrt((c - 1.0) ** 2 + 4.0 * delta_sq))
         big_omega = 2.0 * np.sqrt(D_e / mass) / r_e
         turn = np.sqrt(2.0 * (energy + 2.0 * D_e) / mass) / big_omega
-        return RadialProblem(
-            n=n, energy=energy, c=c, p=p, b=(c + 1.0) / 2.0 + p,
+        return RadialSolution(
+            potential=self, n=n, energy=energy, c=c, p=p,
+            b=(c + 1.0) / 2.0 + p,
             scale=mass * big_omega / hbar, barrier=delta_sq,
             vterms=((0.5 * mass * big_omega ** 2, 2.0),), shift=-2.0 * D_e,
             r_max=max(8.0, 2.6 * turn + r_e))
@@ -194,8 +243,8 @@ class Coulomb(_Potential):
             raise DomainError(
                 f"no bound state: effective principal number {kappa} is not positive")
         energy = -mass * self.e2 ** 2 / (2.0 * hbar ** 2 * kappa ** 2)
-        return RadialProblem(
-            n=n, energy=energy, c=c, p=2.0 * L,
+        return RadialSolution(
+            potential=self, n=n, energy=energy, c=c, p=2.0 * L,
             b=4.0 * L + 2.0 * params.mu_sum + params.d - 1.0,
             scale=np.sqrt(-2.0 * mass * energy) / hbar,
             barrier=varpi_sq(state, params), vterms=((-self.e2, -1.0),),
@@ -209,70 +258,6 @@ PotentialSpec = Oscillator | Pseudoharmonic | Coulomb
 POTENTIALS = {cls.tag: cls for cls in get_args(PotentialSpec)}
 
 
-@dataclass(frozen=True)
-class RadialSolution:
-    """Closed-form bound radial state.
-
-    For the Gaussian family, leading_exponent is the power of
-    u = decay_scale r^2 in front; for the 1/r problem it is the power of r
-    itself and decay_scale is the exponential rate eta. kummer_a = -n always;
-    kummer_b must be positive for the state to be normalizable. norm is the
-    closed-form constant that gives U unit norm against r^c.
-    """
-    potential: PotentialSpec
-    params: DeformationParams
-    state: AngularState
-    n: int
-    leading_exponent: float
-    decay_scale: float
-    kummer_a: float
-    kummer_b: float
-    energy: float
-    hbar: float
-    mass: float
-
-    def __post_init__(self):
-        if self.kummer_b <= 0.0:
-            raise InvalidStateError(
-                f"hypergeometric parameter b={self.kummer_b} must be positive")
-        if self.kummer_a != -self.n:
-            raise InvalidStateError(
-                f"bound state needs a=-n, got a={self.kummer_a}, n={self.n}")
-
-    @property
-    def norm(self) -> float:
-        n, b = self.n, self.kummer_b
-        # integral of u^{b-1} e^{-u} M(-n, b, u)^2 over (0, inf)
-        norm_sq = laguerre_norm_sq(n, b - 1.0) * math.exp(
-            2.0 * (math.lgamma(n + 1.0) + math.lgamma(b) - math.lgamma(n + b)))
-        if self.potential.gaussian:  # u = scale r^2, b = (c + 1)/2 + 2 lead
-            c = _weight_exponent(self.params)
-            norm_sq *= 0.5 * self.decay_scale ** (-(c + 1.0) / 2.0)
-        else:  # x = 2 eta r, b = c + 2 lead: one more power of x
-            norm_sq *= (2.0 * self.decay_scale) ** (-(b + 1.0)) * (2.0 * n + b)
-        return 1.0 / np.sqrt(norm_sq)
-
-
-@dataclass(frozen=True)
-class EnergyLevel:
-    """One spectrum entry: quantum labels plus the closed-form energy."""
-    n: int
-    state: AngularState
-    d: int
-    energy: float
-    potential: PotentialSpec
-
-    def __post_init__(self):
-        if not self.energy < self.potential.continuum:
-            raise InvalidStateError(
-                f"{self.tag} bound states must lie below "
-                f"{self.potential.continuum}, got {self.energy}")
-
-    @property
-    def tag(self) -> str:
-        return self.potential.tag
-
-
 def bound_energy(potential: PotentialSpec, n: int, state: AngularState,
                  params: DeformationParams, hbar: float = 1.0,
                  mass: float = 1.0) -> float:
@@ -283,27 +268,21 @@ def bound_energy(potential: PotentialSpec, n: int, state: AngularState,
 def radial_solution(potential: PotentialSpec, n: int, state: AngularState,
                     params: DeformationParams, hbar: float = 1.0,
                     mass: float = 1.0) -> RadialSolution:
-    """Build the radial state for any potential variant, normalized in
-    closed form."""
-    rec = potential.radial_problem(n, state, params, hbar, mass)
-    return RadialSolution(
-        potential=potential, params=params, state=state, n=rec.n,
-        leading_exponent=rec.p / 2.0 if potential.gaussian else rec.p,
-        decay_scale=rec.scale, kummer_a=-float(rec.n), kummer_b=rec.b,
-        energy=rec.energy, hbar=hbar, mass=mass)
+    """The record of level n, refused unless its state is normalizable."""
+    sol = potential.radial_problem(n, state, params, hbar, mass)
+    if sol.b <= 0.0:
+        raise InvalidStateError(
+            f"hypergeometric parameter b={sol.b} must be positive")
+    return sol
 
 
 def radial_wavefunction(sol: RadialSolution, r):
-    """Evaluate any RadialSolution at r (scalar or array)."""
+    """U = N r^p e^{-t/2} M(-n, b, t), t = (2/sigma) scale r^sigma, at r
+    (scalar or array)."""
     r = np.asarray(r, dtype=float)
-    if sol.potential.gaussian:
-        u = sol.decay_scale * r * r
-        out = (sol.norm * np.power(u, sol.leading_exponent) * np.exp(-0.5 * u)
-               * kummer_m(sol.kummer_a, sol.kummer_b, u))
-    else:
-        out = (sol.norm * np.power(r, sol.leading_exponent)
-               * np.exp(-sol.decay_scale * r)
-               * kummer_m(sol.kummer_a, sol.kummer_b, 2.0 * sol.decay_scale * r))
+    t = 2.0 / sol.sigma * sol.scale * np.power(r, sol.sigma)
+    out = (sol.norm * np.power(r, sol.p) * np.exp(-0.5 * t)
+           * kummer_m(sol.kummer_a, sol.b, t))
     return out if out.ndim else float(out)
 
 
@@ -381,7 +360,6 @@ def reduced_density(sol: RadialSolution, r):
     against exactly this weight.
     """
     r = np.asarray(r, dtype=float)
-    c = _weight_exponent(sol.params)
     u = radial_wavefunction(sol, r)
-    out = np.asarray(u) ** 2 * np.power(r, c)
+    out = np.asarray(u) ** 2 * np.power(r, sol.c)
     return out if out.ndim else float(out)

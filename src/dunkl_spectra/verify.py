@@ -37,9 +37,10 @@ whenever the reduced barrier strength falls into the limit-circle window
 absorbed-power scheme pins the regular branch for every parameter set this
 package accepts.
 
-Each potential's RadialProblem record (see `spectra`) supplies c, p, the
-potential terms, the energy shift and the automatic box; only the Gram
-matrices and the per-level 1/r boxes also read its `gaussian` flag.
+Each potential's RadialSolution record (see `spectra`) supplies c, p, the
+potential terms, the energy shift, the automatic box and the one state
+formula of residuals and Gram matrices; only the per-level 1/r boxes read
+the potential's family.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .errors import (ConvergenceError, DomainError, TailLeakWarning,
                      check_count, check_levels, check_positive)
 from .polar import AngularState
 from .specfun import build_quadrature, kummer_m
-from .spectra import (PotentialSpec, RadialProblem, radial_solution,
+from .spectra import (PotentialSpec, RadialSolution, radial_solution,
                       radial_wavefunction)
 
 _log = logging.getLogger("dunkl_spectra")
@@ -258,12 +259,12 @@ def _solve_levels(q: float, vterms, r_max: float, cfg: DiscretizationConfig,
     return (4.0 * (fine / scale) - coarse) / 3.0, how
 
 
-def _box(cfg: DiscretizationConfig, rec: RadialProblem) -> float:
+def _box(cfg: DiscretizationConfig, rec: RadialSolution) -> float:
     """The configured box, or the automatic one of the record's level."""
     return rec.r_max if cfg.r_max is None else cfg.r_max
 
 
-def _record_levels(rec: RadialProblem, cfg: DiscretizationConfig,
+def _record_levels(rec: RadialSolution, cfg: DiscretizationConfig,
                    levels: range, hbar: float, mass: float, label: str):
     """_solve_levels on the record's weight, potential terms and box."""
     vals, how = _solve_levels(rec.c + 2.0 * rec.p, rec.vterms, _box(cfg, rec),
@@ -334,17 +335,16 @@ def residual_check(potential: PotentialSpec, params: DeformationParams,
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 2.0 * step):
         raise DomainError("grid points must stay clear of the origin")
-    rec = potential.radial_problem(n, state, params, hbar, mass)
     sol = radial_solution(potential, n, state, params, hbar, mass)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     f = np.array([radial_wavefunction(sol, grid + o * step) for o in offsets])
     d2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * step ** 2)
     d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * step)
     # the record's problem: its barrier, potential terms and energy shift
-    v = sum(coeff * grid ** power for coeff, power in rec.vterms)
-    bracket = (2.0 * mass / hbar ** 2 * (rec.energy - rec.shift - v)
-               - rec.barrier / grid ** 2)
-    terms = (d2, (rec.c / grid) * d1, bracket * f[2])
+    v = sum(coeff * grid ** power for coeff, power in sol.vterms)
+    bracket = (2.0 * mass / hbar ** 2 * (sol.energy - sol.shift - v)
+               - sol.barrier / grid ** 2)
+    terms = (d2, (sol.c / grid) * d1, bracket * f[2])
     residual = np.abs(terms[0] + terms[1] + terms[2])
     magnitude = np.max(np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]))
     return float(np.max(residual) / magnitude)
@@ -357,38 +357,32 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
 
     Orthonormality of the closed forms under the radial weight is a
     consequence of self-adjointness; deviations expose either a wrong
-    solution or a wrong weight. Each state is U = A r^p e^{-lam r^sigma}
-    M(-n, b, 2 lam r^sigma), with sigma = 2 for the Gaussian family and 1
-    for 1/r, so in t = rho r^sigma, rho = lam_i + lam_j, a pair's integrand
-    is t^alpha e^{-t}, alpha = (c + 2p + 1)/sigma - 1, times a polynomial of
-    degree below 2 n_max: one Gauss-Laguerre rule integrates every pair
-    exactly.
+    solution or a wrong weight. Each state is U = N r^p e^{-lam r^sigma}
+    M(-n, b, 2 lam r^sigma), lam = scale/sigma, so in t = rho r^sigma,
+    rho = lam_i + lam_j, a pair's integrand is t^alpha e^{-t} (the record's
+    alpha) times a polynomial of degree below 2 n_max: one Gauss-Laguerre
+    rule integrates every pair exactly.
     """
     n_max = check_levels(n_max, "n_max")
     sols = [radial_solution(potential, n, state, params, hbar, mass)
             for n in range(n_max)]
-    rec = potential.radial_problem(0, state, params, hbar, mass)
-    sigma = 2.0 if potential.gaussian else 1.0
-    alpha = (rec.c + 2.0 * rec.p + 1.0) / sigma - 1.0
+    sigma, alpha = sols[0].sigma, sols[0].alpha
     rule = build_quadrature(alpha, "exp_r", n_max + 6)
-    # lam = decay_scale/sigma; the Gaussian family's A = N scale^{p/2}
-    # (u^{p/2} = scale^{p/2} r^p) adds rho^p, as rho = scale there
-    power = (rec.p if potential.gaussian else 0.0) - (alpha + 1.0)
 
     @cache
     def kummer(n: int, x: float) -> np.ndarray:
         # M(-n, b, 2 lam r^sigma) at the nodes, x = 2 lam/rho: x = 1 for
         # every Gaussian pair, so each state is evaluated once there
-        return kummer_m(sols[n].kummer_a, sols[n].kummer_b, x * rule.nodes)
+        return kummer_m(sols[n].kummer_a, sols[n].b, x * rule.nodes)
 
     gram = np.empty((n_max, n_max))
     for i, si in enumerate(sols):
         for j, sj in enumerate(sols[:i + 1]):
-            rate = si.decay_scale + sj.decay_scale  # sigma * rho
-            vals = (kummer(i, 2.0 * si.decay_scale / rate)
-                    * kummer(j, 2.0 * sj.decay_scale / rate))
+            rate = si.scale + sj.scale  # sigma * rho
+            vals = (kummer(i, 2.0 * si.scale / rate)
+                    * kummer(j, 2.0 * sj.scale / rate))
             gram[i, j] = gram[j, i] = (
-                si.norm * sj.norm * (rate / sigma) ** power / sigma
+                si.norm * sj.norm * (rate / sigma) ** -(alpha + 1.0) / sigma
                 * float(np.sum(rule.weights * vals)))
     return gram
 

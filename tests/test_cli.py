@@ -516,6 +516,25 @@ def test_bad_physical_constants_exit_3(argv, capsys):
     assert "positive and finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--potential", "oscillator", "--omega", "1e300"],
+    ["spectrum", "--potential", "coulomb", "--e2", "1e-170"],
+])
+def test_constants_outside_double_range_exit_3(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert "double" in err
+
+
+def test_density_at_tiny_frequency(capsys):
+    code, out, err = run(["density", "--potential", "oscillator",
+                          "--omega", "1e-300"], capsys)
+    assert (code, err) == (0, "")
+    _, header, rows = parse_csv(out)
+    assert header == ["r", "rho"] and len(rows) == 256
+    assert all(float(rho) == 0.0 for _, rho in rows)
+
+
 @pytest.mark.parametrize("rmax", ["-2", "0", "inf", "nan"])
 def test_density_bad_rmax_is_usage_error(rmax, capsys):
     code, out, err = run(["density", "--potential", "oscillator",

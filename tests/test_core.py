@@ -9,6 +9,7 @@ import pytest
 from dunkl_spectra import (
     DeformationParams,
     DomainError,
+    InvalidStateError,
     ParityVector,
     PolarPoint,
     SingularityError,
@@ -18,6 +19,7 @@ from dunkl_spectra import (
     dunkl_derivative_1d,
     polar_to_cartesian,
 )
+from dunkl_spectra.errors import check_count
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +262,18 @@ def test_deformation_params_dimension_is_a_count():
     for bad in (2.5, 1, True):
         with pytest.raises(DomainError):
             DeformationParams(bad, (0.1,) * 3)
+
+
+def test_count_check_refuses_non_numbers():
+    for bad in ("x", "2", None, 1j, [1], np.array([1, 2])):
+        with pytest.raises(DomainError):
+            check_count(bad, "n")
+    with pytest.raises(InvalidStateError):
+        check_count("x", "n", InvalidStateError)
+    with pytest.raises(DomainError):
+        DeformationParams("x", (0.0, 0.0))
+    counts = [check_count(v, "n") for v in (np.int64(3), 3.0, True, False)]
+    assert counts == [3, 3, 1, 0]
 
 
 def test_parity_vector_validation():

@@ -1,9 +1,13 @@
 """The README's python examples run in order, in one namespace, and every
-expression followed by a comment holding a python literal evaluates to it."""
+expression followed by a comment holding a python literal evaluates to it;
+its `$ dunkl-spectra ...` examples print the lines they show."""
 
 import ast
 import pathlib
 import re
+import shlex
+
+from dunkl_spectra.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +43,18 @@ def test_readme_python_blocks_show_their_values():
                 assert value == shown[0], ast.unparse(stmt)
                 checked.append(shown[0])
     assert checked == [[2.7, 4.7, 6.7], -0.10330578512396693, True]
+
+
+def test_readme_command_blocks_print_their_lines(capsys):
+    # the lines shown follow the command in order; a "..." line skips any
+    # number of output lines
+    blocks = re.findall(r"```\n\$ dunkl-spectra (.*?)\n(.*?)```",
+                        README.read_text("utf-8"), re.S)
+    assert [argv for argv, _ in blocks] == [
+        "spectrum --potential coulomb --d 3 --mu 0 --levels 3"]
+    for argv, shown in blocks:
+        assert main(shlex.split(argv)) == 0
+        pattern = "".join(r"(?:.*\n)*?" if line == "..." else
+                          re.escape(line) + r"\n"
+                          for line in shown.splitlines())
+        assert re.fullmatch(pattern, capsys.readouterr().out)

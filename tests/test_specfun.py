@@ -292,6 +292,20 @@ def test_build_quadrature_domain_errors():
         build_quadrature(0.5, "exp_r", 0)
 
 
+@pytest.mark.parametrize("gamma, variant", [(343.0, "exp_r2"),
+                                            (171.0, "exp_r")])
+def test_zeroth_moment_overflow_fails_fast(gamma, variant):
+    # filterwarnings = error: an overflow warning on the way would fail this
+    with pytest.raises(DomainError, match="zeroth moment"):
+        build_quadrature(gamma, variant, 8)
+
+
+def test_half_range_rule_at_largest_exponent():
+    rule = build_quadrature(342.5, "exp_r2", 8)
+    npt.assert_allclose(np.sum(rule.weights),
+                        float(mpmath.gamma(171.75) / 2), rtol=1e-12)
+
+
 def _half_hermite_reference(gamma, n):
     """The r^gamma e^{-r^2} rule from its exact moments Gamma((gamma+l+1)/2)/2:
     the Chebyshev algorithm (Gautschi 2004, sec. 2.1) in mpmath at 40 + 6n

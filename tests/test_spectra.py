@@ -1,7 +1,9 @@
 """Tests for the closed-form bound states of the three radial problems."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,7 +14,6 @@ from dunkl_spectra import (
     Coulomb,
     DeformationParams,
     DomainError,
-    EnergyLevel,
     InvalidStateError,
     Oscillator,
     Pseudoharmonic,
@@ -380,14 +381,16 @@ def test_potential_validation():
         Pseudoharmonic(8.0, -0.2)
 
 
-def test_energy_level_sign_invariant():
+def test_record_refuses_level_above_continuum():
     params = DeformationParams.uniform(3, 0.0)
     st = AngularState.from_total(3, 0.0)
-    EnergyLevel(n=0, state=st, d=3, energy=-0.5, potential=Coulomb(1.0))
-    with pytest.raises(InvalidStateError):
-        EnergyLevel(n=0, state=st, d=3, energy=0.5, potential=Coulomb(1.0))
-    lvl = EnergyLevel(n=0, state=st, d=3, energy=1.5, potential=Oscillator(1.0))
-    assert lvl.tag == "oscillator"
+    rec = Coulomb(1.0).radial_problem(0, st, params)
+    assert rec.energy == -0.5
+    with pytest.raises(InvalidStateError,
+                       match="coulomb bound states must lie below 0.0, got 0.5"):
+        dataclasses.replace(rec, energy=0.5)
+    lvl = Oscillator(1.0).radial_problem(0, st, params)
+    assert (lvl.energy, lvl.potential.tag) == (1.5, "oscillator")
 
 
 def test_quantum_number_validation():
@@ -408,6 +411,50 @@ def test_refused_coulomb_state_raises_package_error():
         for n in (1, 3):
             with pytest.raises((DomainError, InvalidStateError)):
                 radial_solution(Coulomb(1.0), n, st, params)
+
+
+def _mp_density(sol, r):
+    """The reduced density of sol in 40-digit arithmetic, from each family's
+    own closed form: N u^{p/2} e^{-u/2} M(-n, b, u) in u = scale r^2 with
+    N^-2 = scale^{-(c+1)/2} n! Gamma(b)^2 / (2 Gamma(n+b)), or
+    N r^p e^{-scale r} M(-n, b, 2 scale r) with
+    N^-2 = (2 scale)^{-(b+1)} (2n+b) n! Gamma(b)^2 / Gamma(n+b)."""
+    mp = mpmath
+    with mp.workdps(40):
+        n, c, p, b, s = (mp.mpf(x) for x in (sol.n, sol.c, sol.p, sol.b,
+                                              sol.scale))
+        gamma_part = mp.factorial(n) * mp.gamma(b) ** 2 / mp.gamma(n + b)
+        out = []
+        for x in r:
+            x = mp.mpf(x)
+            if sol.potential.tag == "coulomb":
+                norm_sq = 1 / ((2 * s) ** -(b + 1) * (2 * n + b) * gamma_part)
+                u = norm_sq * (x ** p * mp.exp(-s * x)
+                               * mp.hyp1f1(-n, b, 2 * s * x)) ** 2
+            else:
+                norm_sq = 2 / (s ** (-(c + 1) / 2) * gamma_part)
+                t = s * x * x
+                u = norm_sq * (t ** (p / 2) * mp.exp(-t / 2)
+                               * mp.hyp1f1(-n, b, t)) ** 2
+            out.append(float(u * x ** c))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("potential, d, mu, L", [
+    (Oscillator(1.7), 3, (0.3, 0.3, 0.3), 1.0),
+    (Pseudoharmonic(3.0, 1.4), 4, (0.3, -0.2, 0.5, 0.1), 0.0),
+    (Coulomb(1.3), 3, (0.2, 0.2, 0.2), 1.0),
+], ids=["oscillator", "pho", "coulomb"])
+@pytest.mark.parametrize("n", [1, 8, 20])
+def test_reduced_density_against_mpmath(potential, d, mu, L, n):
+    # pointwise, with p != 0 in both families, against 40-digit closed forms
+    sol = radial_solution(potential, n, AngularState.from_total(d, L),
+                          DeformationParams(d=d, mu=mu), 1.2, 0.8)
+    assert sol.p > 0.0
+    r = np.linspace(sol.r_max / 400, sol.r_max, 400)
+    want = _mp_density(sol, r)
+    got = reduced_density(sol, r)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +502,49 @@ def test_physical_constants_positive_and_finite(bad):
         pho_energy(0, st, params, 8.0, 1.0, mass=bad)
     with pytest.raises(DomainError):
         coulomb_large_d_expansion(0, st, params, 1.0, hbar=bad)
+
+
+# ---------------------------------------------------------------------------
+# constants at the edges of double range
+# ---------------------------------------------------------------------------
+
+_P3, _S3 = DeformationParams.uniform(3, 0.0), AngularState.from_total(3, 0.0)
+
+
+@pytest.mark.parametrize("potential, hbar", [
+    (Oscillator(1e300), 1.0),     # m w^2 / 2 overflows
+    (Coulomb(1e-170), 1.0),       # the energy underflows to -0.0
+    (Coulomb(1e-160), 1.0),       # ... to a subnormal
+    (Oscillator(1e-200), 1e-200),  # hbar w underflows
+])
+def test_constants_outside_double_range_fail_fast(potential, hbar):
+    with pytest.raises(DomainError):
+        bound_energy(potential, 0, _S3, _P3, hbar)
+
+
+@pytest.mark.parametrize("potential", [Oscillator(1e-300), Coulomb(1e150)])
+def test_norm_outside_double_range_fails_fast(potential):
+    # at d = 10 the norm underflows to 0 (oscillator) or overflows (1/r)
+    sol = radial_solution(potential, 0, AngularState.from_total(10, 0.0),
+                          DeformationParams.uniform(10, 0.0))
+    with pytest.raises(DomainError):
+        sol.norm
+
+
+@pytest.mark.parametrize("omega, d", [(1e-300, 3), (1.0, 400)])
+def test_norm_in_log_form(omega, d):
+    # n = 0, L = 0: N^2 = 2 omega^{d/2} / Gamma(d/2); omega^{-d/2} alone
+    # overflows at omega = 1e-300, and Gamma(d/2) at d = 400
+    sol = radial_solution(Oscillator(omega), 0, AngularState.from_total(d, 0.0),
+                          DeformationParams.uniform(d, 0.0))
+    with mpmath.workdps(40):
+        half = mpmath.mpf(d) / 2
+        want = mpmath.sqrt(2 * mpmath.mpf(omega) ** half / mpmath.gamma(half))
+    assert sol.norm == pytest.approx(float(want), rel=1e-12)
+
+
+def test_density_underflows_at_tiny_frequency():
+    # N ~ 1e-225, so the true density, ~1e-450, underflows to 0
+    sol = radial_solution(Oscillator(1e-300), 0, _S3, _P3)
+    rho = reduced_density(sol, np.linspace(1e149, 1e151, 64))
+    assert np.all(rho == 0.0)

@@ -74,6 +74,14 @@ def test_level_count_validation():
                            DiscretizationConfig(), 0)
 
 
+def test_level_count_must_be_a_number():
+    params = DeformationParams.uniform(3, 0.0)
+    state = AngularState.from_total(3, 0.0)
+    with pytest.raises(DomainError):
+        radial_eigenvalues(Oscillator(1.0), params, state,
+                           DiscretizationConfig(), "2")
+
+
 # ---------------------------------------------------------------------------
 # radial eigenvalues against closed forms
 # ---------------------------------------------------------------------------
