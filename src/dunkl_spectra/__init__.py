@@ -2,7 +2,7 @@
 
 Closed-form eigenvalues and eigenfunctions for three exactly solvable
 radial potentials under a derivative deformed by parity reflections, in
-any dimension d >= 2, together with an independent finite-volume
+any dimension d >= 2, together with an independent finite-element
 eigensolver that cross-checks every closed form numerically.
 """
 

@@ -2,7 +2,7 @@
 
 Four subcommands: `spectrum` prints closed-form bound-state energies,
 `density` samples a reduced radial probability density, `verify` runs the
-finite-volume oracle against the closed forms, and `figure` emits the data
+finite-element oracle against the closed forms, and `figure` emits the data
 behind the standard plots.
 
 Every subcommand runs one pipeline. Level rows come from `bound_energy`,
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens.set_defaults(func=cmd_density)
 
     p_ver = sub.add_parser("verify",
-                           help="closed forms vs finite-volume eigensolver")
+                           help="closed forms vs finite-element eigensolver")
     p_ver.add_argument("--potential", default=None,
                        choices=tuple(POTENTIALS),
                        help="restrict to one family (default: all three)")

@@ -34,9 +34,13 @@ def check_positive(**constants: float) -> None:
 
 def check_count(value, name: str, error: type = DomainError) -> int:
     """value as an int; raise `error` unless it is a nonnegative whole
-    number (2.0 passes, 2.5, -1 and '2' do not)."""
-    if not (isinstance(value, numbers.Real) and value >= 0
-            and float(value).is_integer()):
+    number of at most 2**53 (2.0 passes; 2.5, -1, '2' and 2**53 + 1 do not).
+    Integers are compared exactly, never converted to float."""
+    real = isinstance(value, numbers.Real)
+    if real and value > 2 ** 53:
+        raise error(f"{name} must be at most 2**53; above it a float no "
+                    f"longer holds every whole number")
+    if not (real and value >= 0 and int(value) == value):
         raise error(f"{name} must be a nonnegative integer, got {value}")
     return int(value)
 

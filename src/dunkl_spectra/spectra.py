@@ -68,7 +68,7 @@ class RadialSolution:
         V(r) = sum of coeff * r^power over vterms,
 
     and U = N r^p e^{-t/2} M(-n, b, t) with t = (2/sigma) scale r^sigma.
-    r_max is the finite-volume box for levels up to n, from the turning
+    r_max is the finite-element box for levels up to n, from the turning
     point and decay length. Fields that left double range (an underflowed
     energy too) and energies at or above the continuum are refused.
     """

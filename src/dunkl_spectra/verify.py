@@ -11,24 +11,24 @@ the barrier term drops out and
 
     -(hbar^2/2m) (1/w) (w G')' + V G = E G.
 
-That form is discretized by finite volumes on staggered nodes
-r_i = (i - 1/2) h with cells ((i-1) h, i h): cell masses and potential
-loads are exact power-moment integrals of w and w V, interface fluxes are
-harmonic averages 1/integral(r^-q), the origin gets the natural (zero-flux)
-condition, and r_max a Dirichlet condition. A similarity transform by the
-square roots of the cell masses turns the generalized problem into a plain
-symmetric tridiagonal eigenproblem. The scheme is second order in h;
-optional Richardson extrapolation over the grid and its doubling removes
-the leading error term.
+That form is discretized by P1 finite elements on the vertices r_i = i h
+(Pryce, Numerical Solution of Sturm-Liouville Problems, 1993): exact
+element stiffnesses, and lumped masses and potential loads that are exact
+moments of w and w V against the hat functions; the origin keeps the
+natural condition and r_max is a Dirichlet edge. Scaling by the square
+roots of the masses gives a symmetric tridiagonal eigenproblem. The origin
+hat lies above the spectrum, so no spurious low level appears for any
+weight. The scheme is second order in h; optional Richardson extrapolation
+over the grid and its doubling removes the leading error term.
 
-Every level is found by its own index, so its value depends only on that
-index, the box and the grid. On the grid it is bisected at its index, with
-its eigenvector. On the doubled grid that vector, interpolated, starts a
-Rayleigh-quotient iteration (a two-grid eigensolve: Xu & Zhou, Math. Comp.
-70 (2001) 17-25); the result is kept only when it converged and Sturm
-counts place it at the level's index, and otherwise the doubled grid is
-bisected at that index too. Rejections are logged at DEBUG level under the
-`dunkl_spectra` logger.
+Each level is found by its own index on a ladder of n_points // 8,
+n_points and 2 n_points cells: bisected at its index on the first rung
+only, then on each later rung refined by Rayleigh-quotient iteration from
+the previous rung's vector (a two-grid eigensolve rung by rung: Xu & Zhou,
+Math. Comp. 70 (2001) 17-25). A result is kept only when Sturm counts place
+it at the level's index; otherwise that rung is bisected at the index too,
+and the rejection is logged at DEBUG level under the `dunkl_spectra`
+logger. So a level's value depends only on its index, the box and the grid.
 
 Absorbing the exact power matters: the naive substitution u = r^{c/2} U
 with a Dirichlet origin converges to the wrong self-adjoint extension
@@ -79,12 +79,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscretizationConfig:
-    """Grid controls for the finite-volume eigensolver.
+    """Grid controls for the P1 eigensolver.
 
     r_max = None asks the solver to size the box from the target level's
     classical turning point and decay length. The post-hoc tail check warns
     when the chosen box still truncates an eigenstate. n_points is a whole
     number of cells, at least 100; the box edge is a Dirichlet boundary.
+    Levels are also solved on a seed grid of n_points // 8 cells (left out
+    below 100 or one per level) and, with Richardson, on 2 n_points cells.
     """
     r_max: float | None = None
     n_points: int = 4000
@@ -99,79 +101,80 @@ class DiscretizationConfig:
             check_positive(r_max=self.r_max)
 
 
-def _cell_int(q: float, x: np.ndarray) -> np.ndarray:
-    """Integrals of r^q between consecutive points of x; q = -1 gets the log
-    branch. Each power of x is taken once, as neighbouring intervals share
-    their endpoints.
-
-    x[0] = 0 is allowed for q > -1 (the antiderivative vanishes there).
-    """
-    if abs(q + 1.0) < 1e-12:
-        return np.log(x[1:] / x[:-1])
-    xq = x ** (q + 1.0)
-    return (xq[1:] - xq[:-1]) / (q + 1.0)
-
-
-def _fv_matrix(q: float, vterms, r_max: float, n: int, scale: float):
-    """The weighted form with w = r^q on n cells as a symmetric tridiagonal
-    matrix.
+def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float):
+    """The weighted form with w = r^q on the P1 vertices r_i = i h, i < n,
+    h = r_max/n, as a symmetric tridiagonal matrix.
 
     vterms is a list of (coeff, power) pairs, V(r) = sum coeff * r^power,
-    and scale = 2m/hbar^2. Returns (diag, off, s, nodes): the eigenvalues of
-    the matrix are scale times the energies, s holds the square roots of the
-    cell masses, and an eigenvector x is G = x/s at the cell nodes.
-
-    Raises ConvergenceError when a cell mass, load or flux is not finite in
-    double precision (large q on a large box overflows r^(q+1)).
+    and scale = 2m/hbar^2. Returns (diag, off, s, nodes): the eigenvalues
+    are scale times the energies, s holds the square roots of the lumped
+    masses, and an eigenvector x is G = x/s at the vertices. Raises
+    ConvergenceError when an entry is not finite in double precision (large
+    q on a large box overflows r^(q+1)).
     """
     h = r_max / n
-    edges = np.arange(n + 1) * h
-    nodes = (np.arange(1, n + 1) - 0.5) * h
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cell_mass = _cell_int(q, edges)
-        load = np.zeros(n)
-        for coeff, power in vterms:
-            load += coeff * _cell_int(q + power, edges)
-        # interface fluxes, the last one from the outer node to the box edge
-        flux = 1.0 / _cell_int(-q, np.append(nodes, r_max))
-    if not all(np.isfinite(a).all() for a in (cell_mass, load, flux)):
+    i = np.arange(1.0, n + 1.0)
+    x, r = 1.0 / i, h * i  # at the vertices i = 1 .. n
+    with np.errstate(all="ignore"):
+        atanh, log_sq = np.arctanh(x[:-1]), np.log1p(-x[:-1] ** 2)
+
+        def moments(a):
+            """r^a at r_1 .. r_n, and the integrals of r^a (a > -1) against
+            the hats of the vertices 0 .. n-1: for i >= 1, h r_i^a ((1+x)^b
+            + (1-x)^b - 2)/(x^2 b (b-1)), x = 1/i, b = a + 2. The bracket is
+            summed as (A - B)^2 + 2 (AB - 1), A, B = (1 +- x)^(b/2), with
+            A - B = -A expm1(-b atanh x); its two terms cancel by at most a
+            factor b/(b-1), however large i is."""
+            b = a + 2.0
+            ra = r ** a
+            diff_sq = ra[1:] * ((1.0 + x[:-1]) * np.expm1(-b * atanh)) ** 2
+            bracket = diff_sq + 2.0 * ra[:-1] * np.expm1(0.5 * b * log_sq)
+            inner = h * bracket / (x[:-1] ** 2 * b * (b - 1.0))
+            return ra, np.concatenate(([h * ra[0] / ((a + 1.0) * b)], inner))
+
+        rq, mass = moments(q)
+        load = sum(coeff * moments(q + power)[1] for coeff, power in vterms)
+        # element (r_k, r_k+1) integrates r^q to r_k+1^(q+1) (1 - (k/(k+1))
+        # ^(q+1))/(q+1); vertex i sits on elements i - 1 and i
+        stiff = (-rq * r * np.expm1((q + 1.0) * np.log1p(-x))
+                 / ((q + 1.0) * h * h))
+        vertex = stiff + scale * load
+        vertex[1:] += stiff[:-1]
+        s = np.sqrt(mass)
+        diag = vertex / mass
+        off = -stiff[:-1] / (s[:-1] * s[1:])
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ConvergenceError(
-            f"finite-volume cells overflow double precision for weight "
-            f"exponent q={q:g} on the box r_max={r_max:g}")
-    diag = scale * load
-    diag[:-1] += flux[:-1]
-    diag[1:] += flux[:-1]
-    diag[-1] += flux[-1]
-    # similarity transform by sqrt(cell masses): the generalized problem
-    # A x = E B x becomes symmetric tridiagonal, same spectrum
-    s = np.sqrt(cell_mass)
-    return diag / cell_mass, -flux[:-1] / (s[:-1] * s[1:]), s, nodes
+            f"P1 elements overflow double precision for weight exponent "
+            f"q={q:g} on the box r_max={r_max:g}")
+    return diag, off, s, (i - 1.0) * h
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, j: int, vector: bool = False):
-    """Eigenvalue j of the tridiagonal matrix by bisection, with its vector."""
+def _bisect(diag: np.ndarray, off: np.ndarray, j: int):
+    """Eigenpair j of the tridiagonal matrix by bisection at its index."""
     try:
-        out = eigh_tridiagonal(diag, off, select="i", select_range=(j, j),
-                               eigvals_only=not vector)
+        w, v = eigh_tridiagonal(diag, off, select="i", select_range=(j, j))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-    return (out[0][0], out[1][:, 0]) if vector else out[0]
+    return w[0], v[:, 0]
 
 
-# Fine-grid refinement: Rayleigh-quotient iteration stops once the residual
-# |T x - sigma x| falls to _RESIDUAL * |T|, a few hundred roundoffs; a
-# Sturm count then needs the window sigma -+ _WINDOW * |T| to hold exactly
-# one eigenvalue, of the level's own index. That bounds the quotient's error
-# by residual^2/window (Kato-Temple), far below the roundoff of bisection.
+# Refinement on a finer rung: Rayleigh-quotient iteration stops once the
+# residual |T x - sigma x| falls to _RESIDUAL * |T|, a few hundred
+# roundoffs; a Sturm count then needs the window sigma -+ _WINDOW * |T| to
+# hold exactly one eigenvalue, of the level's own index. That bounds the
+# quotient's error by residual^2/window (Kato-Temple), far below the
+# roundoff of bisection.
 _RQI_STEPS = 6
 _RESIDUAL = 1e-13
 _WINDOW = 1e-9
+_SEED_RATIO = 8  # the ladder's seed rung has n_points // 8 cells
 
 
 def _rqi(diag: np.ndarray, off: np.ndarray, x: np.ndarray, tol: float):
-    """Rayleigh-quotient iteration from x: the quotient once the residual is
-    at most tol, or None. Reductions are ufunc sums, as BLAS threading only
-    slows vectors this short."""
+    """Rayleigh-quotient iteration from x: the quotient and its unit vector
+    once the residual is at most tol, or None. Reductions are ufunc sums, as
+    BLAS threading only slows vectors this short."""
     for _ in range(_RQI_STEPS):
         x = x / np.sqrt(np.sum(x * x))
         tx = diag * x
@@ -180,7 +183,7 @@ def _rqi(diag: np.ndarray, off: np.ndarray, x: np.ndarray, tol: float):
         sigma = np.sum(x * tx)
         r = tx - sigma * x
         if np.sqrt(np.sum(r * r)) <= tol:
-            return float(sigma)
+            return float(sigma), x
         *_, x, info = dgtsv(off, diag - sigma, off, x)
         if info:
             return None
@@ -189,8 +192,8 @@ def _rqi(diag: np.ndarray, off: np.ndarray, x: np.ndarray, tol: float):
 
 def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
             r_max: float):
-    """Fine-grid eigenvalues of the indices `levels`, and per level "rqi" or
-    "bisection" for how each was found.
+    """Eigenpairs of the indices `levels`: the values, per level "rqi" or
+    "bisection" for how each was found, and the vectors as columns.
 
     Each level's iteration starts from its vector in `starts`. A converged
     quotient is kept when two Sturm counts place it alone in its window at
@@ -206,20 +209,20 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
         m, *_, info = dstebz(diag, off, 1, floor, x, 0, 0, 2.0 * tnorm, b"E")
         return None if info else m
 
-    values, how = [], []
+    pairs, how = [], []
     for j, start in zip(levels, starts):
-        sigma = _rqi(diag, off, start, _RESIDUAL * tnorm)
-        index = None if sigma is None else count(sigma - width)
-        if index == j and count(sigma + width) == j + 1:
-            values.append(sigma)
-            how.append("rqi")
-            continue
-        _log.debug("level %d: fine-grid refinement rejected (Sturm index "
-                   "%s), bisected at its index on the box r_max=%g",
-                   j, index, r_max)
-        values.append(_bisect(diag, off, j))
-        how.append("bisection")
-    return np.array(values), how
+        pair = _rqi(diag, off, start, _RESIDUAL * tnorm)
+        index = None if pair is None else count(pair[0] - width)
+        how.append("rqi" if index == j and count(pair[0] + width) == j + 1
+                   else "bisection")
+        if how[-1] == "bisection":
+            _log.debug("level %d: refinement on the %d-point grid rejected "
+                       "(Sturm index %s), bisected at its index on the box "
+                       "r_max=%g", j, len(diag), index, r_max)
+            pair = _bisect(diag, off, j)
+        pairs.append(pair)
+    values, vecs = zip(*pairs)
+    return np.array(values), how, np.column_stack(vecs)
 
 
 def _check_tail(vecs: np.ndarray, r_max: float, label: str) -> None:
@@ -237,26 +240,35 @@ def _check_tail(vecs: np.ndarray, r_max: float, label: str) -> None:
 
 def _solve_levels(q: float, vterms, r_max: float, cfg: DiscretizationConfig,
                   levels: range, hbar: float, mass: float, label: str):
-    """Eigenvalues of the consecutive indices `levels` on one box, and how
-    each fine value was found (None without Richardson).
+    """Eigenvalues of the consecutive indices `levels` on one box, and per
+    level how its value on the grid and on the doubled grid was found (the
+    latter None without Richardson).
 
-    Each coarse level is bisected at its own index with its vector; the
-    vector, as G = x/s interpolated onto the doubled grid, starts that
-    level's fine-grid iteration.
+    The ladder has n_points // _SEED_RATIO cells (left out below 100 or
+    below one per level), n_points and, with Richardson, 2 n_points. Each
+    level is bisected at its index on the first rung only; on each later
+    rung its previous vector, as G = x/s interpolated, starts `_refine`.
     """
     scale = 2.0 * mass / hbar ** 2
-    diag, off, s, nodes = _fv_matrix(q, vterms, r_max, cfg.n_points, scale)
-    pairs = [_bisect(diag, off, j, vector=True) for j in levels]
-    coarse = np.array([value for value, _ in pairs]) / scale
-    vecs = np.column_stack([vec for _, vec in pairs])
-    _check_tail(vecs, r_max, label)
+    n, seed = cfg.n_points, cfg.n_points // _SEED_RATIO
+    sizes = ([seed] if seed >= max(100, levels.stop) else []) + [n]
+    for m in sizes + ([2 * n] if cfg.richardson else []):
+        diag, off, s, nodes = _p1_matrix(q, vterms, r_max, m, scale)
+        if m == sizes[0]:
+            values, vecs = zip(*[_bisect(diag, off, j) for j in levels])
+            values, vecs = np.array(values), np.column_stack(vecs)
+            how = ["bisection"] * len(levels)
+        else:
+            # the previous rung's G = x/s, interpolated onto this one
+            starts = [s * np.interp(nodes, prev, g) for g in shapes.T]
+            values, how, vecs = _refine(diag, off, levels, starts, r_max)
+        if m == n:
+            _check_tail(vecs, r_max, label)
+            coarse, coarse_how = values / scale, how
+        prev, shapes = nodes, vecs / s[:, None]
     if not cfg.richardson:
-        return coarse, None
-    fdiag, foff, fs, fnodes = _fv_matrix(q, vterms, r_max, 2 * cfg.n_points,
-                                         scale)
-    starts = [fs * np.interp(fnodes, nodes, vec / s) for vec in vecs.T]
-    fine, how = _refine(fdiag, foff, levels, starts, r_max)
-    return (4.0 * (fine / scale) - coarse) / 3.0, how
+        return coarse, coarse_how, None
+    return (4.0 * values / scale - coarse) / 3.0, coarse_how, how
 
 
 def _box(cfg: DiscretizationConfig, rec: RadialSolution) -> float:
@@ -267,36 +279,36 @@ def _box(cfg: DiscretizationConfig, rec: RadialSolution) -> float:
 def _record_levels(rec: RadialSolution, cfg: DiscretizationConfig,
                    levels: range, hbar: float, mass: float, label: str):
     """_solve_levels on the record's weight, potential terms and box."""
-    vals, how = _solve_levels(rec.c + 2.0 * rec.p, rec.vterms, _box(cfg, rec),
-                              cfg, levels, hbar, mass, label)
-    return vals + rec.shift, how
+    vals, *how = _solve_levels(rec.c + 2.0 * rec.p, rec.vterms,
+                               _box(cfg, rec), cfg, levels, hbar, mass, label)
+    return vals + rec.shift, *how
 
 
 def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
                        state: AngularState, cfg: DiscretizationConfig, k: int,
                        hbar: float = 1.0, mass: float = 1.0, *,
+                       coarse_solve: list | None = None,
                        fine_solve: list | None = None) -> np.ndarray:
-    """Lowest k radial eigenvalues from the finite-volume discretization.
+    """Lowest k radial eigenvalues from the P1 discretization.
 
     The top level's closed-form record supplies the weight, the potential
     terms and, with r_max = None, the box; its analytic energy enters only
-    through that box size, never the eigensolve itself. Level j is found by
-    its own index: bisection at index j on the grid, then, with Richardson
-    extrapolation, Rayleigh-quotient iteration on the doubled grid from
-    that eigenvector, kept only when a Sturm count confirms index j and
-    otherwise replaced by bisection at index j. So on a given box entry j
-    is the same for every k > j. A list passed as fine_solve receives, per
-    level, "rqi" or "bisection" for how its fine value was found (nothing
-    without Richardson). `oracle_report` reads it there rather than calling
-    the private solver, so that its Gaussian-family solves stay calls of
-    this public function, whose spans perfbench's per-layer verify figures
-    are taken from.
+    through that box size, never the eigensolve itself. Each level is found
+    by its own index (module docstring), so on a given box entry j is the
+    same for every k > j. Lists passed as coarse_solve and fine_solve
+    receive, per level, "rqi" or "bisection" for how its value on the grid
+    and on the doubled grid was found (fine_solve nothing without
+    Richardson). `oracle_report` reads them there so that its
+    Gaussian-family solves stay calls of this public function, whose spans
+    perfbench's per-layer verify figures are taken from.
     """
     k = check_levels(k)
     rec = potential.radial_problem(k - 1, state, params, hbar, mass)
-    vals, how = _record_levels(rec, cfg, range(k), hbar, mass, potential.tag)
-    if fine_solve is not None and how is not None:
-        fine_solve.extend(how)
+    vals, coarse, fine = _record_levels(rec, cfg, range(k), hbar, mass,
+                                        potential.tag)
+    for out, how in ((coarse_solve, coarse), (fine_solve, fine)):
+        if out is not None and how is not None:
+            out.extend(how)
     return vals
 
 
@@ -445,26 +457,29 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
     individually sized grids (their spatial extents differ by orders of
     magnitude), and each is solved alone on its own box; the Gaussian-family
     levels share one box. grid["r_max"] is the box used: one number, or the
-    list of per-level boxes. grid["fine_solve"] says per level whether the
-    fine Richardson value came from Rayleigh-quotient iteration ("rqi") or
-    from bisection at the level's index ("bisection"); it is None without
-    Richardson extrapolation.
+    list of per-level boxes. grid["coarse_solve"] and grid["fine_solve"] say
+    per level whether its value on the n_points grid and on the doubled
+    Richardson grid came from Rayleigh-quotient iteration ("rqi") or from
+    bisection at the level's index ("bisection"); fine_solve is None
+    without Richardson extrapolation.
     """
     k = check_levels(k)
     recs = [potential.radial_problem(n, state, params, hbar, mass)
             for n in range(k)]
-    how = []
+    coarse, fine = [], []
     if potential.gaussian or cfg.r_max is not None:
         numeric = list(radial_eigenvalues(potential, params, state, cfg, k,
-                                          hbar, mass, fine_solve=how))
+                                          hbar, mass, coarse_solve=coarse,
+                                          fine_solve=fine))
         r_max = _box(cfg, recs[-1])
     else:
         numeric = []
         for n, rec in enumerate(recs):
-            vals, level = _record_levels(rec, cfg, range(n, n + 1), hbar,
-                                         mass, potential.tag)
+            vals, level_coarse, level_fine = _record_levels(
+                rec, cfg, range(n, n + 1), hbar, mass, potential.tag)
             numeric.append(vals[0])
-            how.extend(level or ())
+            coarse.extend(level_coarse)
+            fine.extend(level_fine or ())
         r_max = [_box(cfg, rec) for rec in recs]
     return OracleReport(
         potential=potential.tag, d=params.d, mu=params.mu,
@@ -472,5 +487,5 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
         levels=tuple(range(k)), analytic=tuple(float(r.energy) for r in recs),
         numeric=tuple(float(v) for v in numeric), tolerance=tolerance,
         grid={"r_max": r_max, "n_points": cfg.n_points,
-              "richardson": cfg.richardson,
-              "fine_solve": how if cfg.richardson else None})
+              "richardson": cfg.richardson, "coarse_solve": coarse,
+              "fine_solve": fine if cfg.richardson else None})

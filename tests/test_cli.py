@@ -577,3 +577,21 @@ def test_level_count_below_one_exits_3(command, levels, capsys):
                           f"--levels={levels}"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: ")
+
+
+def test_level_count_beyond_float_range_exits_3(capsys):
+    code, out, err = run(["spectrum", "--potential", "oscillator", "--d", "3",
+                          "--levels=" + "9" * 400], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "2**53" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--potential", "coulomb", "--d", "2", "--mu=-0.2,-0.28"],
+    ["--potential", "oscillator", "--d", "12", "--mu", "3", "--ell", "3",
+     "--levels", "2"],
+    ["--potential", "pho", "--d", "8", "--De", "500", "--ell", "2"],
+], ids=["coulomb_small_q", "oscillator_q95", "pho_q71"])
+def test_verify_passes_where_the_cell_centred_oracle_failed(argv, capsys):
+    code, out, err = run(["verify"] + argv, capsys)
+    assert (code, err) == (0, "")

@@ -276,6 +276,17 @@ def test_count_check_refuses_non_numbers():
     assert counts == [3, 3, 1, 0]
 
 
+def test_count_check_refuses_counts_above_two_to_the_53():
+    # compared as integers: 10**400 never reaches float(), which overflows
+    for bad in (10 ** 400, 2 ** 53 + 1, float(2 ** 54), math.inf):
+        with pytest.raises(DomainError, match=r"at most 2\*\*53"):
+            check_count(bad, "n")
+    with pytest.raises(InvalidStateError, match=r"2\*\*53"):
+        check_count(10 ** 400, "n", InvalidStateError)
+    assert check_count(2 ** 53, "n") == 2 ** 53
+    assert check_count(float(2 ** 53), "n") == 2 ** 53
+
+
 def test_parity_vector_validation():
     with pytest.raises(DomainError):
         ParityVector((1, 0, -1))

@@ -5,6 +5,7 @@ import logging
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,6 +18,7 @@ from dunkl_spectra import (
     DeformationParams,
     DiscretizationConfig,
     DomainError,
+    InvalidStateError,
     OracleReport,
     Oscillator,
     Pseudoharmonic,
@@ -31,7 +33,8 @@ from dunkl_spectra import (
     radial_eigenvalues,
     residual_check,
 )
-from dunkl_spectra.verify import _fv_matrix, _refine
+from dunkl_spectra import verify
+from dunkl_spectra.verify import _p1_matrix, _refine
 
 
 # ---------------------------------------------------------------------------
@@ -407,43 +410,57 @@ def test_single_axis_rejects_fractional_count():
 # assembly and the two-grid eigensolve
 # ---------------------------------------------------------------------------
 
-def _per_cell_matrix(q, vterms, r_max, n, scale):
-    """The tridiagonal form with every cell's mass, loads and flux taken
-    from that cell's own endpoints."""
-    def power_int(q, a, b):
-        if abs(q + 1.0) < 1e-12:
-            return np.log(b / a)
-        return (b ** (q + 1.0) - a ** (q + 1.0)) / (q + 1.0)
+def _per_element_matrix(q, vterms, r_max, n, scale):
+    """The tridiagonal form with every element's stiffness and hat moments
+    taken from that element's own endpoints, in 40-digit arithmetic."""
+    with mp.workdps(40):
+        h = mp.mpf(r_max) / n
+        edges = [k * h for k in range(n + 1)]
 
-    h = r_max / n
-    i = np.arange(1, n + 1)
-    lo, hi, nodes = (i - 1.0) * h, i * h, (i - 0.5) * h
-    cell_mass = power_int(q, lo, hi)
-    load = np.zeros(n)
-    for coeff, power in vterms:
-        load += coeff * power_int(q + power, lo, hi)
-    flux = 1.0 / power_int(-q, nodes, np.append(nodes[1:], r_max))
-    diag = scale * load
-    diag[:-1] += flux[:-1]
-    diag[1:] += flux[:-1]
-    diag[-1] += flux[-1]
-    s = np.sqrt(cell_mass)
-    return diag / cell_mass, -flux[:-1] / (s[:-1] * s[1:]), s, nodes
+        def moments(a):
+            # per element (lo, hi): r^a against the hats of lo and of hi,
+            # and r^a alone; summed per vertex
+            a = mp.mpf(a)
+            p1 = [e ** (a + 1) / (a + 1) for e in edges]
+            p2 = [e ** (a + 2) / (a + 2) for e in edges]
+            lo_hat, hi_hat, plain = [], [], []
+            for k in range(n):
+                i0, i1 = p1[k + 1] - p1[k], p2[k + 1] - p2[k]
+                lo_hat.append((edges[k + 1] * i0 - i1) / h)
+                hi_hat.append((i1 - edges[k] * i0) / h)
+                plain.append(i0)
+            return [lo_hat[0]] + [lo_hat[i] + hi_hat[i - 1]
+                                  for i in range(1, n)], plain
+
+        mass, plain = moments(q)
+        load = [0] * n
+        for coeff, power in vterms:
+            load = [v + coeff * m for v, m in zip(load, moments(q + power)[0])]
+        stiff = [w / h ** 2 for w in plain]
+        diag = [(stiff[i] + (stiff[i - 1] if i else 0) + scale * load[i])
+                / mass[i] for i in range(n)]
+        off = [-stiff[i] / mp.sqrt(mass[i] * mass[i + 1])
+               for i in range(n - 1)]
+        return tuple(np.array([float(v) for v in arr]) for arr in
+                     (diag, off, [mp.sqrt(m) for m in mass], edges[:-1]))
 
 
 @pytest.mark.parametrize("q, vterms", [
-    (1.0, [(0.5, 2.0)]),               # flux integrals take the log branch
+    (1.0, [(0.5, 2.0)]),
     (-0.8, [(0.5, 2.0)]),
     (0.3, [(-1.0, -1.0)]),
     (2.4, [(0.7, 2.0), (-4.0, 0.0)]),
     (28.6, [(0.5, 2.0)]),
 ])
 def test_shared_powers_match_per_cell_formulas(q, vterms):
+    # the shared-power closed forms do not cancel for vertices far from the
+    # origin: every entry agrees with the exact per-element moments to a
+    # few tens of roundoffs
     for r_max, n in ((12.0, 400), (37.3, 1234)):
-        got = _fv_matrix(q, vterms, r_max, n, 2.0)
-        want = _per_cell_matrix(q, vterms, r_max, n, 2.0)
+        got = _p1_matrix(q, vterms, r_max, n, 2.0)
+        want = _per_element_matrix(q, vterms, r_max, n, 2.0)
         for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+            npt.assert_allclose(g, w, rtol=1e-14, atol=0.0)
 
 
 def _index_bisection(potential, params, state, cfg, k):
@@ -452,7 +469,7 @@ def _index_bisection(potential, params, state, cfg, k):
     r_max = rec.r_max if cfg.r_max is None else cfg.r_max
     grids = []
     for n in (cfg.n_points, 2 * cfg.n_points):
-        diag, off, _, _ = _fv_matrix(rec.c + 2.0 * rec.p, rec.vterms, r_max,
+        diag, off, _, _ = _p1_matrix(rec.c + 2.0 * rec.p, rec.vterms, r_max,
                                      n, 2.0)
         grids.append(np.array([
             eigh_tridiagonal(diag, off, select="i", select_range=(j, j),
@@ -492,16 +509,16 @@ def test_refined_levels_match_index_bisection():
         d = int(rng.integers(2, 13))
         params = DeformationParams.uniform(d, float(rng.uniform(-0.4, 1.0)))
         state = AngularState.from_total(d, float(rng.integers(0, 3)))
-        how = []
+        coarse, fine = [], []
         got = radial_eigenvalues(potential, params, state, cfg, 3,
-                                 fine_solve=how)
+                                 coarse_solve=coarse, fine_solve=fine)
         want = _index_bisection(potential, params, state, cfg, 3)
-        assert len(how) == 3
-        for g, w, h in zip(got, want, how):
-            if h == "rqi":
-                assert abs(g - w) <= 1e-9 * abs(w)
-            else:
+        assert len(coarse) == len(fine) == 3
+        for g, w, c, f in zip(got, want, coarse, fine):
+            if c == f == "bisection":
                 assert g == w
+            else:
+                assert abs(g - w) <= 1e-9 * abs(w)
 
 
 def test_refinement_refuses_a_neighbour_in_its_window():
@@ -511,14 +528,14 @@ def test_refinement_refuses_a_neighbour_in_its_window():
     diag = np.array([1.0, 1.0 + 1e-10, 4.0, 6.0, 9.0])
     off = np.zeros(4)
     start = np.eye(5)[0]
-    values, how = _refine(diag, off, range(1, 2), [start], 1.0)
+    values, how, _ = _refine(diag, off, range(1, 2), [start], 1.0)
     assert how == ["bisection"]
     assert values[0] == eigh_tridiagonal(diag, off, select="i",
                                          select_range=(1, 1),
                                          eigvals_only=True)[0]
     assert _refine(diag, off, range(0, 1), [start], 1.0)[1] == ["bisection"]
     diag[1] = 2.0
-    values, how = _refine(diag, off, range(0, 1), [start], 1.0)
+    values, how, _ = _refine(diag, off, range(0, 1), [start], 1.0)
     assert how == ["rqi"] and values[0] == 1.0
 
 
@@ -534,27 +551,105 @@ def test_smooth_case_refines_every_level():
     assert rep.grid["fine_solve"] is None
 
 
-def test_spurious_level_falls_back_to_index_bisection(caplog):
-    # q = c + 2p = 28.6: the first cell decouples into a spurious level, so
-    # the coarse vector of index 0 does not lead to fine index 0
+def test_large_weight_exponent_refines_on_both_rungs():
+    # q = c + 2p = 28.6: the cell-centred scheme's first cell decoupled into
+    # a spurious low level here; the origin hat of the P1 scheme lies above
+    # the spectrum, so every level refines on both rungs
     params = DeformationParams.uniform(12, 0.4)
     state = AngularState.from_total(12, 2.0)
-    cfg = DiscretizationConfig()
+    rep = oracle_report(Oscillator(1.0), params, state,
+                        DiscretizationConfig(), 4, 1e-4)
+    assert rep.grid["coarse_solve"] == rep.grid["fine_solve"] == ["rqi"] * 4
+    assert rep.max_rel_err < 1e-8
+
+
+def test_rejected_coarse_rung_falls_back_to_index_bisection(monkeypatch,
+                                                             caplog):
+    # the iteration fails on the n_points rung only, so each level's value
+    # there is its index bisection, logged with the grid it was rejected on
+    cfg = DiscretizationConfig(n_points=1600, richardson=False)
+    rqi = verify._rqi
+    monkeypatch.setattr(verify, "_rqi", lambda diag, off, x, tol: (
+        None if len(diag) == cfg.n_points else rqi(diag, off, x, tol)))
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.5)
     with caplog.at_level(logging.DEBUG, logger="dunkl_spectra"):
-        rep = oracle_report(Oscillator(1.0), params, state, cfg, 4, 1e-4)
-    how = rep.grid["fine_solve"]
-    assert "bisection" in how
-    want = _index_bisection(Oscillator(1.0), params, state, cfg, 4)
-    for got, ref, h in zip(rep.numeric, want, how):
-        if h == "bisection":
-            assert got == ref
-        else:
-            assert abs(got - ref) <= 1e-9 * abs(ref)
+        rep = oracle_report(Oscillator(1.0), params, state, cfg, 3, 1e-3)
+    assert rep.grid["coarse_solve"] == ["bisection"] * 3
+    rec = Oscillator(1.0).radial_problem(2, state, params)
+    diag, off, _, _ = _p1_matrix(rec.c + 2.0 * rec.p, rec.vterms, rec.r_max,
+                                 cfg.n_points, 2.0)
+    for j, got in enumerate(rep.numeric):
+        want = eigh_tridiagonal(diag, off, select="i", select_range=(j, j),
+                                eigvals_only=True)[0]
+        assert got == want / 2.0 + rec.shift
     records = [r for r in caplog.records if r.name == "dunkl_spectra"]
-    assert len(records) == how.count("bisection")
+    assert len(records) == 3
     assert all(r.levelno == logging.DEBUG for r in records)
-    assert f"r_max={rep.grid['r_max']:g}" in records[0].getMessage()
-    assert "Sturm index" in records[0].getMessage()
+    assert all(f"{cfg.n_points}-point grid" in r.getMessage() for r in records)
+
+
+def test_more_levels_than_seed_grid_vertices():
+    # 120 levels on 800 cells: the 100-cell seed grid is left out
+    params = DeformationParams.uniform(3, 0.0)
+    state = AngularState.from_total(3, 0.0)
+    vals = radial_eigenvalues(Oscillator(1.0), params, state,
+                              DiscretizationConfig(n_points=800), 120)
+    assert vals.shape == (120,) and np.all(np.diff(vals) > 0)
+    assert abs(vals[0] - 1.5) < 1e-6
+
+
+def test_large_weight_exponent_oscillator_passes():
+    # q = 95 on the 26-wide box: the cell-centred scheme returned levels
+    # 0.0 and 2.4e-6 against the closed forms 48 and 50
+    params = DeformationParams.uniform(12, 3.0)
+    state = AngularState.from_total(12, 3.0)
+    rep = oracle_report(Oscillator(1.0), params, state,
+                        DiscretizationConfig(n_points=400), 2, 1e-2)
+    assert rep.passed
+
+
+def test_single_axis_large_coupling_has_no_spurious_level():
+    # weight exponents 24 and 26: the cell-centred scheme returned the
+    # spurious 11.588 (s = +1) and 3.401 (s = -1) among three levels
+    for s in (1, -1):
+        got = cartesian_1d_eigenvalues(12.0, s, 1.0, DiscretizationConfig(), 3)
+        ref = [energy_1d(n, 12.0, s, 1.0) for n in range(3)]
+        npt.assert_allclose(got, ref, rtol=1e-8)
+
+
+# per potential at the CLI's verify settings: levels, tolerance, grid points
+_CLI_SETTINGS = {"oscillator": (4, 1e-4, 4000), "coulomb": (3, 1e-3, 8000),
+                 "pho": (2, 1e-4, 4000)}
+
+
+def test_seeded_sweep_agrees_with_closed_forms():
+    # d 2-24, L 0-4, mu_j in (-0.45, 1), D_e 0.05-500, plus the 1/r problem
+    # at q = 2e-4: Gaussian-family levels to 1e-6, 1/r levels to 1e-4, and
+    # no rung falls back to bisection
+    rng = np.random.default_rng(20240611)
+    cases = [("coulomb", DeformationParams(2, (-0.3499, -0.15)), 0.0, 1.0)]
+    while len(cases) < 90:
+        d = int(rng.integers(2, 25))
+        mu = tuple(float(m) for m in rng.uniform(-0.45, 1.0, d))
+        cases.append((("oscillator", "coulomb", "pho")[len(cases) % 3],
+                      DeformationParams(d, mu), int(rng.integers(0, 9)) / 2.0,
+                      float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))))
+    solved = 0
+    for tag, params, L, depth in cases:
+        potential = {"oscillator": Oscillator(1.0), "coulomb": Coulomb(1.0),
+                     "pho": Pseudoharmonic(depth, 1.0)}[tag]
+        k, tol, n_points = _CLI_SETTINGS[tag]
+        try:
+            rep = oracle_report(potential, params,
+                                AngularState.from_total(params.d, L),
+                                DiscretizationConfig(n_points=n_points), k, tol)
+        except InvalidStateError:  # 1/r with Kummer b <= 0 at d = 2
+            continue
+        solved += 1
+        assert rep.max_rel_err < (1e-4 if tag == "coulomb" else 1e-6)
+        assert rep.grid["coarse_solve"] == rep.grid["fine_solve"] == ["rqi"] * k
+    assert solved >= 80
 
 
 def test_tail_leak_warning_per_level_coulomb_report():
