@@ -586,7 +586,11 @@ def test_rejected_coarse_rung_falls_back_to_index_bisection(monkeypatch,
     records = [r for r in caplog.records if r.name == "dunkl_spectra"]
     assert len(records) == 3
     assert all(r.levelno == logging.DEBUG for r in records)
-    assert all(f"{cfg.n_points}-point grid" in r.getMessage() for r in records)
+    for r in records:
+        message = r.getMessage()
+        assert f"{cfg.n_points}-point grid" in message
+        assert "Sturm index" in message
+        assert f"r_max={rec.r_max:g}" in message
 
 
 def test_more_levels_than_seed_grid_vertices():
