@@ -8,10 +8,9 @@ eigensolver that cross-checks every closed form numerically.
 
 from .cartesian import CartesianState, energy_1d, total_energy, wavefunction_1d
 from .core import (DeformationParams, ParityVector, PolarPoint,
-                   apply_angular_operator, apply_reflection,
-                   cartesian_to_polar, dunkl_derivative_1d, polar_to_cartesian)
+                   cartesian_to_polar, polar_to_cartesian)
 from .errors import (ConvergenceError, DomainError, InvalidStateError,
-                     SingularityError, TailLeakWarning)
+                     TailLeakWarning)
 from .polar import (AngularState, angular_inner_product, lambda_sq,
                     parity_offsets, theta_eigenfunction, varpi_sq)
 from .specfun import (QuadratureRule, build_quadrature, jacobi, kummer_m,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "DeformationParams", "ParityVector", "PolarPoint",
-    "dunkl_derivative_1d", "apply_reflection", "apply_angular_operator",
     "polar_to_cartesian", "cartesian_to_polar",
     "CartesianState", "energy_1d", "wavefunction_1d", "total_energy",
     "AngularState", "parity_offsets", "theta_eigenfunction",
@@ -44,6 +42,6 @@ __all__ = [
     "DiscretizationConfig", "OracleReport", "radial_eigenvalues",
     "cartesian_1d_eigenvalues", "residual_check", "orthogonality_matrix",
     "oracle_report",
-    "DomainError", "InvalidStateError", "SingularityError",
-    "ConvergenceError", "TailLeakWarning",
+    "DomainError", "InvalidStateError", "ConvergenceError",
+    "TailLeakWarning",
 ]

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import DeformationParams
 from .errors import (ConvergenceError, DomainError, InvalidStateError,
-                     SingularityError, check_levels)
+                     check_levels)
 from .polar import AngularState
 from .spectra import (POTENTIALS, Coulomb, Oscillator, Pseudoharmonic,
                       bound_energy, radial_solution, reduced_density)
@@ -401,8 +401,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, InvalidStateError, SingularityError,
-            ConvergenceError) as exc:
+    except (DomainError, InvalidStateError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

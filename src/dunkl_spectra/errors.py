@@ -13,10 +13,6 @@ class InvalidStateError(ValueError):
     """Quantum numbers and parity labels are mutually inconsistent."""
 
 
-class SingularityError(ValueError):
-    """Evaluation requested inside a coordinate-singularity guard band."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative computation failed to reach its accuracy target."""
 

@@ -1,9 +1,21 @@
 """Angular eigenfunction tower, separation constants, and the total angular
 constant entering the radial equation.
 
-Level j of the tower (1 <= j <= d-1) is an eigenfunction of the level-j
-angular operator applied by core.apply_angular_operator. In the variable
-u = cos 2t every level is a Jacobi polynomial times sine/cosine prefactors:
+Level j of the tower (1 <= j <= d-1) is an eigenfunction, eigenvalue
+lam_j^2 below, of the level-j angular operator: for j = 1
+
+    -T'' + 2 (mu_1 tan t - mu_2 cot t) T'
+    + mu_1 (T(t) - T(pi - t)) / cos^2 t + mu_2 (T(t) - T(-t)) / sin^2 t
+
+and for 2 <= j <= d-1, carrying lam_{j-1}^2 up from the level below,
+
+    -T'' - [(j - 1 + 2 sum_{i<=j} mu_i) cot t - 2 mu_{j+1} tan t] T'
+    + mu_{j+1} (T(t) - T(pi - t)) / cos^2 t + lam_{j-1}^2 / sin^2 t T(t).
+
+verify.residual_check checks the whole tower at once, through the product
+of its levels with the radial state in the d-dimensional equation. In the
+variable u = cos 2t every level is a Jacobi polynomial times sine/cosine
+prefactors:
 
     level 1:   cos^{e_1} t sin^{e_2} t P_k^{(a, b)}(cos 2t)
                a = mu_2 + e_2 - 1/2, b = mu_1 + e_1 - 1/2,

@@ -70,7 +70,8 @@ class RadialSolution:
     and U = N r^p e^{-t/2} M(-n, b, t) with t = (2/sigma) scale r^sigma.
     r_max is the finite-element box for levels up to n, from the turning
     point and decay length. Fields that left double range (an underflowed
-    energy too) and energies at or above the continuum are refused.
+    energy or potential coefficient too) and energies at or above the
+    continuum are refused.
     """
     potential: PotentialSpec
     n: int
@@ -87,10 +88,12 @@ class RadialSolution:
     def __post_init__(self):
         values = (self.energy, self.c, self.p, self.b, self.barrier,
                   self.shift, *(x for term in self.vterms for x in term))
+        scales = (self.energy - self.shift, *(c for c, _ in self.vterms))
         if not (all(map(math.isfinite, values)) and
-                abs(self.energy - self.shift) >= sys.float_info.min):
+                min(map(abs, scales)) >= sys.float_info.min):
             raise DomainError(f"{self.potential.tag} level {self.n} leaves "
-                              f"double range: energy {self.energy}")
+                              f"double range: energy {self.energy}, "
+                              f"potential terms {self.vterms}")
         check_positive(scale=self.scale, r_max=self.r_max)
         if not self.energy < self.potential.continuum:
             raise InvalidStateError(

@@ -56,10 +56,10 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
 
 from .cartesian import _check_1d_args
-from .core import DeformationParams
+from .core import DeformationParams, _chart_inverse, reflect_cartesian
 from .errors import (ConvergenceError, DomainError, TailLeakWarning,
                      check_count, check_levels, check_positive)
-from .polar import AngularState
+from .polar import AngularState, theta_eigenfunction, varpi_sq
 from .specfun import build_quadrature, kummer_m
 from .spectra import (PotentialSpec, RadialSolution, radial_solution,
                       radial_wavefunction)
@@ -249,6 +249,10 @@ def _solve_levels(q: float, vterms, r_max: float, cfg: DiscretizationConfig,
     level is bisected at its index on the first rung only; on each later
     rung its previous vector, as G = x/s interpolated, starts `_refine`.
     """
+    if levels.stop > cfg.n_points:
+        raise DomainError(f"{label}: level {levels.stop - 1} needs at least "
+                          f"{levels.stop} grid vertices, the grid has "
+                          f"{cfg.n_points}")
     scale = 2.0 * mass / hbar ** 2
     n, seed = cfg.n_points, cfg.n_points // _SEED_RATIO
     sizes = ([seed] if seed >= max(100, levels.stop) else []) + [n]
@@ -334,32 +338,62 @@ def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
                          f"axis sector s={s:+d}")[0]
 
 
-def residual_check(potential: PotentialSpec, params: DeformationParams,
-                   state: AngularState, n: int, grid,
-                   hbar: float = 1.0, mass: float = 1.0,
-                   step: float = 1e-3) -> float:
-    """Apply the radial differential operator to the closed-form state.
+_STEP = 5e-4  # residual_check's stencil step, relative to |x|
 
-    Fourth-order five-point stencils on the supplied interior grid; returns
-    the maximum residual scaled by the largest term magnitude, so an exact
-    solution scores near machine precision.
+
+def residual_check(potential: PotentialSpec, params: DeformationParams,
+                   state: AngularState, n: int, points,
+                   hbar: float = 1.0, mass: float = 1.0) -> float:
+    """Apply the d-dimensional Dunkl-Schroedinger operator to the assembled
+    closed-form state Psi(x) = U(r) Theta_1(t_1) ... Theta_{d-1}(t_{d-1}).
+
+    points is an (m, d) array of Cartesian points. The Dunkl Laplacian
+    (Dunkl, Trans. AMS 311, 1989) is
+
+        sum_j [d_j^2 + (2 mu_j/x_j) d_j - (mu_j/x_j^2)(1 - sigma_j)],
+
+    sigma_j the reflection x_j -> -x_j, with fourth-order five-point
+    stencils of step 5e-4 |x|; each coordinate must lie more than two steps
+    from zero. The well is the record's own, shift + sum of vterms +
+    (hbar^2/2m)(barrier - W^2)/r^2 with W^2 = varpi_sq. Returns the maximum
+    residual of the equation scaled by the largest sum of its term
+    magnitudes, so an exact solution scores near machine precision.
     """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 2.0 * step):
-        raise DomainError("grid points must stay clear of the origin")
     sol = radial_solution(potential, n, state, params, hbar, mass)
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    f = np.array([radial_wavefunction(sol, grid + o * step) for o in offsets])
-    d2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * step ** 2)
-    d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * step)
-    # the record's problem: its barrier, potential terms and energy shift
-    v = sum(coeff * grid ** power for coeff, power in sol.vterms)
-    bracket = (2.0 * mass / hbar ** 2 * (sol.energy - sol.shift - v)
-               - sol.barrier / grid ** 2)
-    terms = (d2, (sol.c / grid) * d1, bracket * f[2])
-    residual = np.abs(terms[0] + terms[1] + terms[2])
-    magnitude = np.max(np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]))
-    return float(np.max(residual) / magnitude)
+    d = params.d
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d or not len(x):
+        raise DomainError(f"points must be an (m, {d}) array, m >= 1, got "
+                          f"shape {x.shape}")
+    r = np.sqrt(np.sum(x * x, axis=1))
+    h = _STEP * r
+    if not np.all(np.abs(x) > 2.0 * h[:, None]):
+        raise DomainError("points must stay more than two steps clear of "
+                          "every coordinate hyperplane")
+
+    # every value in one batch: x, the stencil points along each axis, then
+    # the mirror image in each axis (flat, as kummer_m takes 1-d arrays)
+    offsets = np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * h[:, None]
+    shifted = x + offsets * np.eye(d)[:, None, None, :]  # (axis, offset, m, d)
+    mirrored = [reflect_cartesian(x, j + 1) for j in range(d)]
+    radius, theta, _ = _chart_inverse(np.concatenate(
+        ([x], shifted.reshape(-1, *x.shape), mirrored)).reshape(-1, d))
+    f = radial_wavefunction(sol, radius)
+    for j in range(1, d):
+        f = f * theta_eigenfunction(j, state, params, theta[:, j - 1])
+    f = f.reshape(5 * d + 1, len(x))
+    f0, f, mirror = f[0], f[1:4 * d + 1].reshape(d, 4, -1), f[4 * d + 1:]
+    d2 = (-f[:, 0] + 16.0 * (f[:, 1] + f[:, 2]) - 30.0 * f0 - f[:, 3]) / (
+        12.0 * h ** 2)
+    d1 = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * h)
+    mu = np.array(params.mu)[:, None]
+    axis_terms = (d2, 2.0 * mu / x.T * d1, -mu / x.T ** 2 * (f0 - mirror))
+    v = sol.shift + sum(coeff * r ** power for coeff, power in sol.vterms)
+    well = (2.0 * mass / hbar ** 2 * (sol.energy - v)
+            - (sol.barrier - varpi_sq(state, params)) / r ** 2) * f0
+    residual = np.abs(sum(t.sum(axis=0) for t in axis_terms) + well)
+    magnitude = sum(np.abs(t).sum(axis=0) for t in axis_terms) + np.abs(well)
+    return float(np.max(residual) / np.max(magnitude))
 
 
 def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,

@@ -18,15 +18,16 @@ from dunkl_spectra import (
     DeformationParams,
     DiscretizationConfig,
     Oscillator,
+    PolarPoint,
     Pseudoharmonic,
-    apply_angular_operator,
     coulomb_energy,
     coulomb_large_d_expansion,
     kummer_m,
     laguerre,
     oscillator_energy,
     pho_energy,
-    theta_eigenfunction,
+    polar_to_cartesian,
+    residual_check,
     wavefunction_1d,
 )
 from dunkl_spectra.cli import _FIGURES
@@ -138,18 +139,18 @@ def _sectors_for(two_l):
 
 @pytest.mark.acceptance(num=7, label="first angular level eigen-check")
 def test_criterion_7_angular_eigencheck():
+    # the assembled state U(r) Theta_1(t_1) Theta_2(t_2) solves the full
+    # d = 3 equation on a grid of the level-1 angle
     grid = np.linspace(0.17, np.pi / 2 - 0.11, 50)
+    points = [polar_to_cartesian(PolarPoint(r=1.3, theta=(t, 1.0)))
+              for t in grid]
     for mu in (-0.3, 0.0, 0.4):
         params = DeformationParams(d=3, mu=(mu, mu, 0.0))
         for two_l in (0, 1, 2, 3):
-            ell = two_l / 2.0
-            lam = 4.0 * ell * (ell + params.mu[0] + params.mu[1])
             for s1, s2 in _sectors_for(two_l):
                 state = AngularState(two_ell=(two_l, 0), parity=(s1, s2, 1))
-                f = lambda t: theta_eigenfunction(1, state, params, float(t))
-                for t in grid:
-                    got = apply_angular_operator(1, f, params, 0.0, float(t))
-                    assert abs(got - lam * f(t)) < 1e-5
+                assert residual_check(Oscillator(1.0), params, state, 0,
+                                      points) < 1e-8
 
 
 @pytest.mark.acceptance(num=8, label="identity suite")

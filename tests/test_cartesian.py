@@ -1,5 +1,6 @@
 """Tests for the per-axis factorized solution."""
 
+import collections
 import itertools
 import math
 
@@ -8,12 +9,16 @@ import numpy.testing as npt
 import pytest
 
 from dunkl_spectra import (
+    AngularState,
     CartesianState,
     DeformationParams,
     DomainError,
     InvalidStateError,
+    ParityVector,
     build_quadrature,
     energy_1d,
+    oscillator_energy,
+    parity_offsets,
     total_energy,
     wavefunction_1d,
 )
@@ -238,3 +243,55 @@ def test_wavefunction_shape_and_scaling():
     a = wavefunction_1d(0, 0.2, 1, 2.0, 0.7, hbar=1.0, mass=1.0)
     b = wavefunction_1d(0, 0.2, 1, 1.0, 0.7, hbar=0.5, mass=1.0)
     npt.assert_allclose(a, b, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the same oscillator levels in Cartesian and polar coordinates
+# ---------------------------------------------------------------------------
+
+def _compositions(total, parts):
+    """Tuples of `parts` nonnegative integers summing to at most total."""
+    if parts == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_cartesian_and_polar_level_counts_agree_per_sector():
+    # in each parity sector of d 2-6, the products of single-axis states and
+    # the polar states (admissible angular state times radial n) give the
+    # same levels, ground + N hbar w, with the same multiplicity up to N = 10
+    quanta = 10
+    mismatches = states = 0
+    for d in range(2, 7):
+        params = DeformationParams(d, tuple(0.1 * j - 0.3
+                                            for j in range(1, d + 1)))
+        ground = d / 2.0 + params.mu_sum
+        for signs in itertools.product((1, -1), repeat=d):
+            parity = ParityVector(signs)
+            odd = sum(s == -1 for s in signs)
+            cartesian = [
+                total_energy(CartesianState(n, parity), params, 1.0)
+                for n in _compositions((quanta - odd) // 2, d)]
+            # level j's Jacobi degree (2 l_j - e_{j+1})/2, at level 1
+            # (2 l_1 - e_1 - e_2)/2, runs over the nonnegative integers
+            e = parity_offsets(parity)
+            low = np.array((e[0] + e[1],) + e[2:])
+            polar = []
+            for k in _compositions((quanta - sum(low)) // 2, d - 1):
+                state = AngularState(tuple(low + 2 * np.array(k)), parity)
+                polar += [oscillator_energy(n, state, params, 1.0) for n in
+                          range((quanta - sum(state.two_ell)) // 2 + 1)]
+            counts = []
+            for levels in (cartesian, polar):
+                above = np.array(levels) - ground
+                npt.assert_allclose(above, np.round(above), atol=1e-9)
+                counts.append(collections.Counter(np.round(above).astype(int)))
+            assert max(counts[0]) <= quanta and max(counts[1]) <= quanta
+            mismatches += sum(((counts[0] - counts[1]) +
+                               (counts[1] - counts[0])).values())
+            states += len(cartesian) + len(polar)
+    assert mismatches == 0
+    assert states == 2 * 12364  # each side counts 12,364 states

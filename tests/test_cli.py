@@ -527,12 +527,12 @@ def test_constants_outside_double_range_exit_3(argv, capsys):
 
 
 def test_density_at_tiny_frequency(capsys):
+    # the well coefficient m w^2/2 underflows to 0: the record would describe
+    # a free particle, so the density fails fast instead of printing zeros
     code, out, err = run(["density", "--potential", "oscillator",
                           "--omega", "1e-300"], capsys)
-    assert (code, err) == (0, "")
-    _, header, rows = parse_csv(out)
-    assert header == ["r", "rho"] and len(rows) == 256
-    assert all(float(rho) == 0.0 for _, rho in rows)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "double range" in err
 
 
 @pytest.mark.parametrize("rmax", ["-2", "0", "inf", "nan"])
@@ -577,6 +577,14 @@ def test_level_count_below_one_exits_3(command, levels, capsys):
                           f"--levels={levels}"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: ")
+
+
+def test_level_count_above_grid_vertices_exits_3(capsys):
+    code, out, err = run(["verify", "--potential", "oscillator", "--d", "3",
+                          "--mu", "0", "--ell", "0", "--levels", "150",
+                          "--grid", "100"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "the grid has 100" in err
 
 
 def test_level_count_beyond_float_range_exits_3(capsys):

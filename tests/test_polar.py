@@ -12,11 +12,14 @@ from dunkl_spectra import (
     DomainError,
     InvalidStateError,
     ParityVector,
+    Oscillator,
+    PolarPoint,
     angular_inner_product,
-    apply_angular_operator,
     lambda_sq,
     parity_offsets,
     theta_eigenfunction,
+    polar_to_cartesian,
+    residual_check,
     varpi_sq,
 )
 
@@ -245,25 +248,29 @@ def _sectors_for(two_l):
     return [(1, 1), (-1, -1)]
 
 
+def _residual_along(params, state, angles):
+    """Residual of the assembled oscillator ground level at radius 1.3 and
+    each of the given angle tuples."""
+    points = [polar_to_cartesian(PolarPoint(r=1.3, theta=t)) for t in angles]
+    return residual_check(Oscillator(1.0), params, state, 0, points)
+
+
 @pytest.mark.parametrize("mu", [-0.3, 0.0, 0.4])
 def test_level1_eigencheck(mu):
-    # apply the level-1 operator to each closed-form eigenfunction on an
-    # interior grid; the result must reproduce lambda_1^2 times the function
+    # the assembled state solves the full equation on an interior grid of
+    # the level-1 angle, whose reflections reach every quadrant
     params = DeformationParams(d=3, mu=(mu, mu, 0.0))
     grid = np.linspace(0.17, np.pi / 2 - 0.11, 50)
     for two_l in (0, 1, 2, 3):
         for s1, s2 in _sectors_for(two_l):
             state = AngularState(two_ell=(two_l, 0), parity=(s1, s2, 1))
-            lam = lambda_sq(1, state, params)
-            f = lambda t: theta_eigenfunction(1, state, params, float(t))
-            for t in grid:
-                got = apply_angular_operator(1, f, params, 0.0, float(t))
-                assert abs(got - lam * f(t)) < 1e-5
+            res = _residual_along(params, state, [(t, 1.0) for t in grid])
+            assert res < 1e-8
 
 
 def test_level2_eigencheck():
-    # the level-2 operator carries the level-1 constant; its eigenvalue on
-    # the closed form is the cumulative separation constant of level 2
+    # level 2 carries the level-1 constant in its sine power and Jacobi
+    # parameter; the full equation checks both along the level-2 angle
     params = DeformationParams(d=4, mu=(0.4, 0.1, -0.2, 0.3))
     cases = [
         ((1, 1, 0), (1, -1, -1, 1)),
@@ -273,25 +280,20 @@ def test_level2_eigencheck():
     grid = np.linspace(0.25, np.pi / 2 - 0.15, 12)
     for two_ell, parity in cases:
         state = AngularState(two_ell=two_ell, parity=parity)
-        lam = lambda_sq(2, state, params)
-        S = state.ell_partial(1)
-        f = lambda t: theta_eigenfunction(2, state, params, float(t))
-        for t in grid:
-            got = apply_angular_operator(2, f, params, S, float(t))
-            assert abs(got - lam * f(t)) < 1e-4 * max(1.0, abs(lam))
+        res = _residual_along(params, state, [(0.7, t, 1.0) for t in grid])
+        assert res < 1e-8
 
 
 def test_top_level_eigencheck_matches_varpi():
-    # at the last level the cumulative constant is the full angular constant
+    # the top level's constant is the full angular constant that the radial
+    # state is built on: the full equation checks them against each other
     params = DeformationParams(d=4, mu=(0.4, 0.1, -0.2, 0.3))
     state = AngularState(two_ell=(1, 1, 2), parity=(1, -1, -1, 1))
     lam = lambda_sq(2, state, params)
     w = varpi_sq(state, params)
-    S = state.ell_partial(2)
-    f = lambda t: theta_eigenfunction(3, state, params, float(t))
-    for t in (0.4, 0.8, 1.2):
-        got = apply_angular_operator(3, f, params, S, t)
-        assert abs(got - w * f(t)) < 1e-4 * max(1.0, abs(w))
+    res = _residual_along(params, state, [(0.7, 1.0, t) for t in
+                                          (0.4, 0.8, 1.2)])
+    assert res < 1e-8
     assert lam < w
 
 

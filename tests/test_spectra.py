@@ -522,7 +522,7 @@ def test_constants_outside_double_range_fail_fast(potential, hbar):
         bound_energy(potential, 0, _S3, _P3, hbar)
 
 
-@pytest.mark.parametrize("potential", [Oscillator(1e-300), Coulomb(1e150)])
+@pytest.mark.parametrize("potential", [Oscillator(1e-130), Coulomb(1e150)])
 def test_norm_outside_double_range_fails_fast(potential):
     # at d = 10 the norm underflows to 0 (oscillator) or overflows (1/r)
     sol = radial_solution(potential, 0, AngularState.from_total(10, 0.0),
@@ -531,10 +531,10 @@ def test_norm_outside_double_range_fails_fast(potential):
         sol.norm
 
 
-@pytest.mark.parametrize("omega, d", [(1e-300, 3), (1.0, 400)])
+@pytest.mark.parametrize("omega, d", [(1e-150, 5), (1.0, 400)])
 def test_norm_in_log_form(omega, d):
     # n = 0, L = 0: N^2 = 2 omega^{d/2} / Gamma(d/2); omega^{-d/2} alone
-    # overflows at omega = 1e-300, and Gamma(d/2) at d = 400
+    # overflows at omega = 1e-150, d = 5, and Gamma(d/2) at d = 400
     sol = radial_solution(Oscillator(omega), 0, AngularState.from_total(d, 0.0),
                           DeformationParams.uniform(d, 0.0))
     with mpmath.workdps(40):
@@ -543,8 +543,11 @@ def test_norm_in_log_form(omega, d):
     assert sol.norm == pytest.approx(float(want), rel=1e-12)
 
 
-def test_density_underflows_at_tiny_frequency():
-    # N ~ 1e-225, so the true density, ~1e-450, underflows to 0
-    sol = radial_solution(Oscillator(1e-300), 0, _S3, _P3)
-    rho = reduced_density(sol, np.linspace(1e149, 1e151, 64))
-    assert np.all(rho == 0.0)
+def test_underflowed_well_coefficient_fails_fast():
+    # m w^2/2 = 5e-601 underflows to 0, which would make the record a free
+    # particle; the energy 1.5e-300 alone is still in range
+    for potential in (Oscillator(1e-300), Oscillator(1e-160)):
+        with pytest.raises(DomainError, match="potential terms"):
+            radial_solution(potential, 0, _S3, _P3)
+    rec = radial_solution(Oscillator(1e-150), 0, _S3, _P3)
+    assert rec.vterms[0][0] == pytest.approx(5e-301, rel=1e-12)

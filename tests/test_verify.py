@@ -1,6 +1,7 @@
 """Tests for the independent grid-based eigenvalue oracle."""
 
 import dataclasses
+import itertools
 import logging
 import math
 import warnings
@@ -199,44 +200,90 @@ def test_tail_leak_warning():
 # residuals of the closed-form states
 # ---------------------------------------------------------------------------
 
-GRID = np.linspace(0.3, 4.0, 25)
+def _ray(d, radii=np.linspace(0.3, 4.0, 25)):
+    """Points at the given radii along a ray off every coordinate
+    hyperplane."""
+    u = np.arange(1.0, d + 1.0)
+    return radii[:, None] * (u / np.linalg.norm(u))
 
 
 def test_residual_oscillator():
     for d, mu in [(3, 0.0), (3, 0.4), (5, 0.2)]:
         params = DeformationParams.uniform(d, mu)
         state = AngularState.from_total(d, 0.0)
-        res = residual_check(Oscillator(1.0), params, state, 0, GRID)
+        res = residual_check(Oscillator(1.0), params, state, 0, _ray(d))
         assert res < 1e-6
 
 
 def test_residual_hydrogen_1s():
     params = DeformationParams.uniform(3, 0.0)
     state = AngularState.from_total(3, 0.0)
-    res = residual_check(Coulomb(1.0), params, state, 0, GRID)
+    res = residual_check(Coulomb(1.0), params, state, 0, _ray(3))
     assert res < 1e-6
 
 
 def test_residual_pho():
     params = DeformationParams.uniform(3, 0.0)
     state = AngularState.from_total(3, 0.0)
-    res = residual_check(Pseudoharmonic(8.0, 1.0), params, state, 0, GRID)
+    res = residual_check(Pseudoharmonic(8.0, 1.0), params, state, 0, _ray(3))
     assert res < 1e-5
 
 
 def test_residual_excited_states():
     params = DeformationParams.uniform(4, 0.4)
     state = AngularState.from_total(4, 1.0)
-    assert residual_check(Oscillator(1.0), params, state, 2, GRID) < 1e-6
-    assert residual_check(Coulomb(1.0), params, state, 1, GRID) < 1e-6
+    assert residual_check(Oscillator(1.0), params, state, 2, _ray(4)) < 1e-6
+    assert residual_check(Coulomb(1.0), params, state, 1, _ray(4)) < 1e-6
 
 
 def test_residual_grid_guard():
+    # each coordinate must lie more than two steps, 1e-3 |x|, from zero
     params = DeformationParams.uniform(3, 0.0)
     state = AngularState.from_total(3, 0.0)
-    with pytest.raises(DomainError):
-        residual_check(Oscillator(1.0), params, state, 0,
-                       np.linspace(0.0, 2.0, 10))
+    check = lambda points: residual_check(Oscillator(1.0), params, state, 0,
+                                          points)
+    assert check([[1.0, 0.5, 1.2e-3]]) < 1e-6
+    for points in ([[1.0, 0.5, 1.1e-3]], [[1.0, 0.0, 1.0]], [[0.0] * 3],
+                   [[1.0, 0.5]], [1.0, 0.5, 0.7], np.empty((0, 3))):
+        with pytest.raises(DomainError):
+            check(points)
+
+
+def test_residual_sweep_over_every_sector():
+    # the assembled state solves the full equation in every parity sector
+    # of d 2-8, for each potential: a random admissible state, n 0-6,
+    # mu_j in (-0.4, 1), random constants, two points inside the state
+    rng = np.random.default_rng(20261018)
+    worst, cases, checked = 0.0, 0, 0
+    for d in range(2, 9):
+        for parity in itertools.product((1, -1), repeat=d):
+            e = [(1 - s) // 2 for s in parity]
+            two_ell = [e[0] + e[1]] + e[2:] + 2 * rng.integers(0, 2, d - 1)
+            state = AngularState(tuple(two_ell), parity)
+            params = DeformationParams(d, tuple(rng.uniform(-0.4, 1.0, d)))
+            c1, c2, c3, hbar, mass = np.exp(rng.uniform(-1.0, 1.0, 5))
+            for potential in (Oscillator(c1), Pseudoharmonic(8.0 * c2, c3),
+                              Coulomb(c1)):
+                n = int(rng.integers(0, 7))
+                cases += 1
+                try:
+                    rec = potential.radial_problem(n, state, params, hbar,
+                                                   mass)
+                except DomainError:  # 1/r with no bound state
+                    continue
+                if rec.b <= 0.0:  # refused by radial_solution
+                    continue
+                # radii inside the state: Kummer variable t up to about the
+                # outer turning point 4n + 2b + 2 of e^{-t/2} M(-n, b, t)
+                t = rng.uniform(0.05, 1.0, 2) * (4 * n + 2.0 * rec.b + 2.0)
+                radii = (rec.sigma * t / (2.0 * rec.scale)) ** (1 / rec.sigma)
+                u = rng.uniform(0.2, 1.0, d) * rng.choice((-1.0, 1.0), d)
+                points = radii[:, None] * u / np.linalg.norm(u)
+                worst = max(worst, residual_check(potential, params, state,
+                                                  n, points, hbar, mass))
+                checked += 1
+    assert checked > 0.98 * cases
+    assert worst <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +499,7 @@ def _per_element_matrix(q, vterms, r_max, n, scale):
     (2.4, [(0.7, 2.0), (-4.0, 0.0)]),
     (28.6, [(0.5, 2.0)]),
 ])
-def test_shared_powers_match_per_cell_formulas(q, vterms):
+def test_p1_entries_match_per_element_moments(q, vterms):
     # the shared-power closed forms do not cancel for vertices far from the
     # origin: every entry agrees with the exact per-element moments to a
     # few tens of roundoffs
@@ -591,6 +638,21 @@ def test_rejected_coarse_rung_falls_back_to_index_bisection(monkeypatch,
         assert f"{cfg.n_points}-point grid" in message
         assert "Sturm index" in message
         assert f"r_max={rec.r_max:g}" in message
+
+
+def test_more_levels_than_grid_vertices_fail_fast():
+    # the n_points grid has n_points vertices, so at most that many levels
+    params = DeformationParams.uniform(3, 0.0)
+    state = AngularState.from_total(3, 0.0)
+    cfg = DiscretizationConfig(n_points=100)
+    with pytest.raises(DomainError, match="the grid has 100"):
+        radial_eigenvalues(Oscillator(1.0), params, state, cfg, 101)
+    with pytest.raises(DomainError):
+        cartesian_1d_eigenvalues(0.0, 1, 1.0, cfg, 150)
+    with pytest.warns(TailLeakWarning):  # the top levels are grid modes
+        vals = radial_eigenvalues(Oscillator(1.0), params, state, cfg, 100)
+    assert vals.shape == (100,) and np.all(np.isfinite(vals))
+    assert abs(vals[0] - 1.5) < 1e-2
 
 
 def test_more_levels_than_seed_grid_vertices():
