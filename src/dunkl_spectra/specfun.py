@@ -152,11 +152,11 @@ def kummer_m(a: float, b: float, x):
         # largest partial sums, so redo ill-conditioned entries widened
         bad = absum > 1e4 * np.maximum(np.abs(total), 1e-300)
         if np.any(bad):
-            flat = np.atleast_1d(total)
-            xs = np.atleast_1d(x)
-            for i in np.flatnonzero(np.atleast_1d(bad)):
+            # flat C-order positions serve x of any shape
+            flat, xs = np.ravel(total), np.ravel(x)
+            for i in np.flatnonzero(bad):
                 flat[i] = _kummer_poly_mp(n, b, float(xs[i]))
-            total = flat if total.ndim else flat[0]
+            total = flat.reshape(x.shape)
         return total if np.ndim(total) else float(total)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(_SERIES_CAP):

@@ -279,13 +279,18 @@ def radial_solution(potential: PotentialSpec, n: int, state: AngularState,
     return sol
 
 
+def _state(sol: RadialSolution, r, power: float):
+    """N r^power e^{-t/2} M(-n, b, t), t = (2/sigma) scale r^sigma, at r."""
+    r = np.asarray(r, dtype=float)
+    t = 2.0 / sol.sigma * sol.scale * np.power(r, sol.sigma)
+    return (sol.norm * np.power(r, power) * np.exp(-0.5 * t)
+            * kummer_m(sol.kummer_a, sol.b, t))
+
+
 def radial_wavefunction(sol: RadialSolution, r):
     """U = N r^p e^{-t/2} M(-n, b, t), t = (2/sigma) scale r^sigma, at r
     (scalar or array)."""
-    r = np.asarray(r, dtype=float)
-    t = 2.0 / sol.sigma * sol.scale * np.power(r, sol.sigma)
-    out = (sol.norm * np.power(r, sol.p) * np.exp(-0.5 * t)
-           * kummer_m(sol.kummer_a, sol.b, t))
+    out = _state(sol, r, sol.p)
     return out if out.ndim else float(out)
 
 
@@ -360,9 +365,9 @@ def reduced_density(sol: RadialSolution, r):
     """Radial probability density |U(r)|^2 r^{d - 1 + 2 sum mu}.
 
     Integrates to one over (0, inf) because the solutions are normalized
-    against exactly this weight.
+    against exactly this weight. Formed as (U r^{c/2})^2 with r^{c/2} folded
+    into U's own power of r, so neither U^2 nor r^c, which can leave double
+    range where the density does not, is ever formed.
     """
-    r = np.asarray(r, dtype=float)
-    u = radial_wavefunction(sol, r)
-    out = np.asarray(u) ** 2 * np.power(r, sol.c)
+    out = _state(sol, r, sol.p + 0.5 * sol.c) ** 2
     return out if out.ndim else float(out)

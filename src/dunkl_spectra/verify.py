@@ -21,14 +21,22 @@ hat lies above the spectrum, so no spurious low level appears for any
 weight. The scheme is second order in h; optional Richardson extrapolation
 over the grid and its doubling removes the leading error term.
 
+Every entry of vertex i depends on i alone up to powers of h, so the
+element moments are built once per report, as an h-free profile of the
+ladder's largest grid; each grid, and each per-level 1/r box, takes a
+prefix of it and scales it by its own h.
+
 Each level is found by its own index on a ladder of n_points // 8,
 n_points and 2 n_points cells: bisected at its index on the first rung
 only, then on each later rung refined by Rayleigh-quotient iteration from
 the previous rung's vector (a two-grid eigensolve rung by rung: Xu & Zhou,
-Math. Comp. 70 (2001) 17-25). A result is kept only when Sturm counts place
-it at the level's index; otherwise that rung is bisected at the index too,
-and the rejection is logged at DEBUG level under the `dunkl_spectra`
-logger. So a level's value depends only on its index, the box and the grid.
+Math. Comp. 70 (2001) 17-25). The levels refined on one rung form a run,
+certified at once by Sturm counts at the two ends of their disjoint windows
+(one count when the run starts at index 0). When a run fails, each level is
+checked on its own; a level whose counts do not place it at its index is
+bisected at the index too, and the rejection is logged at DEBUG level
+under the `dunkl_spectra` logger. So a level's value depends only on its
+index, the box and the grid.
 
 Absorbing the exact power matters: the naive substitution u = r^{c/2} U
 with a Dirichlet origin converges to the wrong self-adjoint extension
@@ -49,7 +57,7 @@ import logging
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -101,53 +109,86 @@ class DiscretizationConfig:
             check_positive(r_max=self.r_max)
 
 
-def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float):
+@lru_cache(maxsize=1)
+def _profile(q: float, powers: tuple, n: int):
+    """The P1 entries of the vertices k = 0 .. n-1 with every power of h
+    taken out, for the weight r^q and the potential powers `powers`.
+
+    On the vertices r_k = k h, vertex k's hat moment of r^a is
+    h^(a+1) k^a beta_a(k), and element k integrates r^q to
+    h^(q+1) (k+1)^(q+1) edge_k/(q+1). Entry k depends on k alone, so every
+    grid of at most n cells takes a prefix. Returns (a, o, m, loads, rho):
+    diag = a/h^2 + scale sum coeff h^power loads[power], off = o/h^2, and
+    the lumped masses are h (h rho)^q m, rho_k = k but 1 at the origin,
+    whose hat moments are those of r_1. Each entry is formed from ratios
+    such as (1 + 1/k)^q, never from k^q, so none leaves double range. The
+    arrays are read-only: one profile serves every rung of a report.
+    """
+    k = np.arange(float(n))
+    rho = np.maximum(k, 1.0)
+    x = 1.0 / rho
+    with np.errstate(divide="ignore"):
+        atanh, log_sq, up = np.arctanh(x), np.log1p(-x * x), np.log1p(x)
+        # element k: 1 - (k/(k+1))^(q+1)
+        edge = -np.expm1((q + 1.0) * np.log1p(-1.0 / (k + 1.0)))
+
+        def beta(a):
+            """beta_a(k) = ((1+x)^b + (1-x)^b - 2)/(x^2 b (b-1)), x = 1/k,
+            b = a + 2, and 1/((a+1) b) at the origin. The bracket is summed
+            as (A - B)^2 + 2 (AB - 1), A, B = (1 +- x)^(b/2), with A - B =
+            -A expm1(-b atanh x); its two terms cancel by at most a factor
+            b/(b-1), however large k is."""
+            b = a + 2.0
+            bracket = (np.exp(a * up) * ((1.0 + x) * np.expm1(-b * atanh))
+                       ** 2 + 2.0 * np.expm1(0.5 * b * log_sq))
+            out = bracket / (x * x * b * (b - 1.0))
+            out[0] = 1.0 / ((a + 1.0) * b)
+            return out
+
+        m = beta(q)
+        loads = tuple(rho ** p * beta(q + p) / m for p in powers)
+    # vertex k's two element stiffnesses over its mass: element k on its
+    # right, whose r_k+1^(q+1) is (k+1) h (1 + 1/k)^q r_k^q, and element
+    # k-1 on its left
+    right = (k + 1.0) * np.exp(q * np.where(k > 0.0, up, 0.0)) * edge / (
+        (q + 1.0) * m)
+    left = np.zeros(n)
+    left[1:] = k[1:] * edge[:-1] / ((q + 1.0) * m[1:])
+    profile = (right + left, -np.sqrt(right[:-1] * left[1:]), m, loads, rho)
+    for arr in (*profile[:3], *loads, rho):
+        arr.flags.writeable = False
+    return profile
+
+
+def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
+               profile=None):
     """The weighted form with w = r^q on the P1 vertices r_i = i h, i < n,
-    h = r_max/n, as a symmetric tridiagonal matrix.
+    h = r_max/n, as a symmetric tridiagonal matrix, scaled from `profile`
+    (that of at least n vertices; built here when None).
 
     vterms is a list of (coeff, power) pairs, V(r) = sum coeff * r^power,
     and scale = 2m/hbar^2. Returns (diag, off, s, nodes): the eigenvalues
     are scale times the energies, s holds the square roots of the lumped
     masses, and an eigenvector x is G = x/s at the vertices. Raises
-    ConvergenceError when an entry is not finite in double precision (large
-    q on a large box overflows r^(q+1)).
+    ConvergenceError when an entry or a mass is not a finite, non-zero
+    double (large q on a large box overflows r^q).
     """
+    if profile is None:
+        profile = _profile(q, tuple(p for _, p in vterms), n)
+    a, o, m, loads, rho = profile
     h = r_max / n
-    i = np.arange(1.0, n + 1.0)
-    x, r = 1.0 / i, h * i  # at the vertices i = 1 .. n
     with np.errstate(all="ignore"):
-        atanh, log_sq = np.arctanh(x[:-1]), np.log1p(-x[:-1] ** 2)
-
-        def moments(a):
-            """r^a at r_1 .. r_n, and the integrals of r^a (a > -1) against
-            the hats of the vertices 0 .. n-1: for i >= 1, h r_i^a ((1+x)^b
-            + (1-x)^b - 2)/(x^2 b (b-1)), x = 1/i, b = a + 2. The bracket is
-            summed as (A - B)^2 + 2 (AB - 1), A, B = (1 +- x)^(b/2), with
-            A - B = -A expm1(-b atanh x); its two terms cancel by at most a
-            factor b/(b-1), however large i is."""
-            b = a + 2.0
-            ra = r ** a
-            diff_sq = ra[1:] * ((1.0 + x[:-1]) * np.expm1(-b * atanh)) ** 2
-            bracket = diff_sq + 2.0 * ra[:-1] * np.expm1(0.5 * b * log_sq)
-            inner = h * bracket / (x[:-1] ** 2 * b * (b - 1.0))
-            return ra, np.concatenate(([h * ra[0] / ((a + 1.0) * b)], inner))
-
-        rq, mass = moments(q)
-        load = sum(coeff * moments(q + power)[1] for coeff, power in vterms)
-        # element (r_k, r_k+1) integrates r^q to r_k+1^(q+1) (1 - (k/(k+1))
-        # ^(q+1))/(q+1); vertex i sits on elements i - 1 and i
-        stiff = (-rq * r * np.expm1((q + 1.0) * np.log1p(-x))
-                 / ((q + 1.0) * h * h))
-        vertex = stiff + scale * load
-        vertex[1:] += stiff[:-1]
-        s = np.sqrt(mass)
-        diag = vertex / mass
-        off = -stiff[:-1] / (s[:-1] * s[1:])
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        diag = a[:n] / h ** 2 + scale * sum(
+            coeff * h ** power * load[:n]
+            for (coeff, power), load in zip(vterms, loads))
+        off = o[:n - 1] / h ** 2
+        s = np.sqrt(h * (h * rho[:n]) ** q * m[:n])
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()
+            and np.all((s > 0.0) & (s < np.inf))):
         raise ConvergenceError(
             f"P1 elements overflow double precision for weight exponent "
             f"q={q:g} on the box r_max={r_max:g}")
-    return diag, off, s, (i - 1.0) * h
+    return diag, off, s, np.arange(n) * h
 
 
 def _bisect(diag: np.ndarray, off: np.ndarray, j: int):
@@ -195,11 +236,24 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
     """Eigenpairs of the indices `levels`: the values, per level "rqi" or
     "bisection" for how each was found, and the vectors as columns.
 
-    Each level's iteration starts from its vector in `starts`. A converged
-    quotient is kept when two Sturm counts place it alone in its window at
-    its own index; otherwise the level is bisected at its index. So each
-    value depends on its index and the matrix alone, never on which other
-    levels are solved with it.
+    Each level's iteration starts from its vector in `starts`. One rule
+    certifies a run of levels lo .. hi-1 (Parlett, The Symmetric Eigenvalue
+    Problem, 1998, ch. 3 and 10): every quotient sigma_j converged, the
+    windows sigma_j -+ w are pairwise disjoint, the Sturm count at
+    sigma_lo - w is lo (skipped at lo = 0) and the one at sigma_hi-1 + w is
+    hi. A converged quotient lies within its residual, far inside w, of an
+    eigenvalue, so each window holds at least one; the counts leave hi - lo
+    eigenvalues to the hi - lo windows, so window j holds lambda_j alone
+    (at lo = 0 the top count already leaves none below the first window).
+
+    The rule is applied to the whole run first. When that fails, it is
+    applied to each level alone, which is the per-level check of two counts
+    (one at index 0), and each level it rejects is bisected at its index.
+    A run passes only when each of its levels would pass alone, so every
+    "rqi" or "bisection" and every value is the per-level check's: this is
+    one acceptance rule, not a second path. So each value depends on its
+    index and the matrix alone, never on which other levels are solved with
+    it.
     """
     tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
     floor = np.min(diag) - tnorm  # below every eigenvalue (Gershgorin)
@@ -209,18 +263,25 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
         m, *_, info = dstebz(diag, off, 1, floor, x, 0, 0, 2.0 * tnorm, b"E")
         return None if info else m
 
-    pairs, how = [], []
-    for j, start in zip(levels, starts):
-        pair = _rqi(diag, off, start, _RESIDUAL * tnorm)
-        index = None if pair is None else count(pair[0] - width)
-        how.append("rqi" if index == j and count(pair[0] + width) == j + 1
-                   else "bisection")
+    def certified(lo, pairs):
+        if any(pair is None for pair in pairs):
+            return False
+        sigma = np.array([pair[0] for pair in pairs])
+        return bool(np.all(np.diff(sigma) > 2.0 * width)
+                    and (lo == 0 or count(sigma[0] - width) == lo)
+                    and count(sigma[-1] + width) == lo + len(pairs))
+
+    pairs = [_rqi(diag, off, start, _RESIDUAL * tnorm) for start in starts]
+    whole = certified(levels.start, pairs)
+    how = []
+    for j, pair in zip(levels, pairs):
+        how.append("rqi" if whole or certified(j, [pair]) else "bisection")
         if how[-1] == "bisection":
             _log.debug("level %d: refinement on the %d-point grid rejected "
                        "(Sturm index %s), bisected at its index on the box "
-                       "r_max=%g", j, len(diag), index, r_max)
-            pair = _bisect(diag, off, j)
-        pairs.append(pair)
+                       "r_max=%g", j, len(diag),
+                       None if pair is None else count(pair[0] - width), r_max)
+            pairs[j - levels.start] = _bisect(diag, off, j)
     values, vecs = zip(*pairs)
     return np.array(values), how, np.column_stack(vecs)
 
@@ -245,9 +306,10 @@ def _solve_levels(q: float, vterms, r_max: float, cfg: DiscretizationConfig,
     latter None without Richardson).
 
     The ladder has n_points // _SEED_RATIO cells (left out below 100 or
-    below one per level), n_points and, with Richardson, 2 n_points. Each
-    level is bisected at its index on the first rung only; on each later
-    rung its previous vector, as G = x/s interpolated, starts `_refine`.
+    below one per level), n_points and, with Richardson, 2 n_points; every
+    rung slices the one profile of the largest. Each level is bisected at
+    its index on the first rung only; on each later rung its previous
+    vector, as G = x/s interpolated, starts `_refine`.
     """
     if levels.stop > cfg.n_points:
         raise DomainError(f"{label}: level {levels.stop - 1} needs at least "
@@ -255,9 +317,11 @@ def _solve_levels(q: float, vterms, r_max: float, cfg: DiscretizationConfig,
                           f"{cfg.n_points}")
     scale = 2.0 * mass / hbar ** 2
     n, seed = cfg.n_points, cfg.n_points // _SEED_RATIO
-    sizes = ([seed] if seed >= max(100, levels.stop) else []) + [n]
-    for m in sizes + ([2 * n] if cfg.richardson else []):
-        diag, off, s, nodes = _p1_matrix(q, vterms, r_max, m, scale)
+    sizes = (([seed] if seed >= max(100, levels.stop) else []) + [n]
+             + ([2 * n] if cfg.richardson else []))
+    profile = _profile(q, tuple(p for _, p in vterms), sizes[-1])
+    for m in sizes:
+        diag, off, s, nodes = _p1_matrix(q, vterms, r_max, m, scale, profile)
         if m == sizes[0]:
             values, vecs = zip(*[_bisect(diag, off, j) for j in levels])
             values, vecs = np.array(values), np.column_stack(vecs)
@@ -371,8 +435,8 @@ def residual_check(potential: PotentialSpec, params: DeformationParams,
         raise DomainError("points must stay more than two steps clear of "
                           "every coordinate hyperplane")
 
-    # every value in one batch: x, the stencil points along each axis, then
-    # the mirror image in each axis (flat, as kummer_m takes 1-d arrays)
+    # every value in one flat batch: x, the stencil points along each axis,
+    # then the mirror image in each axis
     offsets = np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * h[:, None]
     shifted = x + offsets * np.eye(d)[:, None, None, :]  # (axis, offset, m, d)
     mirrored = [reflect_cartesian(x, j + 1) for j in range(d)]

@@ -153,6 +153,21 @@ def test_kummer_laguerre_identity():
                 assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
+def test_kummer_wide_precision_fallback_any_shape():
+    # M(-30, 1.5, x) cancels badly over most of [0, 60], so those entries
+    # are redone widened; their flat positions must serve 2-d input too
+    x = np.linspace(0.0, 60.0, 12)
+    flat = kummer_m(-30, 1.5, x)
+    for shape in ((6, 2), (2, 3, 2), (12, 1)):
+        got = kummer_m(-30, 1.5, x.reshape(shape))
+        assert got.shape == shape
+        npt.assert_array_equal(got.reshape(-1), flat)
+    # a transposed (non-contiguous) view keeps its element order
+    grid = x.reshape(6, 2)
+    npt.assert_array_equal(kummer_m(-30, 1.5, grid.T), flat.reshape(6, 2).T)
+    assert kummer_m(-30, 1.5, x[5]) == flat[5]
+
+
 def test_kummer_domain_and_convergence():
     with pytest.raises(DomainError):
         kummer_m(1.0, 0.0, 2.0)

@@ -457,6 +457,28 @@ def test_reduced_density_against_mpmath(potential, d, mu, L, n):
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
 
 
+def test_reduced_density_where_u_squared_and_r_c_leave_double_range():
+    # omega = 1e-100, d = 10: U^2 underflows and r^9 overflows at these radii,
+    # while the density itself is an ordinary double
+    sol = radial_solution(Oscillator(1e-100), 0, AngularState.from_total(10, 0.0),
+                          DeformationParams.uniform(10, 0.0))
+    r = np.array([1e49, 1e50, 2e50])
+    want = _mp_density(sol, r)
+    npt.assert_allclose(want, [8.3e-61, 3.1e-52, 7.8e-51], rtol=0.02)
+    npt.assert_allclose(reduced_density(sol, r), want, rtol=1e-13)
+
+
+def test_states_on_a_2d_grid_match_the_flat_grid():
+    # n = 6 cancels in the Kummer sum, so part of the grid is redone widened
+    sol = radial_solution(Oscillator(1.0), 6, AngularState.from_total(3, 0.0),
+                          DeformationParams.uniform(3, 0.0))
+    r = np.linspace(0.1, 6.0, 40)
+    for fn in (radial_wavefunction, reduced_density):
+        got = fn(sol, r.reshape(4, 10))
+        assert got.shape == (4, 10)
+        npt.assert_array_equal(got.reshape(-1), fn(sol, r))
+
+
 # ---------------------------------------------------------------------------
 # closed-form records and physical constants
 # ---------------------------------------------------------------------------

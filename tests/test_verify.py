@@ -586,6 +586,154 @@ def test_refinement_refuses_a_neighbour_in_its_window():
     assert how == ["rqi"] and values[0] == 1.0
 
 
+# each case: diagonal, the run, the start vectors (rows of the identity or
+# a mixture), and the outcome per level; every rejected level is bisected
+_RUN_CASES = {
+    # levels 1, 2 both converge to 2.0, whose window also holds 2 + 1e-10:
+    # both counts agree with the run, only the overlapping windows refuse it
+    "overlapping_windows": (
+        [1.0, 2.0, 2.0 + 1e-10, 4.0, 5.0], range(1, 3), [1, 1],
+        ["bisection", "bisection"]),
+    # level 1 converges to the eigenvalue 1.0 below the run, level 2 to its
+    # own 2.0: the top count is right, only the count at sigma_lo - w is not
+    "eigenvalue_below_the_run": (
+        [1.0, 1.5, 2.0, 3.0, 4.0], range(1, 3), [0, 2], ["bisection", "rqi"]),
+    # levels 0, 1 converge to 1.0 and 3.0, skipping 2.0 between the windows;
+    # at lo = 0 only the top count can see it
+    "eigenvalue_between_windows": (
+        [1.0, 2.0, 3.0, 4.0], range(0, 2), [0, 2], ["rqi", "bisection"]),
+    "eigenvalue_between_windows_above_0": (
+        [1.0, 2.0, 3.0, 4.0, 5.0], range(1, 3), [1, 3], ["rqi", "bisection"]),
+    # the even mixture of levels 1 and 2 stalls at the quotient 2.5, which
+    # every count would place at index 1
+    "unconverged_level_inside_a_run": (
+        [1.0, 2.0, 3.0, 4.0], range(0, 3), [0, (1, 2), 2],
+        ["rqi", "bisection", "rqi"]),
+}
+
+
+@pytest.mark.parametrize("case", _RUN_CASES)
+def test_run_certificate_rules(case):
+    diag, levels, rows, want_how = _RUN_CASES[case]
+    diag = np.array(diag)
+    off = np.zeros(len(diag) - 1)
+    eye = np.eye(len(diag))
+    starts = [eye[list(row)].sum(axis=0) if isinstance(row, tuple)
+              else eye[row] for row in rows]
+    values, how, vecs = _refine(diag, off, levels, starts, 1.0)
+    assert how == want_how
+    npt.assert_array_equal(values, np.sort(diag)[levels.start:levels.stop])
+    assert vecs.shape == (len(diag), len(levels))
+
+
+def test_run_certificate_counts(monkeypatch):
+    # one Sturm count per refined rung for a Gaussian-family run, which
+    # starts at index 0, one for a 1/r level 0 and two for a 1/r level 1
+    calls = []
+    dstebz = verify.dstebz
+    monkeypatch.setattr(verify, "dstebz",
+                        lambda *args: calls.append(args) or dstebz(*args))
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.5)
+    cfg = DiscretizationConfig(n_points=800)
+    rep = oracle_report(Oscillator(1.0), params, state, cfg, 4, 1e-4)
+    assert rep.grid["fine_solve"] == ["rqi"] * 4 and len(calls) == 2
+    calls.clear()
+    rep = oracle_report(Coulomb(1.0), params, state, cfg, 2, 1e-3)
+    assert rep.grid["fine_solve"] == ["rqi"] * 2 and len(calls) == 2 * 3
+
+
+def _two_count_refine(diag, off, levels, starts, r_max):
+    """The per-level check: each converged quotient is kept when the Sturm
+    counts at sigma -+ w are exactly its index and its index + 1."""
+    tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+    floor, width = np.min(diag) - tnorm, verify._WINDOW * tnorm
+
+    def count(x):
+        return eigh_tridiagonal(diag, off, select="v",
+                                select_range=(floor, x),
+                                eigvals_only=True).size
+
+    pairs, how = [], []
+    for j, start in zip(levels, starts):
+        pair = verify._rqi(diag, off, start, verify._RESIDUAL * tnorm)
+        keep = (pair is not None and count(pair[0] - width) == j
+                and count(pair[0] + width) == j + 1)
+        how.append("rqi" if keep else "bisection")
+        pairs.append(pair if keep else verify._bisect(diag, off, j))
+    values, vecs = zip(*pairs)
+    return np.array(values), how, np.column_stack(vecs)
+
+
+def test_run_certificate_matches_the_per_level_check(monkeypatch):
+    # seeded reports whose iterations now and then fail or converge to a
+    # wrong index (an exact eigenpair of another level); the run rule must
+    # give every value and every rqi/bisection of the per-level check
+    rng = np.random.default_rng(20261018)
+    rqi = verify._rqi
+
+    def unreliable(draws):
+        def iterate(diag, off, x, tol):
+            u = next(draws)
+            if u < 0.15:
+                return None
+            if u < 0.35:
+                return verify._bisect(diag, off, int(u * 100) % 5)
+            return rqi(diag, off, x, tol)
+        return iterate
+
+    potentials = (Oscillator(1.0), Pseudoharmonic(5.0, 1.2), Coulomb(1.0))
+    outcomes = set()
+    for case in range(12):
+        d = int(rng.integers(2, 9))
+        params = DeformationParams.uniform(d, float(rng.uniform(-0.3, 1.0)))
+        state = AngularState.from_total(d, float(rng.integers(0, 3)))
+        cfg = DiscretizationConfig(n_points=int(rng.integers(800, 1600)))
+        draws = rng.random(12)
+        reports = []
+        for refine in (verify._refine, _two_count_refine):
+            monkeypatch.setattr(verify, "_refine", refine)
+            monkeypatch.setattr(verify, "_rqi", unreliable(iter(draws)))
+            reports.append(oracle_report(potentials[case % 3], params, state,
+                                         cfg, 3, 1.0))
+        got, want = reports
+        assert got.numeric == want.numeric
+        for key in ("coarse_solve", "fine_solve"):
+            assert got.grid[key] == want.grid[key]
+            outcomes.update(got.grid[key])
+    assert outcomes == {"rqi", "bisection"}
+
+
+def test_rungs_sliced_from_one_profile_match_matrices_built_alone():
+    # the three rungs of a ladder on the per-level boxes of one 1/r report
+    # take prefixes of one profile built at the largest rung
+    q, vterms = 2.6, [(-1.0, -1.0)]
+    profile = verify._profile(q, (-1.0,), 1600)
+    for r_max in (40.0, 173.2, 911.0):
+        for n in (100, 800, 1600):
+            got = _p1_matrix(q, vterms, r_max, n, 2.0, profile)
+            want = _p1_matrix(q, vterms, r_max, n, 2.0)
+            for g, w in zip(got, want):
+                npt.assert_allclose(g, w, rtol=1e-14, atol=0.0)
+    assert verify._profile.cache_info().currsize <= 1
+
+
+def test_one_profile_per_report():
+    # the 1/r levels share one profile across their boxes, and at most one
+    # profile stays alive
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.5)
+    verify._profile.cache_clear()
+    for potential, k, hits in ((Coulomb(1.0), 3, 2), (Oscillator(1.0), 4, 0)):
+        before = verify._profile.cache_info()
+        oracle_report(potential, params, state,
+                      DiscretizationConfig(n_points=800), k, 1e-3)
+        after = verify._profile.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == hits
+        assert after.currsize == 1
+
+
 def test_smooth_case_refines_every_level():
     params = DeformationParams.uniform(3, 0.4)
     state = AngularState.from_total(3, 0.0)
