@@ -32,11 +32,12 @@ only, then on each later rung refined by Rayleigh-quotient iteration from
 the previous rung's vector (a two-grid eigensolve rung by rung: Xu & Zhou,
 Math. Comp. 70 (2001) 17-25). The levels refined on one rung form a run,
 certified at once by Sturm counts at the two ends of their disjoint windows
-(one count when the run starts at index 0). When a run fails, each level is
-checked on its own; a level whose counts do not place it at its index is
-bisected at the index too, and the rejection is logged at DEBUG level
-under the `dunkl_spectra` logger. So a level's value depends only on its
-index, the box and the grid.
+(one count when the run starts at index 0); each count is the number of
+non-positive pivots of one LDL^T pass (LAPACK dpttrf, restarted past each
+such pivot). When a run fails, each level is checked on its own; a level
+whose counts do not place it at its index is bisected at the index too,
+and the rejection is logged at DEBUG level under the `dunkl_spectra`
+logger. So a level's value depends only on its index, the box and the grid.
 
 Absorbing the exact power matters: the naive substitution u = r^{c/2} U
 with a Dirichlet origin converges to the wrong self-adjoint extension
@@ -61,7 +62,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.linalg.lapack import dgtsv, dpttrf
 
 from .cartesian import _check_1d_args
 from .core import DeformationParams, _chart_inverse, reflect_cartesian
@@ -94,7 +95,8 @@ class DiscretizationConfig:
     when the chosen box still truncates an eigenstate. n_points is a whole
     number of cells, at least 100; the box edge is a Dirichlet boundary.
     Levels are also solved on a seed grid of n_points // 8 cells (left out
-    below 100 or one per level) and, with Richardson, on 2 n_points cells.
+    below 100 or one per level) and, with Richardson (a bool), on 2 n_points
+    cells.
     """
     r_max: float | None = None
     n_points: int = 4000
@@ -107,6 +109,9 @@ class DiscretizationConfig:
         object.__setattr__(self, "n_points", n_points)
         if self.r_max is not None:
             check_positive(r_max=self.r_max)
+        if not isinstance(self.richardson, (bool, np.bool_)):
+            raise DomainError(f"richardson must be a bool, got "
+                              f"{self.richardson!r}")
 
 
 @lru_cache(maxsize=1)
@@ -231,6 +236,40 @@ def _rqi(diag: np.ndarray, off: np.ndarray, x: np.ndarray, tol: float):
     return None
 
 
+def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float, pivmin: float,
+                 stop: int):
+    """The number of eigenvalues at most x of the tridiagonal matrix, counted
+    up to stop + 1, or None for a non-finite x.
+
+    The count is the number of non-positive pivots of the unpivoted LDL^T
+    factorization of T - x I (Parlett, The Symmetric Eigenvalue Problem,
+    1998, sec. 3.3), taken in one pass: LAPACK dpttrf factors until a pivot
+    q <= 0, which is counted and, when |q| < pivmin, taken as -pivmin
+    (pivmin = tiny * max(1, max e^2), as in LAPACK's bisection, dlaebz);
+    the next diagonal entry takes its update d - e^2/q, and dpttrf restarts
+    there, in place. A count in floating point is the exact count of a
+    nearby matrix (Demmel, Dhillon & Ren, ETNA 3, 1995), so one pass is
+    enough. The pass stops once the count exceeds stop.
+    """
+    if not np.isfinite(x):
+        return None
+    d, e = diag - x, off.copy()
+    n, k, negative = len(d), 0, 0
+    while negative <= stop:
+        if k == n - 1:  # dpttrf takes no matrix of size 1
+            return negative + int(d[k] <= 0.0)
+        *_, info = dpttrf(d[k:], e[k:], overwrite_d=1, overwrite_e=1)
+        if not info:
+            return negative
+        k += info  # pivot k - 1 failed; e[k - 1] is still the matrix's
+        negative += 1
+        if k == n:
+            return negative
+        q = d[k - 1]
+        d[k] -= e[k - 1] ** 2 / (q if abs(q) >= pivmin else -pivmin)
+    return negative
+
+
 def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
             r_max: float):
     """Eigenpairs of the indices `levels`: the values, per level "rqi" or
@@ -245,6 +284,8 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
     eigenvalue, so each window holds at least one; the counts leave hi - lo
     eigenvalues to the hi - lo windows, so window j holds lambda_j alone
     (at lo = 0 the top count already leaves none below the first window).
+    Each count is one LDL^T pass (`_sturm_count`) that stops once it
+    exceeds the value the rule expects, so it costs at most hi restarts.
 
     The rule is applied to the whole run first. When that fails, it is
     applied to each level alone, which is the per-level check of two counts
@@ -256,20 +297,21 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
     it.
     """
     tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
-    floor = np.min(diag) - tnorm  # below every eigenvalue (Gershgorin)
     width = _WINDOW * tnorm
+    pivmin = sys.float_info.min * max(1.0, float(np.max(off * off)))
 
-    def count(x):  # eigenvalues in (floor, x]: a bisection stopped at once
-        m, *_, info = dstebz(diag, off, 1, floor, x, 0, 0, 2.0 * tnorm, b"E")
-        return None if info else m
+    # eigenvalues <= x from one LDL^T pass, read up to want + 1
+    def count(x, want=len(diag)):
+        return _sturm_count(diag, off, x, pivmin, want)
 
     def certified(lo, pairs):
         if any(pair is None for pair in pairs):
             return False
         sigma = np.array([pair[0] for pair in pairs])
+        hi = lo + len(pairs)
         return bool(np.all(np.diff(sigma) > 2.0 * width)
-                    and (lo == 0 or count(sigma[0] - width) == lo)
-                    and count(sigma[-1] + width) == lo + len(pairs))
+                    and (lo == 0 or count(sigma[0] - width, lo) == lo)
+                    and count(sigma[-1] + width, hi) == hi)
 
     pairs = [_rqi(diag, off, start, _RESIDUAL * tnorm) for start in starts]
     whole = certified(levels.start, pairs)
@@ -549,7 +591,9 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
                   state: AngularState, cfg: DiscretizationConfig, k: int,
                   tolerance: float, hbar: float = 1.0,
                   mass: float = 1.0) -> OracleReport:
-    """Compare k closed-form levels against the discretization.
+    """Compare k closed-form levels against the discretization; the report
+    passes when every relative error is at most tolerance, which must be
+    positive and finite.
 
     With an automatic box, levels of the attractive 1/r problem get
     individually sized grids (their spatial extents differ by orders of
@@ -562,6 +606,7 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
     without Richardson extrapolation.
     """
     k = check_levels(k)
+    check_positive(tolerance=tolerance)
     recs = [potential.radial_problem(n, state, params, hbar, mass)
             for n in range(k)]
     coarse, fine = [], []

@@ -11,6 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from dunkl_spectra import (
     AngularState,
@@ -35,7 +36,7 @@ from dunkl_spectra import (
     residual_check,
 )
 from dunkl_spectra import verify
-from dunkl_spectra.verify import _p1_matrix, _refine
+from dunkl_spectra.verify import _p1_matrix, _refine, _sturm_count
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +69,13 @@ def test_config_rejects_non_finite_box():
     for bad in (math.inf, math.nan):
         with pytest.raises(DomainError):
             DiscretizationConfig(r_max=bad)
+
+
+def test_config_richardson_must_be_a_bool():
+    for bad in ("no", 0, 1, 1.0, None):
+        with pytest.raises(DomainError):
+            DiscretizationConfig(richardson=bad)
+    assert not DiscretizationConfig(richardson=np.bool_(False)).richardson
 
 
 def test_level_count_validation():
@@ -400,6 +408,17 @@ def test_oracle_report_records_box_used():
     assert rep.grid["r_max"] == box.r_max
 
 
+def test_oracle_report_tolerance_must_be_positive_and_finite():
+    # an infinite tolerance would pass every report, nan or <= 0 fail it
+    params = DeformationParams.uniform(3, 0.2)
+    state = AngularState.from_total(3, 0.0)
+    cfg = DiscretizationConfig(n_points=200)
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="tolerance"):
+            oracle_report(Oscillator(1.0), params, state, cfg, 1, bad)
+    assert oracle_report(Oscillator(1.0), params, state, cfg, 1, 1e-3).passed
+
+
 def test_oracle_report_needs_a_level():
     params = DeformationParams.uniform(3, 0.0)
     state = AngularState.from_total(3, 0.0)
@@ -630,9 +649,9 @@ def test_run_certificate_counts(monkeypatch):
     # one Sturm count per refined rung for a Gaussian-family run, which
     # starts at index 0, one for a 1/r level 0 and two for a 1/r level 1
     calls = []
-    dstebz = verify.dstebz
-    monkeypatch.setattr(verify, "dstebz",
-                        lambda *args: calls.append(args) or dstebz(*args))
+    count = verify._sturm_count
+    monkeypatch.setattr(verify, "_sturm_count",
+                        lambda *args: calls.append(args) or count(*args))
     params = DeformationParams.uniform(3, 0.4)
     state = AngularState.from_total(3, 0.5)
     cfg = DiscretizationConfig(n_points=800)
@@ -641,6 +660,132 @@ def test_run_certificate_counts(monkeypatch):
     calls.clear()
     rep = oracle_report(Coulomb(1.0), params, state, cfg, 2, 1e-3)
     assert rep.grid["fine_solve"] == ["rqi"] * 2 and len(calls) == 2 * 3
+
+
+def _reference_count(diag, off, x):
+    """Eigenvalues in (floor, x] by LAPACK's bisection stopped at once."""
+    if len(diag) == 1:  # the wrapper takes no empty off-diagonal
+        return int(diag[0] <= x)
+    tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+    m, *_, info = dstebz(diag, off, 1, np.min(diag) - tnorm - 1.0, x, 0, 0,
+                         2.0 * tnorm + 1.0, b"E")
+    assert info == 0
+    return m
+
+
+def _pivmin(off):
+    return np.finfo(float).tiny * max(1.0, np.max(off * off, initial=0.0))
+
+
+def _full_count(diag, off, x):
+    diag, off = np.asarray(diag, float), np.asarray(off, float)
+    return _sturm_count(diag, off, x, _pivmin(off), len(diag))
+
+
+@pytest.mark.parametrize("diag, off, shifts", [
+    # size 1, the shift below, on and above the entry
+    ([2.0], [], [1.0, 2.0, 3.0]),
+    # size 2, eigenvalues 0 and 2: at x = 1 the first pivot is exactly 0,
+    # at x = 0 the last one is
+    ([1.0, 1.0], [1.0], [-1.0, 0.0, 1.0, 2.0, 3.0]),
+    # decoupled entries, the shift exactly on one: (floor, x] counts it, and
+    # a zero pivot before a zero coupling must not turn into 0/0
+    ([2.0, 1.0, 3.0], [0.0, 0.0], [0.5, 1.0, 2.0, 2.5, 3.0]),
+    ([3.0, 3.0, 3.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
+    # the last pivot is the only one that fails
+    ([4.0, 4.0, 1.0], [1.0, 1.0], [0.9, 1.0, 1.5]),
+])
+def test_sturm_count_edges(diag, off, shifts):
+    for x in shifts:
+        assert _full_count(diag, off, x) == _reference_count(
+            np.array(diag), np.array(off), x), x
+
+
+def test_sturm_count_hundreds_of_negative_pivots_and_early_exit(monkeypatch):
+    # the 1-D Laplacian, eigenvalues 2 - 2 cos(j pi/(n + 1)): half of them
+    # lie below 2, and every shift below is counted through restarts
+    n = 1000
+    diag, off = np.full(n, 2.0), np.full(n - 1, -1.0)
+    exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    for j in (1, 17, 300, 500, 999):
+        x = 0.5 * (exact[j - 1] + exact[j])
+        assert _full_count(diag, off, x) == j
+        assert _reference_count(diag, off, x) == j
+    calls = []
+    dpttrf = verify.dpttrf
+    monkeypatch.setattr(verify, "dpttrf",
+                        lambda *args, **kw: calls.append(1) or dpttrf(*args,
+                                                                      **kw))
+    x = 0.5 * (exact[499] + exact[500])
+    assert _sturm_count(diag, off, x, _pivmin(off), 3) == 4
+    assert len(calls) == 4
+    assert _sturm_count(diag, off, x, _pivmin(off), 500) == 500
+
+
+def test_sturm_count_leaves_the_matrix_alone():
+    diag, off = np.array([1.0, 1.0, 5.0]), np.array([1.0, 2.0])
+    keep = diag.copy(), off.copy()
+    assert _full_count(diag, off, 1.0) == _reference_count(diag, off, 1.0)
+    npt.assert_array_equal(diag, keep[0])
+    npt.assert_array_equal(off, keep[1])
+
+
+def test_non_finite_shift_certifies_nothing(monkeypatch):
+    diag, off = np.array([1.0, 3.0]), np.array([0.5])
+    for x in (math.nan, math.inf, -math.inf):
+        assert _sturm_count(diag, off, x, _pivmin(off), 2) is None
+    # a run whose top quotient is infinite would pass both of its tests
+    # with a count of 2 at +inf
+    value, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    pairs = iter([(value[0], vec[:, 0]), (math.inf, np.ones(2))])
+    monkeypatch.setattr(verify, "_rqi", lambda *args: next(pairs))
+    values, how, _ = _refine(diag, off, range(0, 2), [None, None], 1.0)
+    assert how == ["rqi", "bisection"]
+    npt.assert_allclose(values, eigh_tridiagonal(diag, off,
+                                                 eigvals_only=True))
+
+
+def test_sturm_count_matches_bisection_count_on_p1_matrices(monkeypatch):
+    # every certificate shift sigma -+ w of seeded reports at 100 to 16,000
+    # cells, and random shifts with no eigenvalue near them on the same
+    # matrices, counted both ways
+    rng = np.random.default_rng(20261019)
+    count = verify._sturm_count
+    seen = []
+
+    def spy(diag, off, x, pivmin, stop):
+        got = count(diag, off, x, pivmin, stop)
+        seen.append((diag, off, x, stop, got))
+        return got
+
+    monkeypatch.setattr(verify, "_sturm_count", spy)
+    potentials = (Oscillator(1.0), Pseudoharmonic(5.0, 1.2), Coulomb(1.0))
+    for case, n_points in enumerate((100, 400, 1000, 2500, 4000, 8000)):
+        d = int(rng.integers(2, 9))
+        params = DeformationParams.uniform(d, float(rng.uniform(-0.4, 1.0)))
+        state = AngularState.from_total(d, float(rng.integers(0, 3)))
+        oracle_report(potentials[case % 3], params, state,
+                      DiscretizationConfig(n_points=n_points), 3, 1.0)
+    assert max(len(diag) for diag, *_ in seen) == 16000
+    checked, hundreds = 0, 0
+    matrices = {}
+    for diag, off, x, stop, got in seen:
+        assert got == min(_reference_count(diag, off, x), stop + 1)
+        matrices[id(diag)] = diag, off
+    for diag, off in matrices.values():
+        tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+        band = 1e-8 * tnorm
+        low = np.min(diag) - tnorm
+        for x in low + rng.random(4) * [0.05, 0.05, 1.0, 1.0] * (
+                np.max(diag) - low):
+            want = _reference_count(diag, off, x)
+            if _reference_count(diag, off, x - band) != _reference_count(
+                    diag, off, x + band):
+                continue  # an eigenvalue within roundoff of x
+            assert _full_count(diag, off, x) == want
+            checked += 1
+            hundreds += want >= 100
+    assert checked >= 3 * len(matrices) and hundreds > 0
 
 
 def _two_count_refine(diag, off, levels, starts, r_max):
