@@ -13,6 +13,7 @@ with alpha = mu - s/2: the Laguerre norm (DLMF 18.3) in u = m w x^2/hbar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,17 +68,24 @@ def energy_1d(n: int, mu: float, s: int, omega: float,
 
 def wavefunction_1d(n: int, mu: float, s: int, omega: float, x,
                     hbar: float = 1.0, mass: float = 1.0):
-    """Normalized single-axis eigenfunction evaluated at x (scalar or array)."""
+    """Normalized single-axis eigenfunction evaluated at x (scalar or array);
+    DomainError when its norm constant or a value leaves double range."""
     _check_1d_args(mu, s, omega, hbar, mass)
     n = check_count(n, "quantum number")
     alpha = mu - s / 2.0
-    c = 1.0 / np.sqrt((hbar / (mass * omega)) ** (alpha + 1.0)
-                      * laguerre_norm_sq(n, alpha))
     x = np.asarray(x, dtype=float)
-    u = mass * omega * x * x / hbar
-    out = c * np.exp(-0.5 * u) * laguerre(n, alpha, u)
-    if s == -1:
-        out = out * x
+    try:
+        with np.errstate(all="ignore"):
+            c = 1.0 / np.sqrt((hbar / (mass * omega)) ** (alpha + 1.0)
+                              * laguerre_norm_sq(n, alpha))
+            u = mass * omega * x * x / hbar
+            out = (c * np.exp(-0.5 * u) * laguerre(n, alpha, u)
+                   * x ** ((1 - s) // 2))
+    except OverflowError:
+        c = math.inf
+    if not (0.0 < c < math.inf and np.all(np.isfinite(out))):
+        raise DomainError(f"single-axis state n={n}, mu={mu}, s={s:+d} "
+                          f"leaves double range")
     return out if out.ndim else float(out)
 
 

@@ -17,7 +17,8 @@ next to this module).
 
 The CLI is a thin shell: every number it prints is produced by a library
 call and serialized losslessly, so parsing the output recovers the library
-values bit for bit.
+values bit for bit. Each constant field of a class in `POTENTIALS` is one
+float flag, default 1.0, named by `_flag`, with its "help" metadata.
 
 Exit codes: 0 success, 1 a verify comparison exceeded its tolerance,
 2 usage error, 3 invalid physical inputs.
@@ -108,10 +109,14 @@ def _angular_state(args, d: int) -> AngularState:
     return AngularState(two_ell=two_ell, parity=parity)
 
 
+def _flag(constant) -> str:
+    """A potential constant's flag: the field name without '_' (D_e -> De)."""
+    return constant.name.replace("_", "")
+
+
 def _constants(args, tag: str) -> dict:
-    """The potential's constants keyed by flag: the field name without '_'."""
-    flags = [f.name.replace("_", "") for f in fields(POTENTIALS[tag])]
-    return {flag: getattr(args, flag) for flag in flags}
+    """The potential's constants keyed by flag."""
+    return {_flag(f): getattr(args, _flag(f)) for f in fields(POTENTIALS[tag])}
 
 
 def _potential(args, tag: str):
@@ -220,9 +225,8 @@ def _verify_jobs(args):
             k = args.levels
         n_points = args.grid if args.grid is not None else base_n
         cfg = DiscretizationConfig(r_max=args.rmax, n_points=n_points)
-        if tag == "pho":
-            depths = [2.0, 8.0] if args.De is None else [args.De]
-            potentials = [Pseudoharmonic(D_e=de, r_e=args.re) for de in depths]
+        if tag == "pho" and args.De is None:  # the default depth sweep
+            potentials = [Pseudoharmonic(de, args.re) for de in (2.0, 8.0)]
         else:
             potentials = [_potential(args, tag)]
         ds = [args.d] if args.d is not None else list(default_ds)
@@ -332,14 +336,10 @@ def _add_common(parser: argparse.ArgumentParser, d_default) -> None:
                         help="reflection signs, comma-separated +1/-1")
     parser.add_argument("--hbar", type=float, default=1.0)
     parser.add_argument("--mass", type=float, default=1.0)
-    parser.add_argument("--omega", type=float, default=1.0,
-                        help="harmonic trap frequency")
-    parser.add_argument("--De", type=float, default=1.0,
-                        help="well depth of the shifted-minimum potential")
-    parser.add_argument("--re", type=float, default=1.0,
-                        help="equilibrium radius of the shifted-minimum potential")
-    parser.add_argument("--e2", type=float, default=1.0,
-                        help="attractive 1/r coupling strength")
+    for cls in POTENTIALS.values():
+        for constant in fields(cls):
+            parser.add_argument(f"--{_flag(constant)}", type=float,
+                                default=1.0, help=constant.metadata["help"])
     parser.add_argument("--rmax", type=float, default=None,
                         help="radial box size (default: sized automatically)")
     parser.add_argument("--grid", type=int, default=None,

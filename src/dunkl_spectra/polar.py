@@ -40,6 +40,7 @@ whose top entry k = d-1 is the constant fed to the radial equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,7 +225,8 @@ def angular_inner_product(j: int, state_a: AngularState, state_b: AngularState,
     level weight, by Gauss-Jacobi quadrature in u = cos 2t.
 
     Both states must share the parity sector and the lower-level quantum
-    numbers, so they live over one and the same weight.
+    numbers, so they live over one and the same weight. DomainError when
+    the rule, the quadrature sum or the norms leave double range.
     """
     _check_level(j, state_a, params)
     if state_a.parity != state_b.parity:
@@ -234,11 +236,21 @@ def angular_inner_product(j: int, state_a: AngularState, state_b: AngularState,
     sa = angular_solution(j, state_a, params)
     sb = angular_solution(j, state_b, params)
     a, b = sa.jacobi_alpha, sa.jacobi_beta
-    nodes, weights = gauss_jacobi(a, b, max(sa.degree, sb.degree) + 2)
-    vals = (jacobi(sa.degree, a, b, nodes) * jacobi(sb.degree, a, b, nodes))
-    # the level weight's factor mult 2^{-(a+b+2)} cancels against the norms
-    return float(np.sum(weights * vals)) / np.sqrt(
-        jacobi_norm_sq(sa.degree, a, b) * jacobi_norm_sq(sb.degree, a, b))
+    try:
+        with np.errstate(all="ignore"):
+            nodes, weights = gauss_jacobi(a, b, max(sa.degree, sb.degree) + 2)
+            vals = (jacobi(sa.degree, a, b, nodes)
+                    * jacobi(sb.degree, a, b, nodes))
+            norms = (jacobi_norm_sq(sa.degree, a, b)
+                     * jacobi_norm_sq(sb.degree, a, b))
+            # mult 2^{-(a+b+2)} of the level weight cancels against the norms
+            value = float(np.sum(weights * vals)) / np.sqrt(norms)
+    except OverflowError:
+        value = norms = math.inf
+    if not (math.isfinite(value) and norms < math.inf):
+        raise DomainError(f"level {j} inner product of degrees {sa.degree} "
+                          f"and {sb.degree} leaves double range")
+    return value
 
 
 def lambda_sq(k: int, state: AngularState, params: DeformationParams) -> float:

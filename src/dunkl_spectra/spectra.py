@@ -6,10 +6,11 @@ Radial functions solve
     U'' + (c/r) U' + [2m(E - V)/hbar^2 - W^2/r^2] U = 0,
     c = d - 1 + 2 sum mu,  W^2 = varpi_sq(state, params)
 
-Each potential class holds its level formula and, from `radial_problem`,
-returns one RadialSolution record per level. This module, the `verify`
-oracle and the CLI read those records instead of branching on the
-potential, so a new potential is one new class.
+Each potential class holds its level formula and its constants as fields
+with "help" metadata, and from `radial_problem` returns one RadialSolution
+record per level (`radial_solution` is the one constructor). This module,
+the `verify` oracle and the CLI read those records and fields instead of
+branching on the potential, so a new potential is one new class.
 
 Every state has one shape,
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import get_args
 
 import numpy as np
@@ -45,11 +46,8 @@ __all__ = [
     "POTENTIALS",
     "RadialSolution",
     "oscillator_energy",
-    "oscillator_radial_solution",
     "pho_energy",
-    "pho_radial_solution",
     "coulomb_energy",
-    "coulomb_radial_solution",
     "coulomb_large_d_expansion",
     "radial_wavefunction",
     "radial_solution",
@@ -143,8 +141,8 @@ class RadialSolution:
 
 class _Potential:
     """Checks shared by the potential classes, whose fields are physical
-    constants; subclasses set tag, the family flag behind RadialSolution.sigma
-    and continuum, and implement _problem."""
+    constants with "help" metadata; subclasses set tag, the family flag
+    behind RadialSolution.sigma and continuum, and implement _problem."""
     gaussian = True
     continuum = math.inf
 
@@ -172,7 +170,7 @@ class Oscillator(_Potential):
 
     Level 2 hbar w (n + L + (d + 2 sum mu)/4); leading power 2L.
     """
-    omega: float
+    omega: float = field(metadata={"help": "harmonic trap frequency"})
     tag = "oscillator"
 
     def _problem(self, n, state, params, hbar, mass, c):
@@ -202,8 +200,10 @@ class Pseudoharmonic(_Potential):
     and the problem solved is a harmonic well of frequency
     2 sqrt(D_e/m)/r_e measured from the well bottom -2 D_e.
     """
-    D_e: float
-    r_e: float
+    D_e: float = field(metadata={
+        "help": "well depth of the shifted-minimum potential"})
+    r_e: float = field(metadata={
+        "help": "equilibrium radius of the shifted-minimum potential"})
     tag = "pho"
 
     def _problem(self, n, state, params, hbar, mass, c):
@@ -234,7 +234,7 @@ class Coulomb(_Potential):
     Level -(m e2^2 / 2 hbar^2) / (n + 2L + sum mu + (d-1)/2)^2; leading
     power 2L; the decay rate eta = sqrt(-2 m E)/hbar changes with n.
     """
-    e2: float
+    e2: float = field(metadata={"help": "attractive 1/r coupling strength"})
     tag = "coulomb"
     gaussian = False
     continuum = 0.0
@@ -300,14 +300,6 @@ def oscillator_energy(n: int, state: AngularState, params: DeformationParams,
     return bound_energy(Oscillator(omega), n, state, params, hbar)
 
 
-def oscillator_radial_solution(n: int, state: AngularState,
-                               params: DeformationParams, omega: float,
-                               hbar: float = 1.0, mass: float = 1.0
-                               ) -> RadialSolution:
-    """Closed-form harmonic-well radial state, unit norm against r^c."""
-    return radial_solution(Oscillator(omega), n, state, params, hbar, mass)
-
-
 def pho_energy(n: int, state: AngularState, params: DeformationParams,
                D_e: float, r_e: float, hbar: float = 1.0,
                mass: float = 1.0) -> float:
@@ -315,26 +307,10 @@ def pho_energy(n: int, state: AngularState, params: DeformationParams,
     return bound_energy(Pseudoharmonic(D_e, r_e), n, state, params, hbar, mass)
 
 
-def pho_radial_solution(n: int, state: AngularState, params: DeformationParams,
-                        D_e: float, r_e: float, hbar: float = 1.0,
-                        mass: float = 1.0) -> RadialSolution:
-    """Closed-form pseudoharmonic radial state, unit norm against r^c."""
-    return radial_solution(Pseudoharmonic(D_e, r_e), n, state, params, hbar,
-                           mass)
-
-
 def coulomb_energy(n: int, state: AngularState, params: DeformationParams,
                    e2: float, hbar: float = 1.0, mass: float = 1.0) -> float:
     """Attractive 1/r level -(m e2^2 / 2 hbar^2) / (n + 2L + sum mu + (d-1)/2)^2."""
     return bound_energy(Coulomb(e2), n, state, params, hbar, mass)
-
-
-def coulomb_radial_solution(n: int, state: AngularState,
-                            params: DeformationParams, e2: float,
-                            hbar: float = 1.0, mass: float = 1.0
-                            ) -> RadialSolution:
-    """Closed-form attractive-1/r radial state, unit norm against r^c."""
-    return radial_solution(Coulomb(e2), n, state, params, hbar, mass)
 
 
 def coulomb_large_d_expansion(n: int, state: AngularState,

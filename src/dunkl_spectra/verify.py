@@ -319,10 +319,12 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
     for j, pair in zip(levels, pairs):
         how.append("rqi" if whole or certified(j, [pair]) else "bisection")
         if how[-1] == "bisection":
-            _log.debug("level %d: refinement on the %d-point grid rejected "
-                       "(Sturm index %s), bisected at its index on the box "
-                       "r_max=%g", j, len(diag),
-                       None if pair is None else count(pair[0] - width), r_max)
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("level %d: refinement on the %d-point grid "
+                           "rejected (Sturm index %s), bisected at its index "
+                           "on the box r_max=%g", j, len(diag),
+                           None if pair is None else count(pair[0] - width),
+                           r_max)
             pairs[j - levels.start] = _bisect(diag, off, j)
     values, vecs = zip(*pairs)
     return np.array(values), how, np.column_stack(vecs)

@@ -245,6 +245,23 @@ def test_wavefunction_shape_and_scaling():
     npt.assert_allclose(a, b, rtol=1e-12)
 
 
+def test_wavefunction_norm_constant_out_of_range_fails_fast():
+    # Gamma(n + alpha + 1)/n! overflows a double
+    with pytest.raises(DomainError, match="double range"):
+        wavefunction_1d(60, 300.0, 1, 1.0, np.linspace(0.1, 40.0, 5))
+    # each factor of C^-2 is finite, their product is not: C would be 0 and
+    # every value a plausible-looking zero
+    with pytest.raises(DomainError, match="double range"):
+        wavefunction_1d(100, 100.0, 1, 0.1, np.linspace(0.1, 40.0, 5))
+
+
+def test_wavefunction_recurrence_out_of_range_fails_fast():
+    # the Laguerre recurrence overflows at the far points, where exp(-u/2)
+    # underflows: no NaN comes back
+    with pytest.raises(DomainError, match="double range"):
+        wavefunction_1d(400, 100.0, 1, 1.0, np.linspace(0.1, 40.0, 5))
+
+
 # ---------------------------------------------------------------------------
 # the same oscillator levels in Cartesian and polar coordinates
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line surface, run in process."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,8 +24,8 @@ from dunkl_spectra import (
     radial_solution,
     reduced_density,
 )
-from dunkl_spectra.spectra import Oscillator, oscillator_radial_solution
-from dunkl_spectra.cli import main
+from dunkl_spectra.spectra import POTENTIALS, Oscillator
+from dunkl_spectra.cli import build_parser, main
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "dunkl_spectra",
@@ -221,7 +223,7 @@ def test_density_matches_library_bitwise(capsys):
     _, _, rows = parse_csv(out)
     params = DeformationParams.uniform(3, 0.4)
     state = AngularState.from_total(3, 0.0)
-    sol = oscillator_radial_solution(1, state, params, 1.0)
+    sol = radial_solution(Oscillator(1.0), 1, state, params)
     for row in rows:
         r, rho = float(row[0]), float(row[1])
         assert rho == reduced_density(sol, r)
@@ -238,9 +240,8 @@ def test_density_json_schema(capsys, schema):
     assert len(doc["samples"]) == 32
     params = DeformationParams.uniform(3, 0.0)
     # repr-serialized floats parse back to the identical doubles
-    from dunkl_spectra.spectra import coulomb_radial_solution
-    sol = coulomb_radial_solution(0, AngularState.from_total(3, 0.0), params,
-                                  1.0)
+    sol = radial_solution(Coulomb(1.0), 0, AngularState.from_total(3, 0.0),
+                          params)
     for entry in doc["samples"]:
         assert entry["rho"] == reduced_density(sol, entry["r"])
 
@@ -514,6 +515,24 @@ def test_bad_physical_constants_exit_3(argv, capsys):
     assert code == 3
     assert out == ""
     assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "density", "verify"])
+def test_constant_flags_come_from_the_potential_fields(command):
+    # one float flag per field of each potential class, named by the field
+    # without '_', with the field's help and default 1.0; verify's --De
+    # defaults to None, for its depth sweep
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    parsed = vars(sub.parse_args(["--potential", "pho"]))
+    for cls in POTENTIALS.values():
+        for field in dataclasses.fields(cls):
+            flag = "--" + field.name.replace("_", "")
+            [action] = [a for a in sub._actions if flag in a.option_strings]
+            assert action.option_strings == [flag] and action.type is float
+            assert action.help == field.metadata["help"]
+            default = None if (command, flag) == ("verify", "--De") else 1.0
+            assert action.default == parsed[action.dest] == default
 
 
 @pytest.mark.parametrize("argv", [

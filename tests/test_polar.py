@@ -342,3 +342,15 @@ def test_inner_product_rejects_mixed_sectors():
     b = AngularState(two_ell=(1, 0), parity=(1, -1, 1))
     with pytest.raises(InvalidStateError):
         angular_inner_product(1, a, b, params)
+
+
+def test_inner_product_out_of_range_fails_fast():
+    # degree 400 Jacobi values at a = b = 299.5 overflow: no inf comes back
+    s = AngularState(two_ell=(800,), parity=(1, 1))
+    with pytest.raises(DomainError, match="double range"):
+        angular_inner_product(1, s, s, DeformationParams(2, (300.0, 300.0)))
+    # each norm is finite, their product is not: no 0 comes back for what
+    # is the state's unit norm
+    s = AngularState(two_ell=(400,), parity=(1, 1))
+    with pytest.raises(DomainError, match="double range"):
+        angular_inner_product(1, s, s, DeformationParams(2, (800.0, 800.0)))

@@ -26,11 +26,6 @@ from dunkl_spectra import (
     radial_wavefunction,
     reduced_density,
 )
-from dunkl_spectra.spectra import (
-    coulomb_radial_solution,
-    oscillator_radial_solution,
-    pho_radial_solution,
-)
 from dunkl_spectra.specfun import build_quadrature, kummer_m
 
 
@@ -96,7 +91,7 @@ def test_oscillator_large_d_ratio():
 def test_oscillator_nodeless_ground_state():
     params = DeformationParams.uniform(3, 0.4)
     st = AngularState.from_total(3, 0.0)
-    sol = oscillator_radial_solution(0, st, params, 1.0)
+    sol = radial_solution(Oscillator(1.0), 0, st, params)
     r = np.linspace(0.05, 6.0, 200)
     assert np.all(radial_wavefunction(sol, r) > 0.0)
 
@@ -106,7 +101,7 @@ def test_oscillator_first_excited_node():
     params = DeformationParams.uniform(3, 0.4)
     st = AngularState.from_total(3, 0.5)
     omega = 1.3
-    sol = oscillator_radial_solution(1, st, params, omega)
+    sol = radial_solution(Oscillator(omega), 1, st, params)
     r_star = math.sqrt(sol.kummer_b / sol.decay_scale)
     eps = 1e-6
     lo = radial_wavefunction(sol, r_star - eps)
@@ -123,7 +118,7 @@ def test_oscillator_norm():
     for mu, two_L, n in [(0.0, 0, 0), (0.4, 1, 2), (-0.3, 2, 1)]:
         params = DeformationParams.uniform(3, mu)
         st = AngularState.from_total(3, two_L / 2.0)
-        sol = oscillator_radial_solution(n, st, params, 1.0)
+        sol = radial_solution(Oscillator(1.0), n, st, params)
         c = _weight_exponent(params)
         total, err = quad(
             lambda r: radial_wavefunction(sol, r) ** 2 * r**c,
@@ -171,7 +166,7 @@ def test_pho_shallow_well_oscillator_form():
 def test_pho_norm_and_positivity():
     params = DeformationParams.uniform(4, 0.4)
     st = AngularState.from_total(4, 0.5)
-    sol = pho_radial_solution(1, st, params, 8.0, 1.0)
+    sol = radial_solution(Pseudoharmonic(8.0, 1.0), 1, st, params)
     c = _weight_exponent(params)
     total, err = quad(
         lambda r: radial_wavefunction(sol, r) ** 2 * r**c,
@@ -229,7 +224,7 @@ def test_coulomb_no_bound_state():
 def test_coulomb_hydrogen_ground_orbital():
     params = DeformationParams.uniform(3, 0.0)
     st = AngularState.from_total(3, 0.0)
-    sol = coulomb_radial_solution(0, st, params, 1.0)
+    sol = radial_solution(Coulomb(1.0), 0, st, params)
     npt.assert_allclose(sol.decay_scale, 1.0, rtol=1e-12)
     r = np.linspace(0.1, 8.0, 40)
     ratio = radial_wavefunction(sol, r) * np.exp(r)
@@ -239,7 +234,7 @@ def test_coulomb_hydrogen_ground_orbital():
 def test_coulomb_first_excited_node():
     params = DeformationParams.uniform(3, 0.4)
     st = AngularState.from_total(3, 0.0)
-    sol = coulomb_radial_solution(1, st, params, 1.0)
+    sol = radial_solution(Coulomb(1.0), 1, st, params)
     r_star = sol.kummer_b / (2.0 * sol.decay_scale)
     eps = 1e-7
     assert (radial_wavefunction(sol, r_star - eps)
@@ -251,7 +246,7 @@ def test_coulomb_norm():
     for mu, two_L, n in [(0.0, 0, 0), (0.4, 1, 1), (0.4, 0, 2)]:
         params = DeformationParams.uniform(3, mu)
         st = AngularState.from_total(3, two_L / 2.0)
-        sol = coulomb_radial_solution(n, st, params, 1.0)
+        sol = radial_solution(Coulomb(1.0), n, st, params)
         c = _weight_exponent(params)
         total, err = quad(
             lambda r: radial_wavefunction(sol, r) ** 2 * r**c,
@@ -266,7 +261,7 @@ def test_coulomb_virial_identity(n):
     params = DeformationParams.uniform(3, 0.0)
     st = AngularState.from_total(3, 0.0)
     e2 = 1.0
-    sol = coulomb_radial_solution(n, st, params, e2)
+    sol = radial_solution(Coulomb(e2), n, st, params)
     c = _weight_exponent(params)
     L = st.ell_total
     eta = sol.decay_scale
@@ -326,15 +321,15 @@ def test_large_d_order_validation():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("make", [
-    lambda: oscillator_radial_solution(
-        1, AngularState.from_total(3, 0.5), DeformationParams.uniform(3, 0.4),
-        1.0),
-    lambda: coulomb_radial_solution(
-        0, AngularState.from_total(3, 0.0), DeformationParams.uniform(3, 0.0),
-        1.0),
-    lambda: pho_radial_solution(
-        0, AngularState.from_total(4, 0.0), DeformationParams.uniform(4, 0.2),
-        8.0, 1.0),
+    lambda: radial_solution(
+        Oscillator(1.0), 1, AngularState.from_total(3, 0.5),
+        DeformationParams.uniform(3, 0.4)),
+    lambda: radial_solution(
+        Coulomb(1.0), 0, AngularState.from_total(3, 0.0),
+        DeformationParams.uniform(3, 0.0)),
+    lambda: radial_solution(
+        Pseudoharmonic(8.0, 1.0), 0, AngularState.from_total(4, 0.0),
+        DeformationParams.uniform(4, 0.2)),
 ])
 def test_reduced_density_normalized(make):
     sol = make()

@@ -662,6 +662,27 @@ def test_run_certificate_counts(monkeypatch):
     assert rep.grid["fine_solve"] == ["rqi"] * 2 and len(calls) == 2 * 3
 
 
+@pytest.mark.parametrize("level, counts", [(logging.WARNING, 4),
+                                           (logging.DEBUG, 5)],
+                         ids=["warning", "debug"])
+def test_rejected_level_counts_its_sturm_index_only_for_debug(
+        monkeypatch, caplog, level, counts):
+    # the run's count at sigma_lo - w refuses it, then level 1 takes one
+    # count and level 2 two; the rejected level 1 takes one more, for its
+    # DEBUG message alone
+    calls = []
+    count = verify._sturm_count
+    monkeypatch.setattr(verify, "_sturm_count",
+                        lambda *args: calls.append(args) or count(*args))
+    diag, levels, rows, want_how = _RUN_CASES["eigenvalue_below_the_run"]
+    eye = np.eye(len(diag))
+    with caplog.at_level(level, logger="dunkl_spectra"):
+        _, how, _ = _refine(np.array(diag), np.zeros(len(diag) - 1), levels,
+                            [eye[row] for row in rows], 1.0)
+    assert how == want_how and len(calls) == counts
+    assert len(caplog.records) == (level == logging.DEBUG)
+
+
 def _reference_count(diag, off, x):
     """Eigenvalues in (floor, x] by LAPACK's bisection stopped at once."""
     if len(diag) == 1:  # the wrapper takes no empty off-diagonal
