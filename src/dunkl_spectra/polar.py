@@ -199,23 +199,28 @@ def theta_eigenfunction(j: int, state: AngularState, params: DeformationParams,
 
     Normalized (default) to unit norm against the level's weight over its
     angular range; in u = cos 2t the constant is the closed-form Jacobi norm
-    h_k (DLMF 18.3).
+    h_k (DLMF 18.3). DomainError when it or a value leaves double range.
     """
     sol = angular_solution(j, state, params)
     theta = np.asarray(theta, dtype=float)
-    u = np.cos(2.0 * theta)
-    out = jacobi(sol.degree, sol.jacobi_alpha, sol.jacobi_beta, u)
-    if sol.cos_exponent:
-        out = out * np.cos(theta) ** sol.cos_exponent
-    if sol.sin_exponent:
-        out = out * np.sin(theta) ** sol.sin_exponent
-    if normalized:
-        # in u = cos 2t the level weight, over the full turn for j = 1 and
-        # the half turn above, is mult 2^{-(a+b+2)} (1-u)^a (1+u)^b du
-        a, b = sol.jacobi_alpha, sol.jacobi_beta
-        mult = 4.0 if j == 1 else 2.0
-        out = out / np.sqrt(mult * 2.0 ** (-(a + b + 2.0))
+    a, b = sol.jacobi_alpha, sol.jacobi_beta
+    # in u = cos 2t the level weight, over the full turn for j = 1 and the
+    # half turn above, is mult 2^{-(a+b+2)} (1-u)^a (1+u)^b du
+    mult = 4.0 if j == 1 else 2.0
+    try:
+        with np.errstate(all="ignore"):
+            out = (jacobi(sol.degree, a, b, np.cos(2.0 * theta))
+                   * np.cos(theta) ** sol.cos_exponent
+                   * np.sin(theta) ** sol.sin_exponent)
+            norm = (np.sqrt(mult * 2.0 ** (-(a + b + 2.0))
                             * jacobi_norm_sq(sol.degree, a, b))
+                    if normalized else 1.0)
+            out = out / norm
+    except OverflowError:
+        norm = math.inf
+    if not (0.0 < norm < math.inf and np.all(np.isfinite(out))):
+        raise DomainError(f"level {j} eigenfunction of degree {sol.degree} "
+                          f"leaves double range")
     return out if np.ndim(out) else float(out)
 
 

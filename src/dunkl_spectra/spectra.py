@@ -18,7 +18,7 @@ Every state has one shape,
 
 with sigma = 2 for the Gaussian family (harmonic and pseudoharmonic wells,
 one scale for every level) and sigma = 1 for the attractive 1/r problem
-(scale is the decay rate eta, which changes with n).
+(decay rate eta, changing with n); the oracle's box is one rule in t.
 
 Energies and normalization constants against r^c are exact closed forms
 (DLMF 13.6.19 and 18.3; see RadialSolution.norm).
@@ -56,6 +56,14 @@ __all__ = [
 ]
 
 
+def _box_radius(n: int, b: float, scale: float, sigma: float) -> float:
+    """Where t = (2/sigma) scale r^sigma reaches 1.5 (4n + 2b) + 50: past the
+    top zero of M(-n, b, t), near 4n + 2b (Szego, Orthogonal Polynomials,
+    6.31), by a margin growing with n, where levels up to n have decayed."""
+    t_box = 1.5 * (4.0 * n + 2.0 * b) + 50.0
+    return (sigma * t_box / (2.0 * scale)) ** (1.0 / sigma)
+
+
 @dataclass(frozen=True)
 class RadialSolution:
     """Closed-form data and state of one bound level n with energy E.
@@ -66,10 +74,10 @@ class RadialSolution:
         V(r) = sum of coeff * r^power over vterms,
 
     and U = N r^p e^{-t/2} M(-n, b, t) with t = (2/sigma) scale r^sigma.
-    r_max is the finite-element box for levels up to n, from the turning
-    point and decay length. Fields that left double range (an underflowed
-    energy or potential coefficient too) and energies at or above the
-    continuum are refused.
+    r_max, the oracle's box for levels up to n, is one rule in t
+    (`_box_radius`) read from n, b, scale and sigma. Fields that left double
+    range (an underflowed energy or potential coefficient too) and energies
+    at or above the continuum are refused.
     """
     potential: PotentialSpec
     n: int
@@ -81,7 +89,6 @@ class RadialSolution:
     barrier: float
     vterms: tuple
     shift: float
-    r_max: float
 
     def __post_init__(self):
         values = (self.energy, self.c, self.p, self.b, self.barrier,
@@ -92,7 +99,7 @@ class RadialSolution:
             raise DomainError(f"{self.potential.tag} level {self.n} leaves "
                               f"double range: energy {self.energy}, "
                               f"potential terms {self.vterms}")
-        check_positive(scale=self.scale, r_max=self.r_max)
+        check_positive(scale=self.scale)
         if not self.energy < self.potential.continuum:
             raise InvalidStateError(
                 f"{self.potential.tag} bound states must lie below "
@@ -102,6 +109,11 @@ class RadialSolution:
     def sigma(self) -> float:
         """Power of r in the Kummer variable t."""
         return 2.0 if self.potential.gaussian else 1.0
+
+    @property
+    def r_max(self) -> float:
+        """The oracle's automatic box for the levels up to n."""
+        return _box_radius(self.n, self.b, self.scale, self.sigma)
 
     @property
     def alpha(self) -> float:
@@ -177,13 +189,11 @@ class Oscillator(_Potential):
         L = state.ell_total
         energy = 2.0 * hbar * self.omega * (
             n + L + (params.d + 2.0 * params.mu_sum) / 4.0)
-        turn = np.sqrt(2.0 * energy / mass) / self.omega
         return RadialSolution(
             potential=self, n=n, energy=energy, c=c, p=2.0 * L,
             b=(params.d + 2.0 * params.mu_sum) / 2.0 + 2.0 * L,
             scale=mass * self.omega / hbar, barrier=varpi_sq(state, params),
-            vterms=((0.5 * mass * self.omega ** 2, 2.0),), shift=0.0,
-            r_max=max(8.0, 2.6 * turn))
+            vterms=((0.5 * mass * self.omega ** 2, 2.0),), shift=0.0)
 
 
 @dataclass(frozen=True)
@@ -218,13 +228,11 @@ class Pseudoharmonic(_Potential):
         # delta_sq > 0 makes the positive root the unique normalizable branch
         p = 0.5 * ((1.0 - c) + np.sqrt((c - 1.0) ** 2 + 4.0 * delta_sq))
         big_omega = 2.0 * np.sqrt(D_e / mass) / r_e
-        turn = np.sqrt(2.0 * (energy + 2.0 * D_e) / mass) / big_omega
         return RadialSolution(
             potential=self, n=n, energy=energy, c=c, p=p,
             b=(c + 1.0) / 2.0 + p,
             scale=mass * big_omega / hbar, barrier=delta_sq,
-            vterms=((0.5 * mass * big_omega ** 2, 2.0),), shift=-2.0 * D_e,
-            r_max=max(8.0, 2.6 * turn + r_e))
+            vterms=((0.5 * mass * big_omega ** 2, 2.0),), shift=-2.0 * D_e)
 
 
 @dataclass(frozen=True)
@@ -249,11 +257,8 @@ class Coulomb(_Potential):
         return RadialSolution(
             potential=self, n=n, energy=energy, c=c, p=2.0 * L,
             b=4.0 * L + 2.0 * params.mu_sum + params.d - 1.0,
-            scale=np.sqrt(-2.0 * mass * energy) / hbar,
-            barrier=varpi_sq(state, params), vterms=((-self.e2, -1.0),),
-            shift=0.0,
-            r_max=max(6.0 * self.e2 / abs(energy),
-                      35.0 * hbar / np.sqrt(2.0 * mass * abs(energy))))
+            scale=np.sqrt(-2.0 * mass * energy) / hbar, shift=0.0,
+            barrier=varpi_sq(state, params), vterms=((-self.e2, -1.0),))
 
 
 PotentialSpec = Oscillator | Pseudoharmonic | Coulomb

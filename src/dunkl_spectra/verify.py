@@ -70,8 +70,8 @@ from .errors import (ConvergenceError, DomainError, TailLeakWarning,
                      check_count, check_levels, check_positive)
 from .polar import AngularState, theta_eigenfunction, varpi_sq
 from .specfun import build_quadrature, kummer_m
-from .spectra import (PotentialSpec, RadialSolution, radial_solution,
-                      radial_wavefunction)
+from .spectra import (PotentialSpec, RadialSolution, _box_radius,
+                      radial_solution, radial_wavefunction)
 
 _log = logging.getLogger("dunkl_spectra")
 
@@ -90,8 +90,8 @@ __all__ = [
 class DiscretizationConfig:
     """Grid controls for the P1 eigensolver.
 
-    r_max = None asks the solver to size the box from the target level's
-    classical turning point and decay length. The post-hoc tail check warns
+    r_max = None takes the top level's box, RadialSolution.r_max, from its
+    n, b and scale alone (one rule in t). The post-hoc tail check warns
     when the chosen box still truncates an eigenstate. n_points is a whole
     number of cells, at least 100; the box edge is a Dirichlet boundary.
     Levels are also solved on a seed grid of n_points // 8 cells (left out
@@ -383,16 +383,12 @@ def _solve_levels(q: float, vterms, r_max: float, cfg: DiscretizationConfig,
     return (4.0 * values / scale - coarse) / 3.0, coarse_how, how
 
 
-def _box(cfg: DiscretizationConfig, rec: RadialSolution) -> float:
-    """The configured box, or the automatic one of the record's level."""
-    return rec.r_max if cfg.r_max is None else cfg.r_max
-
-
 def _record_levels(rec: RadialSolution, cfg: DiscretizationConfig,
                    levels: range, hbar: float, mass: float, label: str):
     """_solve_levels on the record's weight, potential terms and box."""
     vals, *how = _solve_levels(rec.c + 2.0 * rec.p, rec.vterms,
-                               _box(cfg, rec), cfg, levels, hbar, mass, label)
+                               cfg.r_max or rec.r_max, cfg, levels, hbar,
+                               mass, label)
     return vals + rec.shift, *how
 
 
@@ -404,10 +400,9 @@ def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
     """Lowest k radial eigenvalues from the P1 discretization.
 
     The top level's closed-form record supplies the weight, the potential
-    terms and, with r_max = None, the box; its analytic energy enters only
-    through that box size, never the eigensolve itself. Each level is found
-    by its own index (module docstring), so on a given box entry j is the
-    same for every k > j. Lists passed as coarse_solve and fine_solve
+    terms and, with r_max = None, the box (from its n, b and scale); its
+    energy enters neither. Each level is found by its own index (module
+    docstring), so on a given box entry j is the same for every k > j. Lists passed as coarse_solve and fine_solve
     receive, per level, "rqi" or "bisection" for how its value on the grid
     and on the doubled grid was found (fine_solve nothing without
     Richardson). `oracle_report` reads them there so that its
@@ -437,10 +432,9 @@ def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
     _check_1d_args(mu, s, omega, hbar, mass)
     k = check_levels(k)
     q = 2.0 * mu if s == 1 else 2.0 * mu + 2.0
-    r_max = cfg.r_max
-    if r_max is None:
-        top = hbar * omega * (2.0 * (k - 1) + mu + 1.5)
-        r_max = max(8.0, 2.6 * np.sqrt(2.0 * top / mass) / omega)
+    # the state is the radial one of u = m omega x^2/hbar, b = mu + 1 - s/2
+    r_max = cfg.r_max or _box_radius(k - 1, mu + 1.0 - s / 2.0,
+                                     mass * omega / hbar, 2.0)
     vterms = [(0.5 * mass * omega ** 2, 2.0)]
     return _solve_levels(q, vterms, r_max, cfg, range(k), hbar, mass,
                          f"axis sector s={s:+d}")[0]
@@ -616,7 +610,7 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
         numeric = list(radial_eigenvalues(potential, params, state, cfg, k,
                                           hbar, mass, coarse_solve=coarse,
                                           fine_solve=fine))
-        r_max = _box(cfg, recs[-1])
+        r_max = cfg.r_max or recs[-1].r_max
     else:
         numeric = []
         for n, rec in enumerate(recs):
@@ -625,7 +619,7 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
             numeric.append(vals[0])
             coarse.extend(level_coarse)
             fine.extend(level_fine or ())
-        r_max = [_box(cfg, rec) for rec in recs]
+        r_max = [rec.r_max for rec in recs]
     return OracleReport(
         potential=potential.tag, d=params.d, mu=params.mu,
         two_ell=state.two_ell, parity=state.parity.s,

@@ -16,6 +16,7 @@ from dunkl_spectra import (
     Coulomb,
     DeformationParams,
     DiscretizationConfig,
+    TailLeakWarning,
     bound_energy,
     coulomb_energy,
     oscillator_energy,
@@ -622,3 +623,14 @@ def test_level_count_beyond_float_range_exits_3(capsys):
 def test_verify_passes_where_the_cell_centred_oracle_failed(argv, capsys):
     code, out, err = run(["verify"] + argv, capsys)
     assert (code, err) == (0, "")
+
+
+def test_verify_slow_oscillator_passes(capsys):
+    # at omega = 0.1 the state at mu = -0.3 reaches past r = 8, where a
+    # fixed box would truncate it; the box in t follows the frequency
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TailLeakWarning)
+        code, out, _ = run(["verify", "--potential", "oscillator", "--omega",
+                            "0.1", "--d", "3", "--levels", "1"], capsys)
+    assert code == 0
+    assert "all_passed=true" in out

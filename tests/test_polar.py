@@ -1,6 +1,7 @@
 """Tests for the angular tower: eigenfunctions, separation constants."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -354,3 +355,15 @@ def test_inner_product_out_of_range_fails_fast():
     s = AngularState(two_ell=(400,), parity=(1, 1))
     with pytest.raises(DomainError, match="double range"):
         angular_inner_product(1, s, s, DeformationParams(2, (800.0, 800.0)))
+
+
+@pytest.mark.parametrize("two_l, mu", [(1200, 600.0), (400, 4000.0)])
+def test_theta_eigenfunction_out_of_range_fails_fast(two_l, mu):
+    # the Jacobi values and the normalization leave double range: no NaN or
+    # inf comes back, and no RuntimeWarning is raised on the way
+    state = AngularState(two_ell=(two_l,), parity=(1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="double range"):
+            theta_eigenfunction(1, state, DeformationParams(2, (mu, mu)),
+                                np.linspace(0.1, 1.4, 5))

@@ -27,6 +27,7 @@ from dunkl_spectra import (
     reduced_density,
 )
 from dunkl_spectra.specfun import build_quadrature, kummer_m
+from dunkl_spectra.spectra import _box_radius
 
 
 def _weight_exponent(params):
@@ -568,3 +569,41 @@ def test_underflowed_well_coefficient_fails_fast():
             radial_solution(potential, 0, _S3, _P3)
     rec = radial_solution(Oscillator(1e-150), 0, _S3, _P3)
     assert rec.vterms[0][0] == pytest.approx(5e-301, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_box_rule_clears_the_density(sigma):
+    # per dr the density r^{2p+c} e^-t M(-n, b, t)^2 of level n is, up to a
+    # constant, t^g e^-t M(-n, b, t)^2 with g = b - 1/2 (sigma = 2, where
+    # 2p + c = 2b - 1) or g = b (sigma = 1, where 2p + c = b). At the box it
+    # is below e^-40 of its largest value on a grid over the classical
+    # region, so of its peak.
+    with mpmath.workdps(30):
+        for n in (0, 3, 10, 30, 119):
+            for b in (0.6, 1.5, 5.0, 20.0, 60.0):
+                g = b - 0.5 if sigma == 2.0 else b
+
+                def log_density(t):
+                    t = mpmath.mpf(t)
+                    return (g * mpmath.log(t) - t + 2 * mpmath.log(
+                        abs(mpmath.hyp1f1(-n, b, t))))
+
+                t_box = 2.0 / sigma * _box_radius(n, b, 1.0, sigma) ** sigma
+                top = 4.0 * n + 2.0 * b + 10.0
+                peak = max(log_density(top * (i + 0.5) / 150)
+                           for i in range(150))
+                assert log_density(t_box) - peak < -40.0, (n, b)
+
+
+@pytest.mark.parametrize("potential", [
+    Oscillator(0.7), Pseudoharmonic(3.0, 1.4), Coulomb(1.3)])
+def test_box_is_the_rule_of_the_record(potential):
+    # r_max is read from the record's own n, b, scale and sigma: t reaches
+    # 1.5 (4n + 2b) + 50 there, whatever the constants
+    params = DeformationParams(d=3, mu=(0.2, -0.3, 0.4))
+    for n in (0, 5):
+        rec = radial_solution(potential, n, AngularState.from_total(3, 1.0),
+                              params, 1.2, 0.8)
+        t = 2.0 / rec.sigma * rec.scale * rec.r_max ** rec.sigma
+        npt.assert_allclose(t, 1.5 * (4.0 * n + 2.0 * rec.b) + 50.0,
+                            rtol=1e-13)

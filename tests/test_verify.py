@@ -437,12 +437,14 @@ def test_cartesian_oracle_rejects_bad_constants():
 
 
 def test_oracle_report_overflowing_cells_fail_fast():
-    # q = 95 on the automatic boxes (~2.7e4): r^(q+1) overflows double
+    # q = 95 on the automatic boxes: r^(q+1) overflows double. Level 0 has
+    # kappa = 0 + 2*3 + 36 + 11/2 = 47.5, so eta = 1/47.5, b = 4*3 + 72 + 11
+    # = 95 and t_box = 1.5 * (0 + 190) + 50 = 335, at r = 335 * 47.5/2
     params = DeformationParams.uniform(12, 3.0)
     state = AngularState.from_total(12, 3.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ConvergenceError, match=r"q=95 .*r_max=27075"):
+        with pytest.raises(ConvergenceError, match=r"q=95 .*r_max=7956\.25"):
             oracle_report(Coulomb(1.0), params, state,
                           DiscretizationConfig(n_points=400), 2, 1e-2)
     assert not [w for w in caught if w.category is RuntimeWarning]
@@ -1032,18 +1034,20 @@ def test_seeded_sweep_agrees_with_closed_forms():
     assert solved >= 80
 
 
-def test_tail_leak_warning_per_level_coulomb_report():
-    @dataclasses.dataclass(frozen=True)
-    class TightCoulomb(Coulomb):
-        """1/r whose automatic boxes are far too small."""
-        def radial_problem(self, n, state, params, hbar=1.0, mass=1.0):
-            rec = super().radial_problem(n, state, params, hbar, mass)
-            return dataclasses.replace(rec, r_max=rec.r_max / 10.0)
+@dataclasses.dataclass(frozen=True)
+class _TightCoulomb(Coulomb):
+    """1/r whose automatic per-level boxes are far too small: the oracle
+    reads the record's scale only through its box, r_max ~ 1/scale."""
+    def radial_problem(self, n, state, params, hbar=1.0, mass=1.0):
+        rec = super().radial_problem(n, state, params, hbar, mass)
+        return dataclasses.replace(rec, scale=rec.scale * 10.0)
 
+
+def test_tail_leak_warning_per_level_coulomb_report():
     params = DeformationParams.uniform(3, 0.0)
     state = AngularState.from_total(3, 0.0)
     with pytest.warns(TailLeakWarning) as caught:
-        rep = oracle_report(TightCoulomb(1.0), params, state,
+        rep = oracle_report(_TightCoulomb(1.0), params, state,
                             DiscretizationConfig(n_points=400), 2, 1e-2)
     # each level is solved, and its tail checked, on its own box
     assert len(rep.grid["r_max"]) == 2
@@ -1055,14 +1059,6 @@ def test_tail_leak_warning_single_axis():
     for s in (1, -1):
         with pytest.warns(TailLeakWarning):
             cartesian_1d_eigenvalues(0.4, s, 1.0, cfg, 2)
-
-
-@dataclasses.dataclass(frozen=True)
-class _TightCoulomb(Coulomb):
-    """1/r whose automatic per-level boxes are far too small."""
-    def radial_problem(self, n, state, params, hbar=1.0, mass=1.0):
-        rec = super().radial_problem(n, state, params, hbar, mass)
-        return dataclasses.replace(rec, r_max=rec.r_max / 10.0)
 
 
 _TIGHT = DiscretizationConfig(r_max=2.5, n_points=400)
@@ -1082,3 +1078,31 @@ def test_tail_leak_warning_names_caller(call):
     with pytest.warns(TailLeakWarning) as caught:
         call()
     assert {w.filename for w in caught} == {__file__}
+
+
+def test_oscillator_box_is_scale_free():
+    # the box is one rule in t = m omega r^2/hbar, so every frequency and
+    # every pair of constants solves the same rescaled matrix problem
+    params = DeformationParams.uniform(3, -0.3)
+    state = AngularState.from_total(3, 0.0)
+    errs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TailLeakWarning)
+        for omega in (0.01, 0.1, 1.0, 10.0, 100.0):
+            for hbar, mass in itertools.product((0.5, 2.0), repeat=2):
+                errs.append(oracle_report(
+                    Oscillator(omega), params, state, DiscretizationConfig(),
+                    4, 1e-4, hbar, mass).max_rel_err)
+    assert max(errs) - min(errs) <= 1e-10
+
+
+@pytest.mark.parametrize("omega", [0.01, 1.0, 100.0])
+def test_single_axis_box_follows_the_frequency(omega):
+    # the single-axis state is the Laguerre function of u = m omega x^2/hbar,
+    # so its box comes from the radial rule at b = mu + 1 - s/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cartesian_1d_eigenvalues(0.0, -1, omega, DiscretizationConfig(),
+                                       1)[0]
+    want = energy_1d(0, 0.0, -1, omega)
+    assert abs(got - want) <= 1e-10 * want
