@@ -23,21 +23,19 @@ over the grid and its doubling removes the leading error term.
 
 Every entry of vertex i depends on i alone up to powers of h, so the
 element moments are built once per report, as an h-free profile of the
-ladder's largest grid; each grid, and each per-level 1/r box, takes a
-prefix of it and scales it by its own h.
+largest grid; each grid, and each per-level 1/r box, takes a prefix of it
+and scales it by its own h.
 
-Each level is found by its own index on a ladder of n_points // 8,
-n_points and 2 n_points cells: bisected at its index on the first rung
-only, then on each later rung refined by Rayleigh-quotient iteration from
-the previous rung's vector (a two-grid eigensolve rung by rung: Xu & Zhou,
-Math. Comp. 70 (2001) 17-25). The levels refined on one rung form a run,
-certified at once by Sturm counts at the two ends of their disjoint windows
-(one count when the run starts at index 0); each count is the number of
-non-positive pivots of one LDL^T pass (LAPACK dpttrf, restarted past each
-such pivot). When a run fails, each level is checked on its own; a level
-whose counts do not place it at its index is bisected at the index too,
-and the rejection is logged at DEBUG level under the `dunkl_spectra`
-logger. So a level's value depends only on its index, the box and the grid.
+On each grid, Rayleigh-quotient iteration (Parlett, The Symmetric
+Eigenvalue Problem, 1998, ch. 4) refines each level from its closed form,
+which the discrete eigenvector matches to O(h^2). The levels refined on one
+grid form a run, certified at once by Sturm counts at the ends of their
+disjoint windows (one count when the run starts at index 0), each the
+number of non-positive pivots of one LDL^T pass (LAPACK dpttrf, restarted
+past each such pivot). When a run fails, each level is checked alone; one
+whose counts do not place it at its index is bisected at the index instead
+(logged at DEBUG level under the `dunkl_spectra` logger). So a level's
+value depends only on its index, the box and the grid, never on its start.
 
 Absorbing the exact power matters: the naive substitution u = r^{c/2} U
 with a Dirichlet origin converges to the wrong self-adjoint extension
@@ -47,9 +45,9 @@ absorbed-power scheme pins the regular branch for every parameter set this
 package accepts.
 
 Each potential's RadialSolution record (see `spectra`) supplies c, p, the
-potential terms, the energy shift, the automatic box and the one state
-formula of residuals and Gram matrices; only the per-level 1/r boxes read
-the potential's family.
+potential terms, the energy shift, the automatic box, each level's start
+and the one state formula of residuals and Gram matrices; only the
+per-level 1/r boxes read the potential's family.
 """
 
 from __future__ import annotations
@@ -94,9 +92,7 @@ class DiscretizationConfig:
     n, b and scale alone (one rule in t). The post-hoc tail check warns
     when the chosen box still truncates an eigenstate. n_points is a whole
     number of cells, at least 100; the box edge is a Dirichlet boundary.
-    Levels are also solved on a seed grid of n_points // 8 cells (left out
-    below 100 or one per level) and, with Richardson (a bool), on 2 n_points
-    cells.
+    With Richardson (a bool), levels are also solved on 2 n_points cells.
     """
     r_max: float | None = None
     n_points: int = 4000
@@ -127,7 +123,7 @@ def _profile(q: float, powers: tuple, n: int):
     the lumped masses are h (h rho)^q m, rho_k = k but 1 at the origin,
     whose hat moments are those of r_1. Each entry is formed from ratios
     such as (1 + 1/k)^q, never from k^q, so none leaves double range. The
-    arrays are read-only: one profile serves every rung of a report.
+    arrays are read-only: one profile serves every grid of a report.
     """
     k = np.arange(float(n))
     rho = np.maximum(k, 1.0)
@@ -205,7 +201,7 @@ def _bisect(diag: np.ndarray, off: np.ndarray, j: int):
     return w[0], v[:, 0]
 
 
-# Refinement on a finer rung: Rayleigh-quotient iteration stops once the
+# Refinement on a grid: Rayleigh-quotient iteration stops once the
 # residual |T x - sigma x| falls to _RESIDUAL * |T|, a few hundred
 # roundoffs; a Sturm count then needs the window sigma -+ _WINDOW * |T| to
 # hold exactly one eigenvalue, of the level's own index. That bounds the
@@ -214,7 +210,6 @@ def _bisect(diag: np.ndarray, off: np.ndarray, j: int):
 _RQI_STEPS = 6
 _RESIDUAL = 1e-13
 _WINDOW = 1e-9
-_SEED_RATIO = 8  # the ladder's seed rung has n_points // 8 cells
 
 
 def _rqi(diag: np.ndarray, off: np.ndarray, x: np.ndarray, tol: float):
@@ -343,53 +338,59 @@ def _check_tail(vecs: np.ndarray, r_max: float, label: str) -> None:
             TailLeakWarning, stacklevel=level)
 
 
-def _solve_levels(q: float, vterms, r_max: float, cfg: DiscretizationConfig,
-                  levels: range, hbar: float, mass: float, label: str):
-    """Eigenvalues of the consecutive indices `levels` on one box, and per
-    level how its value on the grid and on the doubled grid was found (the
-    latter None without Richardson).
+def _shapes(nodes: np.ndarray, shapes) -> np.ndarray:
+    """Row i: e^{-t/2} L_n^(b-1)(t), t = (2/sigma) scale r^sigma, at the
+    nodes for the i-th (n, b, scale, sigma) of `shapes` (level n up to its
+    norm, DLMF 13.6.19), ascending in n (DLMF 18.9.1) per (b, scale, sigma)."""
+    out, family = np.empty((len(shapes), len(nodes))), None
+    for i, (n, *rest) in enumerate(shapes):
+        if rest != family:
+            family, (b, scale, sigma), degree = rest, rest, 0
+            t = 2.0 / sigma * scale * nodes ** sigma
+            g0, g = 0.0, np.exp(-0.5 * t)
+        for j in range(degree, n):
+            g0, g = g, ((2 * j + b - t) * g - (j + b - 1.0) * g0) / (j + 1.0)
+        out[i], degree = g, n
+    return out
 
-    The ladder has n_points // _SEED_RATIO cells (left out below 100 or
-    below one per level), n_points and, with Richardson, 2 n_points; every
-    rung slices the one profile of the largest. Each level is bisected at
-    its index on the first rung only; on each later rung its previous
-    vector, as G = x/s interpolated, starts `_refine`.
-    """
+
+def _solve_levels(q: float, vterms, cfg: DiscretizationConfig, shapes,
+                  hbar: float, mass: float, label: str):
+    """Eigenvalues of consecutive levels on one box (r_max = None: the top
+    level's), each given as (n, b, scale, sigma), n its index, and per level
+    how its value on the grid and on the doubled grid was found (None without
+    Richardson). On each grid `_refine` starts from s times each level's
+    shape; e^{-t/2} underflows past t ~ 1490, so from n ~ 370 a level starts
+    from zeros there and may be bisected at its index."""
+    levels = range(shapes[0][0], shapes[-1][0] + 1)
     if levels.stop > cfg.n_points:
         raise DomainError(f"{label}: level {levels.stop - 1} needs at least "
                           f"{levels.stop} grid vertices, the grid has "
                           f"{cfg.n_points}")
-    scale = 2.0 * mass / hbar ** 2
-    n, seed = cfg.n_points, cfg.n_points // _SEED_RATIO
-    sizes = (([seed] if seed >= max(100, levels.stop) else []) + [n]
-             + ([2 * n] if cfg.richardson else []))
+    n, scale = cfg.n_points, 2.0 * mass / hbar ** 2
+    r_max = cfg.r_max or _box_radius(*shapes[-1])
+    sizes = [n, 2 * n] if cfg.richardson else [n]
     profile = _profile(q, tuple(p for _, p in vterms), sizes[-1])
     for m in sizes:
         diag, off, s, nodes = _p1_matrix(q, vterms, r_max, m, scale, profile)
-        if m == sizes[0]:
-            values, vecs = zip(*[_bisect(diag, off, j) for j in levels])
-            values, vecs = np.array(values), np.column_stack(vecs)
-            how = ["bisection"] * len(levels)
-        else:
-            # the previous rung's G = x/s, interpolated onto this one
-            starts = [s * np.interp(nodes, prev, g) for g in shapes.T]
-            values, how, vecs = _refine(diag, off, levels, starts, r_max)
+        values, how, vecs = _refine(diag, off, levels,
+                                    s * _shapes(nodes, shapes), r_max)
         if m == n:
             _check_tail(vecs, r_max, label)
             coarse, coarse_how = values / scale, how
-        prev, shapes = nodes, vecs / s[:, None]
     if not cfg.richardson:
         return coarse, coarse_how, None
     return (4.0 * values / scale - coarse) / 3.0, coarse_how, how
 
 
-def _record_levels(rec: RadialSolution, cfg: DiscretizationConfig,
-                   levels: range, hbar: float, mass: float, label: str):
-    """_solve_levels on the record's weight, potential terms and box."""
-    vals, *how = _solve_levels(rec.c + 2.0 * rec.p, rec.vterms,
-                               cfg.r_max or rec.r_max, cfg, levels, hbar,
-                               mass, label)
-    return vals + rec.shift, *how
+def _record_levels(recs: list[RadialSolution], cfg: DiscretizationConfig,
+                   hbar: float, mass: float, label: str):
+    """_solve_levels on the top record's weight and potential terms."""
+    vals, *how = _solve_levels(
+        recs[-1].c + 2.0 * recs[-1].p, recs[-1].vterms, cfg,
+        [(rec.n, rec.b, rec.scale, rec.sigma) for rec in recs], hbar, mass,
+        label)
+    return vals + recs[-1].shift, *how
 
 
 def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
@@ -401,18 +402,20 @@ def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
 
     The top level's closed-form record supplies the weight, the potential
     terms and, with r_max = None, the box (from its n, b and scale); its
-    energy enters neither. Each level is found by its own index (module
-    docstring), so on a given box entry j is the same for every k > j. Lists passed as coarse_solve and fine_solve
-    receive, per level, "rqi" or "bisection" for how its value on the grid
-    and on the doubled grid was found (fine_solve nothing without
-    Richardson). `oracle_report` reads them there so that its
-    Gaussian-family solves stay calls of this public function, whose spans
-    perfbench's per-layer verify figures are taken from.
+    energy enters neither; each level's record gives its start (on a shared
+    1/r box each decays at its own rate). Each level is found by its own
+    index (module docstring), so on a given box entry j is the same for
+    every k > j. Lists passed as coarse_solve and fine_solve receive, per
+    level, "rqi" or "bisection" for how its value on the grid and on the
+    doubled grid was found (fine_solve nothing without Richardson).
+    `oracle_report` reads them there so that its Gaussian-family solves stay
+    calls of this public function, whose spans perfbench's per-layer verify
+    figures are taken from.
     """
     k = check_levels(k)
-    rec = potential.radial_problem(k - 1, state, params, hbar, mass)
-    vals, coarse, fine = _record_levels(rec, cfg, range(k), hbar, mass,
-                                        potential.tag)
+    recs = [potential.radial_problem(n, state, params, hbar, mass)
+            for n in range(k)]
+    vals, coarse, fine = _record_levels(recs, cfg, hbar, mass, potential.tag)
     for out, how in ((coarse_solve, coarse), (fine_solve, fine)):
         if out is not None and how is not None:
             out.extend(how)
@@ -433,10 +436,9 @@ def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
     k = check_levels(k)
     q = 2.0 * mu if s == 1 else 2.0 * mu + 2.0
     # the state is the radial one of u = m omega x^2/hbar, b = mu + 1 - s/2
-    r_max = cfg.r_max or _box_radius(k - 1, mu + 1.0 - s / 2.0,
-                                     mass * omega / hbar, 2.0)
+    shapes = [(j, mu + 1 - s / 2, mass * omega / hbar, 2.0) for j in range(k)]
     vterms = [(0.5 * mass * omega ** 2, 2.0)]
-    return _solve_levels(q, vterms, r_max, cfg, range(k), hbar, mass,
+    return _solve_levels(q, vterms, cfg, shapes, hbar, mass,
                          f"axis sector s={s:+d}")[0]
 
 
@@ -612,13 +614,11 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
                                           fine_solve=fine))
         r_max = cfg.r_max or recs[-1].r_max
     else:
-        numeric = []
-        for n, rec in enumerate(recs):
-            vals, level_coarse, level_fine = _record_levels(
-                rec, cfg, range(n, n + 1), hbar, mass, potential.tag)
-            numeric.append(vals[0])
-            coarse.extend(level_coarse)
-            fine.extend(level_fine or ())
+        solves = [_record_levels([rec], cfg, hbar, mass, potential.tag)
+                  for rec in recs]
+        numeric = [vals[0] for vals, _, _ in solves]
+        coarse = [how for _, level, _ in solves for how in level]
+        fine = [how for _, _, level in solves for how in level or ()]
         r_max = [rec.r_max for rec in recs]
     return OracleReport(
         potential=potential.tag, d=params.d, mu=params.mu,

@@ -546,13 +546,21 @@ def _index_bisection(potential, params, state, cfg, k):
     return (4.0 * fine - coarse) / 3.0 + rec.shift
 
 
-@pytest.mark.parametrize("potential, r_max", [
-    (Oscillator(1.0), 12.0), (Pseudoharmonic(8.0, 1.0), 12.0),
-    (Coulomb(1.0), 500.0)])
-def test_level_value_independent_of_level_count(potential, r_max):
+_LEVEL_COUNT_CASES = [(Oscillator(1.0), 12.0),
+                      (Pseudoharmonic(8.0, 1.0), 12.0), (Coulomb(1.0), 500.0)]
+
+
+# ids name the potential's index and the box, and the grid when it is not
+# 400 cells
+@pytest.mark.parametrize("potential, r_max, n_points", [
+    pytest.param(potential, r_max, n_points, id=f"potential{i}-{r_max}"
+                 + ("" if n_points == 400 else f"-{n_points}"))
+    for n_points in (400, 1600)
+    for i, (potential, r_max) in enumerate(_LEVEL_COUNT_CASES)])
+def test_level_value_independent_of_level_count(potential, r_max, n_points):
     params = DeformationParams.uniform(3, 0.4)
     state = AngularState.from_total(3, 0.5)
-    cfg = DiscretizationConfig(r_max=r_max, n_points=400)
+    cfg = DiscretizationConfig(r_max=r_max, n_points=n_points)
     runs = [radial_eigenvalues(potential, params, state, cfg, k)
             for k in range(1, 5)]
     for j in range(4):
@@ -587,6 +595,32 @@ def test_refined_levels_match_index_bisection():
                 assert g == w
             else:
                 assert abs(g - w) <= 1e-9 * abs(w)
+
+
+@pytest.mark.parametrize("start", ["next level", "constant", "nan"])
+@pytest.mark.parametrize("potential, n_points", [
+    (Oscillator(1.0), 800), (Coulomb(1.0), 1600)])
+def test_a_start_never_moves_a_value(monkeypatch, potential, n_points, start):
+    # each level starts from a wrong shape: one degree too high, a constant
+    # or NaN; its iteration is refused and the value is the index bisection's
+    shapes = verify._shapes
+    bad = {
+        "next level": lambda nodes, levels: shapes(
+            nodes, [(n + 1, *rest) for n, *rest in levels]),
+        "constant": lambda nodes, levels: np.ones((len(levels), len(nodes))),
+        "nan": lambda nodes, levels: np.full((len(levels), len(nodes)),
+                                             np.nan),
+    }
+    monkeypatch.setattr(verify, "_shapes", bad[start])
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.5)
+    cfg = DiscretizationConfig(n_points=n_points)
+    coarse, fine = [], []
+    got = radial_eigenvalues(potential, params, state, cfg, 3,
+                             coarse_solve=coarse, fine_solve=fine)
+    want = _index_bisection(potential, params, state, cfg, 3)
+    assert coarse == fine == ["bisection"] * 3
+    npt.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_refinement_refuses_a_neighbour_in_its_window():
@@ -914,6 +948,23 @@ def test_smooth_case_refines_every_level():
     assert rep.grid["fine_solve"] is None
 
 
+@pytest.mark.parametrize("k", [60, 200])
+def test_long_run_refines_every_level_on_both_grids(monkeypatch, k):
+    # each level starts from its closed form, so no level of a long run is
+    # bisected; k = 60 is the first report of `verify --levels 60`
+    calls = []
+    bisect = verify._bisect
+    monkeypatch.setattr(verify, "_bisect",
+                        lambda *args: calls.append(args) or bisect(*args))
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.0)
+    rep = oracle_report(Oscillator(1.0), params, state,
+                        DiscretizationConfig(n_points=4000), k, 1e-4)
+    assert rep.grid["coarse_solve"] == rep.grid["fine_solve"] == ["rqi"] * k
+    assert not calls
+    assert rep.passed
+
+
 def test_large_weight_exponent_refines_on_both_rungs():
     # q = c + 2p = 28.6: the cell-centred scheme's first cell decoupled into
     # a spurious low level here; the origin hat of the P1 scheme lies above
@@ -972,7 +1023,7 @@ def test_more_levels_than_grid_vertices_fail_fast():
 
 
 def test_more_levels_than_seed_grid_vertices():
-    # 120 levels on 800 cells: the 100-cell seed grid is left out
+    # 120 levels on 800 cells, more than an eighth of the grid's vertices
     params = DeformationParams.uniform(3, 0.0)
     state = AngularState.from_total(3, 0.0)
     vals = radial_eigenvalues(Oscillator(1.0), params, state,
