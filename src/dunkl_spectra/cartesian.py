@@ -22,6 +22,7 @@ from .core import DeformationParams, ParityVector
 from .errors import (DomainError, InvalidStateError, check_count,
                      check_positive)
 from .specfun import laguerre, laguerre_norm_sq
+from .spectra import Oscillator, RadialSolution, _record
 
 __all__ = ["CartesianState", "energy_1d", "wavefunction_1d", "total_energy"]
 
@@ -58,12 +59,18 @@ def _check_1d_args(mu: float, s: int, omega: float, hbar: float,
     check_positive(omega=omega, hbar=hbar, mass=mass)
 
 
+def _axis_record(n: int, mu: float, s: int, omega: float, hbar: float,
+                 mass: float) -> RadialSolution:
+    """Level n of one axis: the oscillator record of weight exponent 2 mu."""
+    _check_1d_args(mu, s, omega, hbar, mass)
+    return _record(Oscillator(omega), check_count(n, "quantum number"),
+                   2.0 * mu, mu * (1 - s), (1 - s) / 2, hbar, mass)
+
+
 def energy_1d(n: int, mu: float, s: int, omega: float,
               hbar: float = 1.0) -> float:
     """Single-axis level hbar w (2n + mu + 1 - s/2)."""
-    _check_1d_args(mu, s, omega, hbar)
-    n = check_count(n, "quantum number")
-    return hbar * omega * (2.0 * n + mu + 1.0 - s / 2.0)
+    return _axis_record(n, mu, s, omega, hbar, 1.0).energy
 
 
 def wavefunction_1d(n: int, mu: float, s: int, omega: float, x,

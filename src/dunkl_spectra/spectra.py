@@ -6,19 +6,24 @@ Radial functions solve
     U'' + (c/r) U' + [2m(E - V)/hbar^2 - W^2/r^2] U = 0,
     c = d - 1 + 2 sum mu,  W^2 = varpi_sq(state, params)
 
-Each potential class holds its level formula and its constants as fields
-with "help" metadata, and from `radial_problem` returns one RadialSolution
-record per level (`radial_solution` is the one constructor). This module,
-the `verify` oracle and the CLI read those records and fields instead of
-branching on the potential, so a new potential is one new class.
-
+A new potential is one new class: constants as fields with "help"
+metadata, a `tag`, and `well(mass)`, which declares V = shift + sum of
+coeff r^power terms. One derivation, `_record`, turns it into the
+RadialSolution record of each level (`radial_solution` is the one
+constructor), which this module, the `verify` oracle and the CLI read.
 Every state has one shape,
 
     U(r) = N r^p e^{-t/2} M(-n, b, t),  t = (2/sigma) scale r^sigma,
 
-with sigma = 2 for the Gaussian family (harmonic and pseudoharmonic wells,
-one scale for every level) and sigma = 1 for the attractive 1/r problem
-(decay rate eta, changing with n); the oracle's box is one rule in t.
+with sigma = 2 for the Gaussian family (an r^2 term; one scale for every
+level) and sigma = 1 for the 1/r family (an r^-1 term; decay rate eta,
+changing with n); the oracle's box is one rule in t. An r^-2 term a_-2
+joins the barrier, delta^2 = W^2 + 2m a_-2/hbar^2, and p is then the larger
+root of p (p + c - 1) = delta^2; without one, p is the root p0 that the
+angular problem selects (2L, or (1 - s)/2 for a Cartesian axis). The rules
+differ only at d = 2, mu_1 + mu_2 < 0, L = 0: the larger root is 1 - c > 0,
+and the oscillator and 1/r keep p = 0, the Cartesian branch. Both roots are
+square-integrable there; which self-adjoint extension to take is open.
 
 Energies and normalization constants against r^c are exact closed forms
 (DLMF 13.6.19 and 18.3; see RadialSolution.norm).
@@ -36,7 +41,7 @@ import numpy as np
 from .core import DeformationParams
 from .errors import (DomainError, InvalidStateError, check_count,
                      check_positive)
-from .polar import AngularState, _check_dimension, varpi_sq
+from .polar import AngularState, varpi_sq
 from .specfun import kummer_m
 
 __all__ = [
@@ -151,12 +156,54 @@ class RadialSolution:
         return norm
 
 
+def _record(potential, n: int, c: float, w_sq: float, p0: float,
+            hbar: float, mass: float) -> RadialSolution:
+    """Level n of the well that `potential` declares (module docstring),
+    for the weight exponent c, the angular barrier w_sq and the root p0."""
+    try:
+        shift, terms = potential.well(mass)
+        coeff = {power: a for a, power in terms}
+        barrier, p = w_sq, p0
+        if -2.0 in coeff:
+            barrier = w_sq + 2.0 * mass * coeff[-2.0] / hbar ** 2
+            root = math.sqrt((c - 1.0) ** 2 + 4.0 * barrier)
+            # the larger root, in a form that never cancels
+            p = (0.5 * ((1.0 - c) + root) if c <= 1.0
+                 else 2.0 * barrier / ((c - 1.0) + root))
+        if 2.0 in coeff:
+            big_omega = math.sqrt(2.0 * coeff[2.0] / mass)
+            b = (c + 1.0) / 2.0 + p
+            energy = shift + hbar * big_omega * (2.0 * n + b)
+            scale = mass * big_omega / hbar
+        else:
+            b = c + 2.0 * p
+            kappa = n + b / 2.0
+            if kappa <= 0.0:
+                raise DomainError(f"no bound state: effective principal "
+                                  f"number {kappa} is not positive")
+            energy = shift - mass * coeff[-1.0] ** 2 / (
+                2.0 * hbar ** 2 * kappa ** 2)
+            scale = math.sqrt(-2.0 * mass * (energy - shift)) / hbar
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{potential.tag} level {n} leaves double range"
+                          ) from exc
+    return RadialSolution(
+        potential=potential, n=n, energy=energy, c=c, p=p, b=b, scale=scale,
+        barrier=barrier, shift=shift,
+        vterms=tuple(term for term in terms if term[1] != -2.0))
+
+
 class _Potential:
-    """Checks shared by the potential classes, whose fields are physical
-    constants with "help" metadata; subclasses set tag, the family flag
-    behind RadialSolution.sigma and continuum, and implement _problem."""
-    gaussian = True
-    continuum = math.inf
+    """Checks shared by the potential classes. A new potential is one class
+    of fields (constants with "help" metadata), `tag` and `well(mass)`."""
+
+    @property
+    def gaussian(self) -> bool:  # the declared well has an r^2 term
+        return any(power == 2.0 for _, power in self.well(1.0)[1])
+
+    @property
+    def continuum(self) -> float:  # where a 1/r well's levels end
+        return math.inf if self.gaussian else self.well(1.0)[0]
 
     def __post_init__(self):
         check_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
@@ -167,98 +214,51 @@ class _Potential:
         """Closed-form record of radial level n, after checking every input."""
         check_positive(hbar=hbar, mass=mass)
         n = check_count(n, "radial quantum number")
-        _check_dimension(state, params)
-        try:
-            return self._problem(n, state, params, hbar, mass,
-                                 params.d - 1.0 + 2.0 * params.mu_sum)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"{self.tag} level {n} leaves double range"
-                              ) from exc
+        return _record(self, n, params.d - 1.0 + 2.0 * params.mu_sum,
+                       varpi_sq(state, params), 2.0 * state.ell_total, hbar,
+                       mass)
 
 
 @dataclass(frozen=True)
 class Oscillator(_Potential):
-    """Isotropic harmonic well (1/2) m w^2 r^2.
-
-    Level 2 hbar w (n + L + (d + 2 sum mu)/4); leading power 2L.
-    """
+    """Isotropic harmonic well (1/2) m w^2 r^2, with levels
+    2 hbar w (n + L + (d + 2 sum mu)/4) and leading power 2L."""
     omega: float = field(metadata={"help": "harmonic trap frequency"})
     tag = "oscillator"
 
-    def _problem(self, n, state, params, hbar, mass, c):
-        L = state.ell_total
-        energy = 2.0 * hbar * self.omega * (
-            n + L + (params.d + 2.0 * params.mu_sum) / 4.0)
-        return RadialSolution(
-            potential=self, n=n, energy=energy, c=c, p=2.0 * L,
-            b=(params.d + 2.0 * params.mu_sum) / 2.0 + 2.0 * L,
-            scale=mass * self.omega / hbar, barrier=varpi_sq(state, params),
-            vterms=((0.5 * mass * self.omega ** 2, 2.0),), shift=0.0)
+    def well(self, mass):
+        return 0.0, ((0.5 * mass * self.omega ** 2, 2.0),)
 
 
 @dataclass(frozen=True)
 class Pseudoharmonic(_Potential):
-    """Molecular well D_e (r/r_e - r_e/r)^2 with depth D_e and minimum r_e.
-
-    E = -2 D_e + 4 hbar sqrt(D_e/(m r_e^2)) [n + 1/2 + (1/2) sqrt(rad)],
-    rad = 1 + (S + d/2)(S + d/2 - 2) + W^2 + 2 D_e m r_e^2 / hbar^2
-
-    with S = sum mu and W^2 the total angular constant. The radicand equals
-    ((c-1)/2)^2 + W^2 + 2 D_e m r_e^2/hbar^2 and is never negative. The
-    well adds 2 m D_e r_e^2/hbar^2 to the barrier, so the leading power p
-    is the positive root of the shifted indicial equation rather than 2L,
-    and the problem solved is a harmonic well of frequency
-    2 sqrt(D_e/m)/r_e measured from the well bottom -2 D_e.
-    """
+    """Molecular well with depth D_e and minimum r_e. The well solved is
+    2 D_e r^2/r_e^2 - 2 D_e + D_e r_e^2/r^2, whose r^2 coefficient is twice
+    that of D_e (r/r_e - r_e/r)^2 (ROADMAP.md, item 2). Its r^-2 term joins
+    the barrier, so p is the larger indicial root, and
+    E = -2 D_e + hbar Omega (2n + b) with Omega = 2 sqrt(D_e/m)/r_e."""
     D_e: float = field(metadata={
         "help": "well depth of the shifted-minimum potential"})
     r_e: float = field(metadata={
         "help": "equilibrium radius of the shifted-minimum potential"})
     tag = "pho"
 
-    def _problem(self, n, state, params, hbar, mass, c):
+    def well(self, mass):
         D_e, r_e = self.D_e, self.r_e
-        w_sq = varpi_sq(state, params)
-        s0 = params.mu_sum + params.d / 2.0
-        radicand = (1.0 + s0 * (s0 - 2.0) + w_sq
-                    + 2.0 * D_e * mass * r_e ** 2 / hbar ** 2)
-        energy = (-2.0 * D_e + 4.0 * hbar * np.sqrt(D_e / (mass * r_e ** 2))
-                  * (n + 0.5 + 0.5 * np.sqrt(radicand)))
-        delta_sq = w_sq + 2.0 * mass * D_e * r_e ** 2 / hbar ** 2
-        # delta_sq > 0 makes the positive root the unique normalizable branch
-        p = 0.5 * ((1.0 - c) + np.sqrt((c - 1.0) ** 2 + 4.0 * delta_sq))
-        big_omega = 2.0 * np.sqrt(D_e / mass) / r_e
-        return RadialSolution(
-            potential=self, n=n, energy=energy, c=c, p=p,
-            b=(c + 1.0) / 2.0 + p,
-            scale=mass * big_omega / hbar, barrier=delta_sq,
-            vterms=((0.5 * mass * big_omega ** 2, 2.0),), shift=-2.0 * D_e)
+        return -2.0 * D_e, ((2.0 * D_e / r_e ** 2, 2.0),
+                            (D_e * r_e ** 2, -2.0))
 
 
 @dataclass(frozen=True)
 class Coulomb(_Potential):
-    """Attractive -e2/r potential with coupling e2 > 0.
-
-    Level -(m e2^2 / 2 hbar^2) / (n + 2L + sum mu + (d-1)/2)^2; leading
-    power 2L; the decay rate eta = sqrt(-2 m E)/hbar changes with n.
-    """
+    """Attractive -e2/r potential with coupling e2 > 0: levels
+    -(m e2^2 / 2 hbar^2) / (n + 2L + sum mu + (d-1)/2)^2, leading power 2L
+    and a decay rate eta = sqrt(-2 m E)/hbar that changes with n."""
     e2: float = field(metadata={"help": "attractive 1/r coupling strength"})
     tag = "coulomb"
-    gaussian = False
-    continuum = 0.0
 
-    def _problem(self, n, state, params, hbar, mass, c):
-        L = state.ell_total
-        kappa = n + 2.0 * L + params.mu_sum + (params.d - 1.0) / 2.0
-        if kappa <= 0.0:
-            raise DomainError(
-                f"no bound state: effective principal number {kappa} is not positive")
-        energy = -mass * self.e2 ** 2 / (2.0 * hbar ** 2 * kappa ** 2)
-        return RadialSolution(
-            potential=self, n=n, energy=energy, c=c, p=2.0 * L,
-            b=4.0 * L + 2.0 * params.mu_sum + params.d - 1.0,
-            scale=np.sqrt(-2.0 * mass * energy) / hbar, shift=0.0,
-            barrier=varpi_sq(state, params), vterms=((-self.e2, -1.0),))
+    def well(self, mass):
+        return 0.0, ((-self.e2, -1.0),)
 
 
 PotentialSpec = Oscillator | Pseudoharmonic | Coulomb

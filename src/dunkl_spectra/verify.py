@@ -46,8 +46,9 @@ package accepts.
 
 Each potential's RadialSolution record (see `spectra`) supplies c, p, the
 potential terms, the energy shift, the automatic box, each level's start
-and the one state formula of residuals and Gram matrices; only the
-per-level 1/r boxes read the potential's family.
+and the one state formula of residuals and Gram matrices; the residual
+checks the state against the declared well, and only the per-level 1/r
+boxes read the potential's family.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dpttrf
 
-from .cartesian import _check_1d_args
+from .cartesian import _axis_record
 from .core import DeformationParams, _chart_inverse, reflect_cartesian
 from .errors import (ConvergenceError, DomainError, TailLeakWarning,
                      check_count, check_levels, check_positive)
-from .polar import AngularState, theta_eigenfunction, varpi_sq
+from .polar import AngularState, theta_eigenfunction
 from .specfun import build_quadrature, kummer_m
 from .spectra import (PotentialSpec, RadialSolution, _box_radius,
                       radial_solution, radial_wavefunction)
@@ -338,19 +339,32 @@ def _check_tail(vecs: np.ndarray, r_max: float, label: str) -> None:
             TailLeakWarning, stacklevel=level)
 
 
+_LN2 = np.log(2.0)
+_PLAIN_T = 2000.0 * _LN2  # below it, e^{-t/2} >= 2^-1000 is a normal double
+
+
 def _shapes(nodes: np.ndarray, shapes) -> np.ndarray:
     """Row i: e^{-t/2} L_n^(b-1)(t), t = (2/sigma) scale r^sigma, at the
     nodes for the i-th (n, b, scale, sigma) of `shapes` (level n up to its
-    norm, DLMF 13.6.19), ascending in n (DLMF 18.9.1) per (b, scale, sigma)."""
+    norm, DLMF 13.6.19), ascending in n (DLMF 18.9.1) per (b, scale, sigma).
+
+    Where t passes _PLAIN_T, the recurrence runs on mantissas times 2^exp2
+    per node, renormalized every step, so e^{-t/2}, which underflows past
+    t ~ 1490, is never lost before L_n grows."""
     out, family = np.empty((len(shapes), len(nodes))), None
     for i, (n, *rest) in enumerate(shapes):
         if rest != family:
             family, (b, scale, sigma), degree = rest, rest, 0
             t = 2.0 / sigma * scale * nodes ** sigma
-            g0, g = 0.0, np.exp(-0.5 * t)
+            carry = t[-1] > _PLAIN_T
+            exp2 = np.floor(-0.5 * t / _LN2) if carry else 0.0
+            g0, g = 0.0, np.exp(-0.5 * t - exp2 * _LN2 if carry else -0.5 * t)
         for j in range(degree, n):
             g0, g = g, ((2 * j + b - t) * g - (j + b - 1.0) * g0) / (j + 1.0)
-        out[i], degree = g, n
+            if carry:
+                k = np.frexp(np.maximum(np.abs(g), np.abs(g0)))[1]
+                g0, g, exp2 = np.ldexp(g0, -k), np.ldexp(g, -k), exp2 + k
+        out[i], degree = np.ldexp(g, exp2.astype(int)) if carry else g, n
     return out
 
 
@@ -360,8 +374,7 @@ def _solve_levels(q: float, vterms, cfg: DiscretizationConfig, shapes,
     level's), each given as (n, b, scale, sigma), n its index, and per level
     how its value on the grid and on the doubled grid was found (None without
     Richardson). On each grid `_refine` starts from s times each level's
-    shape; e^{-t/2} underflows past t ~ 1490, so from n ~ 370 a level starts
-    from zeros there and may be bisected at its index."""
+    shape, which `_shapes` carries past the underflow of e^{-t/2}."""
     levels = range(shapes[0][0], shapes[-1][0] + 1)
     if levels.stop > cfg.n_points:
         raise DomainError(f"{label}: level {levels.stop - 1} needs at least "
@@ -425,21 +438,12 @@ def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
 def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
                              cfg: DiscretizationConfig, k: int,
                              hbar: float = 1.0, mass: float = 1.0) -> np.ndarray:
-    """Lowest k single-axis eigenvalues of the parity-reduced problems.
-
-    The even sector is solved directly on the half line with weight
-    exponent 2 mu (zero-flux origin matches the even regular branch); the
-    odd sector divides out one power of x and solves with 2 mu + 2. Levels
-    are found by index as in `radial_eigenvalues`.
-    """
-    _check_1d_args(mu, s, omega, hbar, mass)
-    k = check_levels(k)
-    q = 2.0 * mu if s == 1 else 2.0 * mu + 2.0
-    # the state is the radial one of u = m omega x^2/hbar, b = mu + 1 - s/2
-    shapes = [(j, mu + 1 - s / 2, mass * omega / hbar, 2.0) for j in range(k)]
-    vterms = [(0.5 * mass * omega ** 2, 2.0)]
-    return _solve_levels(q, vterms, cfg, shapes, hbar, mass,
-                         f"axis sector s={s:+d}")[0]
+    """Lowest k single-axis eigenvalues of the parity-reduced problems: each
+    sector is its axis record's radial problem on the half line (the odd one
+    divides out one power of x), solved as in `radial_eigenvalues`."""
+    recs = [_axis_record(j, mu, s, omega, hbar, mass)
+            for j in range(check_levels(k))]
+    return _record_levels(recs, cfg, hbar, mass, f"axis sector s={s:+d}")[0]
 
 
 _STEP = 5e-4  # residual_check's stencil step, relative to |x|
@@ -458,8 +462,8 @@ def residual_check(potential: PotentialSpec, params: DeformationParams,
 
     sigma_j the reflection x_j -> -x_j, with fourth-order five-point
     stencils of step 5e-4 |x|; each coordinate must lie more than two steps
-    from zero. The well is the record's own, shift + sum of vterms +
-    (hbar^2/2m)(barrier - W^2)/r^2 with W^2 = varpi_sq. Returns the maximum
+    from zero. The well is the potential's declared one, shift + sum of
+    coeff r^power over all its terms (`well`). Returns the maximum
     residual of the equation scaled by the largest sum of its term
     magnitudes, so an exact solution scores near machine precision.
     """
@@ -492,9 +496,9 @@ def residual_check(potential: PotentialSpec, params: DeformationParams,
     d1 = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * h)
     mu = np.array(params.mu)[:, None]
     axis_terms = (d2, 2.0 * mu / x.T * d1, -mu / x.T ** 2 * (f0 - mirror))
-    v = sol.shift + sum(coeff * r ** power for coeff, power in sol.vterms)
-    well = (2.0 * mass / hbar ** 2 * (sol.energy - v)
-            - (sol.barrier - varpi_sq(state, params)) / r ** 2) * f0
+    shift, terms = potential.well(mass)
+    v = shift + sum(coeff * r ** power for coeff, power in terms)
+    well = 2.0 * mass / hbar ** 2 * (sol.energy - v) * f0
     residual = np.abs(sum(t.sum(axis=0) for t in axis_terms) + well)
     magnitude = sum(np.abs(t).sum(axis=0) for t in axis_terms) + np.abs(well)
     return float(np.max(residual) / np.max(magnitude))

@@ -20,12 +20,14 @@ from dunkl_spectra import (
     bound_energy,
     coulomb_energy,
     coulomb_large_d_expansion,
+    energy_1d,
     oscillator_energy,
     pho_energy,
     radial_solution,
     radial_wavefunction,
     reduced_density,
 )
+from dunkl_spectra.cartesian import _axis_record
 from dunkl_spectra.specfun import build_quadrature, kummer_m
 from dunkl_spectra.spectra import _box_radius
 
@@ -607,3 +609,105 @@ def test_box_is_the_rule_of_the_record(potential):
         t = 2.0 / rec.sigma * rec.scale * rec.r_max ** rec.sigma
         npt.assert_allclose(t, 1.5 * (4.0 * n + 2.0 * rec.b) + 50.0,
                             rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# one derivation per family, against the level formulas written out
+# ---------------------------------------------------------------------------
+
+def test_branch_rule_at_d2_negative_coupling_sum():
+    # c = 1 + 2 (mu_1 + mu_2) = 0.2 and L = 0: the indicial roots are 0 and
+    # 1 - c = 0.8, both square-integrable. Oscillator and 1/r keep p = 0,
+    # the Cartesian branch; the r^-2 term of Pseudoharmonic takes the larger
+    # root, which tends to 1 - c as D_e r_e^2 -> 0.
+    params = DeformationParams(2, (-0.3, -0.1))
+    state = AngularState.from_total(2, 0.0)
+    for potential in (Oscillator(1.3), Coulomb(0.7)):
+        assert potential.radial_problem(0, state, params).p == 0.0
+    for D_e, want in ((2.0, None), (1e-9, 0.8)):
+        rec = Pseudoharmonic(D_e, 1.0).radial_problem(0, state, params)
+        npt.assert_allclose(rec.p * (rec.p + rec.c - 1.0), rec.barrier,
+                            rtol=1e-12, atol=1e-15)
+        assert rec.p > 1.0 - rec.c
+        if want is not None:
+            assert rec.p == pytest.approx(want, rel=1e-8)
+
+
+def _level_formulas(n, d, S, L, mu, omega, D_e, r_e, e2, hbar, m):
+    """The paper's levels, written out: (potential tag or axis parity) ->
+    energy, p, b and scale, with S = sum mu, L the total angular number and
+    mu the coupling of the Cartesian axis. Pseudoharmonic is the well solved,
+    2 D_e r^2/r_e^2 - 2 D_e + D_e r_e^2/r^2. Evaluated in mpmath."""
+    sqrt = mpmath.sqrt
+    c = d - 1 + 2 * S
+    w_sq = 4 * L * (L + S + (d - 2) / mpmath.mpf(2))
+    s0 = S + d / mpmath.mpf(2)
+    rad = 1 + s0 * (s0 - 2) + w_sq + 2 * D_e * m * r_e ** 2 / hbar ** 2
+    delta_sq = w_sq + 2 * m * D_e * r_e ** 2 / hbar ** 2
+    p = ((1 - c) + sqrt((c - 1) ** 2 + 4 * delta_sq)) / 2
+    kappa = n + 2 * L + S + (d - 1) / mpmath.mpf(2)
+    energy = -(m * e2 ** 2 / (2 * hbar ** 2)) / kappa ** 2
+    out = {
+        "oscillator": (2 * hbar * omega * (n + L + (d + 2 * S) / 4), 2 * L,
+                       (d + 2 * S) / 2 + 2 * L, m * omega / hbar),
+        "pho": (-2 * D_e + 4 * hbar * sqrt(D_e / (m * r_e ** 2))
+                * (n + 0.5 + sqrt(rad) / 2), p, (c + 1) / 2 + p,
+                m * 2 * sqrt(D_e / m) / r_e / hbar),
+        "coulomb": (energy, 2 * L, 4 * L + 2 * S + d - 1,
+                    sqrt(-2 * m * energy) / hbar) if kappa > 0 else None,
+    }
+    for s in (1, -1):
+        out[s] = (hbar * omega * (2 * n + mu + 1 - s / mpmath.mpf(2)),
+                  (1 - s) / mpmath.mpf(2), mu + 1 - s / mpmath.mpf(2),
+                  m * omega / hbar)
+    return out
+
+
+def test_records_match_the_level_formulas():
+    # every derived record, the Cartesian axes included, lies within 8 ulp
+    # of the formula evaluated exactly from the same double inputs
+    rng = np.random.default_rng(20260521)
+    worst = 0.0
+    for _ in range(300):
+        d = int(rng.integers(2, 9))
+        params = DeformationParams(d, tuple(rng.uniform(-0.45, 1.0, d)))
+        L = int(rng.integers(0, 7)) / 2.0
+        state = AngularState.from_total(d, L)
+        n = int(rng.integers(0, 31))
+        omega, D_e, r_e, e2, hbar, mass = np.exp(rng.uniform(-2.0, 2.0, 6))
+        mu = params.mu[0]
+        with mpmath.workdps(40):
+            want = _level_formulas(n, d, mpmath.mpf(params.mu_sum), L,
+                                   mpmath.mpf(mu), *map(mpmath.mpf, (
+                                       omega, D_e, r_e, e2, hbar, mass)))
+        records = {s: _axis_record(n, mu, s, omega, hbar, mass)
+                   for s in (1, -1)}
+        for potential in (Oscillator(omega), Pseudoharmonic(D_e, r_e),
+                          Coulomb(e2)):
+            if want[potential.tag] is not None:
+                records[potential.tag] = potential.radial_problem(
+                    n, state, params, hbar, mass)
+        assert set(records) == {key for key, v in want.items() if v}
+        for key, rec in records.items():
+            for got, value in zip((rec.energy, rec.p, rec.b, rec.scale),
+                                  map(float, want[key])):
+                worst = max(worst, abs(got - value) / math.ulp(value))
+        for s in (1, -1):
+            assert energy_1d(n, mu, s, omega, hbar) == _axis_record(
+                n, mu, s, omega, hbar, 1.0).energy
+    assert worst <= 8.0
+
+
+@pytest.mark.parametrize("omega, hbar", [
+    (1e155, 1.0),    # m w^2/2 overflows
+    (1e-155, 1.0),   # m w^2/2 underflows to a subnormal
+    (1e10, 1e300),   # the energy overflows
+    (1e-10, 1e-300),  # the energy underflows to a subnormal
+    (1e100, 1e-300),  # m w/hbar overflows
+])
+def test_energy_1d_refuses_what_the_radial_oscillator_refuses(omega, hbar):
+    # the axis record refuses constants whose well, energy or scale leaves
+    # double range, as the radial oscillator does; energy_1d used to return
+    # a number (or inf, or a subnormal) for each of these
+    with pytest.raises(DomainError):
+        energy_1d(0, 0.2, 1, omega, hbar)

@@ -34,8 +34,10 @@ from dunkl_spectra import (
     pho_energy,
     radial_eigenvalues,
     residual_check,
+    varpi_sq,
 )
 from dunkl_spectra import verify
+from dunkl_spectra.spectra import _Potential
 from dunkl_spectra.verify import _p1_matrix, _refine, _sturm_count
 
 
@@ -292,6 +294,40 @@ def test_residual_sweep_over_every_sector():
                 checked += 1
     assert checked > 0.98 * cases
     assert worst <= 1e-7
+
+
+@dataclasses.dataclass(frozen=True)
+class _Kratzer(_Potential):
+    """-e2/r + g/r^2: a new potential is its fields, tag and well alone."""
+    e2: float = dataclasses.field(metadata={"help": "1/r coupling"})
+    g: float = dataclasses.field(metadata={"help": "r^-2 strength"})
+    tag = "kratzer"
+
+    def well(self, mass):
+        return 0.0, ((-self.e2, -1.0), (self.g, -2.0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_declared_kratzer_well_passes_oracle_and_residual(d):
+    # the 1/r family plus an r^-2 term, declared in the test alone: the
+    # derivation gives p the larger indicial root, and the oracle and the
+    # residual of the d-dimensional equation both check that record
+    potential = _Kratzer(1.3, 0.4)
+    params = DeformationParams.uniform(d, 0.2)
+    state = AngularState.from_total(d, 1.0)
+    assert not potential.gaussian and potential.continuum == 0.0
+    rep = oracle_report(potential, params, state,
+                        DiscretizationConfig(n_points=8000), 3, 1e-8)
+    assert rep.passed
+    rng = np.random.default_rng(d)
+    for n in range(3):
+        rec = potential.radial_problem(n, state, params)
+        assert rec.barrier > varpi_sq(state, params)
+        radii = (np.array([0.3, 0.7]) * (4 * n + 2 * rec.b + 2.0)
+                 / (2.0 * rec.scale))
+        u = rng.uniform(0.2, 1.0, d) * rng.choice((-1.0, 1.0), d)
+        points = radii[:, None] * u / np.linalg.norm(u)
+        assert residual_check(potential, params, state, n, points) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +999,39 @@ def test_long_run_refines_every_level_on_both_grids(monkeypatch, k):
     assert rep.grid["coarse_solve"] == rep.grid["fine_solve"] == ["rqi"] * k
     assert not calls
     assert rep.passed
+
+
+def test_long_run_past_the_underflow_bisects_no_high_level(monkeypatch):
+    # the top level's box reaches t ~ 2450, where e^{-t/2} underflows; the
+    # shapes carry a power of two per node, so no level from n = 365 up is
+    # bisected (levels 303 and 304 of the n_points grid may be)
+    levels = []
+    bisect = verify._bisect
+    monkeypatch.setattr(verify, "_bisect",
+                        lambda *args: levels.append(args[2]) or bisect(*args))
+    rep = oracle_report(Oscillator(1.0), DeformationParams.uniform(3, 0.4),
+                        AngularState.from_total(3, 0.0),
+                        DiscretizationConfig(n_points=4000), 400, 1e-4)
+    assert rep.passed
+    assert len(levels) <= 2 and all(j < 365 for j in levels)
+
+
+def test_shapes_past_the_underflow_match_the_laguerre_function(monkeypatch):
+    # e^{-t/2} L_n^(b-1)(t) at t where e^{-t/2} alone is below the doubles,
+    # against mpmath; below the carry threshold the two paths agree
+    b, n = 2.3, 420
+    t = np.array([20.0, 900.0, 1500.0, 1700.0, 1800.0])
+    got = verify._shapes(np.sqrt(t), [(n, b, 1.0, 2.0)])[0]
+    with mp.workdps(30):
+        want = [float(mp.exp(-x / 2) * mp.laguerre(n, b - 1, x)) for x in t]
+    npt.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    nodes = np.linspace(0.0, 30.0, 500)
+    shapes = [(j, b, 1.0, 2.0) for j in range(0, 200, 7)]
+    plain = verify._shapes(nodes, shapes)
+    monkeypatch.setattr(verify, "_PLAIN_T", 0.0)
+    carried = verify._shapes(nodes, shapes)
+    peak = np.max(np.abs(plain), axis=1, keepdims=True)
+    assert np.max(np.abs(carried - plain) / peak) < 1e-12
 
 
 def test_large_weight_exponent_refines_on_both_rungs():
