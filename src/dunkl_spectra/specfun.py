@@ -1,8 +1,8 @@
 """Numerical kernels: classical orthogonal polynomials and their norms, the
-confluent hypergeometric function M(a, b, x), and Gauss rules for the Jacobi
-weight and the half-line weights r^gamma e^{-r} and r^gamma e^{-r^2}, all
-three from one Golub-Welsch step on recurrence coefficients and zeroth moment
-in double precision.
+terminating confluent hypergeometric function M(-n, b, x), and Gauss rules
+for the Jacobi weight and the half-line weights r^gamma e^{-r} and
+r^gamma e^{-r^2}, all three from one Golub-Welsch step on recurrence
+coefficients and zeroth moment in double precision.
 
 Polynomials are evaluated by ascending three-term recurrences, which stay
 stable for the index ranges used here (factorial-ratio closed forms overflow
@@ -32,9 +32,6 @@ __all__ = [
     "gauss_jacobi",
     "build_quadrature",
 ]
-
-_SERIES_CAP = 10000
-
 
 def _degree(n, *params) -> int:
     """The checked degree; weight parameters must exceed -1 (integrable)."""
@@ -127,47 +124,35 @@ def _kummer_poly_mp(n: int, b: float, x: float) -> float:
 
 
 def kummer_m(a: float, b: float, x):
-    """Confluent hypergeometric function M(a, b, x) = 1F1(a; b; x).
-
-    When a is a non-positive integer the series terminates and is summed
-    exactly as a polynomial; that also covers b a non-positive integer with
+    """Confluent hypergeometric function M(a, b, x) = 1F1(a; b; x) for a a
+    non-positive integer, where the series terminates and is summed exactly
+    as a polynomial; that also covers b a non-positive integer with
     |a| <= |b|, where the truncation stops before the zero denominator.
-    Otherwise the power series is summed with a term-ratio stopping rule.
+    Every other a raises DomainError.
     """
-    if _is_nonpos_int(b) and not (_is_nonpos_int(a) and abs(a) <= abs(b)):
+    if not _is_nonpos_int(a):
+        raise DomainError(f"M(a, b, x) is summed only as a polynomial: a={a} "
+                          f"must be a non-positive integer")
+    if _is_nonpos_int(b) and abs(a) > abs(b):
         raise DomainError(
             f"M(a, b, x) undefined for b={b}: non-positive integer b requires "
-            f"a a non-positive integer with |a| <= |b|")
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    if _is_nonpos_int(a):
-        n = int(round(-a))
-        absum = np.ones_like(x)
-        for k in range(n):
-            term = term * ((a + k) / ((b + k) * (k + 1.0))) * x
-            total = total + term
-            absum = absum + np.abs(term)
-        # cancellation guard: termwise float64 rounding scales with the
-        # largest partial sums, so redo ill-conditioned entries widened
-        bad = absum > 1e4 * np.maximum(np.abs(total), 1e-300)
-        if np.any(bad):
-            # flat C-order positions serve x of any shape
-            flat, xs = np.ravel(total), np.ravel(x)
-            for i in np.flatnonzero(bad):
-                flat[i] = _kummer_poly_mp(n, b, float(xs[i]))
-            total = flat.reshape(x.shape)
-        return total if np.ndim(total) else float(total)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(_SERIES_CAP):
-            term = term * ((a + k) / ((b + k) * (k + 1.0))) * x
-            total = total + term
-            if not np.all(np.isfinite(total)):
-                break
-            if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-                return total if total.ndim else float(total)
-    raise ConvergenceError(
-        f"M({a}, {b}, x) series did not converge within {_SERIES_CAP} terms")
+            f"|a| <= |b|")
+    x, n = np.asarray(x, dtype=float), int(round(-a))
+    total, term, absum = np.ones_like(x), np.ones_like(x), np.ones_like(x)
+    for k in range(n):
+        term = term * ((a + k) / ((b + k) * (k + 1.0))) * x
+        total = total + term
+        absum = absum + np.abs(term)
+    # cancellation guard: termwise float64 rounding scales with the
+    # largest partial sums, so redo ill-conditioned entries widened
+    bad = absum > 1e4 * np.maximum(np.abs(total), 1e-300)
+    if np.any(bad):
+        # flat C-order positions serve x of any shape
+        flat, xs = np.ravel(total), np.ravel(x)
+        for i in np.flatnonzero(bad):
+            flat[i] = _kummer_poly_mp(n, b, float(xs[i]))
+        total = flat.reshape(x.shape)
+    return total if np.ndim(total) else float(total)
 
 
 @dataclass(frozen=True)

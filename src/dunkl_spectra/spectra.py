@@ -166,7 +166,12 @@ def _record(potential, n: int, c: float, w_sq: float, p0: float,
         barrier, p = w_sq, p0
         if -2.0 in coeff:
             barrier = w_sq + 2.0 * mass * coeff[-2.0] / hbar ** 2
-            root = math.sqrt((c - 1.0) ** 2 + 4.0 * barrier)
+            disc = (c - 1.0) ** 2 + 4.0 * barrier
+            if not disc >= 0.0:
+                raise DomainError(f"{potential.tag}: the r^-2 term makes the "
+                                  f"particle fall to the centre, no real "
+                                  f"leading power (discriminant {disc})")
+            root = math.sqrt(disc)
             # the larger root, in a form that never cancels
             p = (0.5 * ((1.0 - c) + root) if c <= 1.0
                  else 2.0 * barrier / ((c - 1.0) + root))
@@ -289,7 +294,7 @@ def _state(sol: RadialSolution, r, power: float):
     r = np.asarray(r, dtype=float)
     t = 2.0 / sol.sigma * sol.scale * np.power(r, sol.sigma)
     return (sol.norm * np.power(r, power) * np.exp(-0.5 * t)
-            * kummer_m(sol.kummer_a, sol.b, t))
+            * kummer_m(-sol.n, sol.b, t))
 
 
 def radial_wavefunction(sol: RadialSolution, r):

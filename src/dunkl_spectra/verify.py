@@ -47,8 +47,8 @@ package accepts.
 Each potential's RadialSolution record (see `spectra`) supplies c, p, the
 potential terms, the energy shift, the automatic box, each level's start
 and the one state formula of residuals and Gram matrices; the residual
-checks the state against the declared well, and only the per-level 1/r
-boxes read the potential's family.
+checks the state against the declared well. Levels whose records share
+(b, scale, sigma) share a box, so no code here reads the potential's family.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import groupby
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -69,8 +70,8 @@ from .errors import (ConvergenceError, DomainError, TailLeakWarning,
                      check_count, check_levels, check_positive)
 from .polar import AngularState, theta_eigenfunction
 from .specfun import build_quadrature, kummer_m
-from .spectra import (PotentialSpec, RadialSolution, _box_radius,
-                      radial_solution, radial_wavefunction)
+from .spectra import (PotentialSpec, RadialSolution, radial_solution,
+                      radial_wavefunction)
 
 _log = logging.getLogger("dunkl_spectra")
 
@@ -368,42 +369,47 @@ def _shapes(nodes: np.ndarray, shapes) -> np.ndarray:
     return out
 
 
-def _solve_levels(q: float, vterms, cfg: DiscretizationConfig, shapes,
-                  hbar: float, mass: float, label: str):
-    """Eigenvalues of consecutive levels on one box (r_max = None: the top
-    level's), each given as (n, b, scale, sigma), n its index, and per level
-    how its value on the grid and on the doubled grid was found (None without
-    Richardson). On each grid `_refine` starts from s times each level's
-    shape, which `_shapes` carries past the underflow of e^{-t/2}."""
-    levels = range(shapes[0][0], shapes[-1][0] + 1)
-    if levels.stop > cfg.n_points:
-        raise DomainError(f"{label}: level {levels.stop - 1} needs at least "
-                          f"{levels.stop} grid vertices, the grid has "
-                          f"{cfg.n_points}")
-    n, scale = cfg.n_points, 2.0 * mass / hbar ** 2
-    r_max = cfg.r_max or _box_radius(*shapes[-1])
-    sizes = [n, 2 * n] if cfg.richardson else [n]
-    profile = _profile(q, tuple(p for _, p in vterms), sizes[-1])
-    for m in sizes:
-        diag, off, s, nodes = _p1_matrix(q, vterms, r_max, m, scale, profile)
-        values, how, vecs = _refine(diag, off, levels,
-                                    s * _shapes(nodes, shapes), r_max)
-        if m == n:
-            _check_tail(vecs, r_max, label)
-            coarse, coarse_how = values / scale, how
-    if not cfg.richardson:
-        return coarse, coarse_how, None
-    return (4.0 * values / scale - coarse) / 3.0, coarse_how, how
+def _runs(recs: list[RadialSolution], cfg: DiscretizationConfig):
+    """The levels that share a box, as (records, r_max): all on cfg.r_max
+    when it is set, else each run of consecutive records with one
+    (b, scale, sigma), the key `_shapes` groups by, on its top record's box;
+    so the Gaussian family and an axis are one run, and each 1/r level too."""
+    if cfg.r_max is not None:
+        return [(recs, cfg.r_max)]
+    runs = [list(run) for _, run in groupby(
+        recs, key=lambda rec: (rec.b, rec.scale, rec.sigma))]
+    return [(run, run[-1].r_max) for run in runs]
 
 
-def _record_levels(recs: list[RadialSolution], cfg: DiscretizationConfig,
-                   hbar: float, mass: float, label: str):
-    """_solve_levels on the top record's weight and potential terms."""
-    vals, *how = _solve_levels(
-        recs[-1].c + 2.0 * recs[-1].p, recs[-1].vterms, cfg,
-        [(rec.n, rec.b, rec.scale, rec.sigma) for rec in recs], hbar, mass,
-        label)
-    return vals + recs[-1].shift, *how
+def _solve(recs: list[RadialSolution], cfg: DiscretizationConfig,
+           hbar: float, mass: float, label: str):
+    """Eigenvalues of the consecutive levels `recs`, and per level how its
+    value on the grid and on the doubled grid was found (None without
+    Richardson). The levels share the top record's weight r^q, q = c + 2p,
+    potential terms, shift and profile; each of the `_runs` is solved on its
+    box, where `_refine` starts each level from s times its shape."""
+    top, n, scale = recs[-1], cfg.n_points, 2.0 * mass / hbar ** 2
+    if top.n >= n:
+        raise DomainError(f"{label}: level {top.n} needs at least "
+                          f"{top.n + 1} grid vertices, the grid has {n}")
+    q, sizes = top.c + 2.0 * top.p, [n, 2 * n] if cfg.richardson else [n]
+    profile = _profile(q, tuple(p for _, p in top.vterms), sizes[-1])
+    energies, how = [], ([], [])
+    for run, r_max in _runs(recs, cfg):
+        shapes = [(rec.n, rec.b, rec.scale, rec.sigma) for rec in run]
+        for m, found in zip(sizes, how):
+            diag, off, s, nodes = _p1_matrix(q, top.vterms, r_max, m, scale,
+                                             profile)
+            values, level_how, vecs = _refine(
+                diag, off, range(shapes[0][0], shapes[-1][0] + 1),
+                s * _shapes(nodes, shapes), r_max)
+            found.extend(level_how)
+            if m == n:
+                _check_tail(vecs, r_max, label)
+                coarse = values / scale
+        energies.append(top.shift + ((4.0 * values / scale - coarse) / 3.0
+                                     if cfg.richardson else coarse))
+    return np.concatenate(energies), how[0], how[1] if cfg.richardson else None
 
 
 def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
@@ -413,22 +419,22 @@ def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
                        fine_solve: list | None = None) -> np.ndarray:
     """Lowest k radial eigenvalues from the P1 discretization.
 
-    The top level's closed-form record supplies the weight, the potential
-    terms and, with r_max = None, the box (from its n, b and scale); its
-    energy enters neither; each level's record gives its start (on a shared
-    1/r box each decays at its own rate). Each level is found by its own
-    index (module docstring), so on a given box entry j is the same for
-    every k > j. Lists passed as coarse_solve and fine_solve receive, per
-    level, "rqi" or "bisection" for how its value on the grid and on the
-    doubled grid was found (fine_solve nothing without Richardson).
-    `oracle_report` reads them there so that its Gaussian-family solves stay
-    calls of this public function, whose spans perfbench's per-layer verify
-    figures are taken from.
+    The closed-form records supply the weight, the potential terms, each
+    level's start and, with r_max = None, the boxes: Gaussian-family levels
+    share their top level's box, and each 1/r level gets its own (from its
+    n, b and scale); no energy enters. Each level is found by its own index
+    (module docstring), so on a given box entry j is the same for every
+    k > j. Lists passed as coarse_solve and fine_solve receive, per level,
+    "rqi" or "bisection" for how its value on the grid and on the doubled
+    grid was found (fine_solve nothing without Richardson). `oracle_report`
+    reads them there, so that each of its solves is one call of this public
+    function, whose spans perfbench's per-layer verify figures are taken
+    from.
     """
     k = check_levels(k)
     recs = [potential.radial_problem(n, state, params, hbar, mass)
             for n in range(k)]
-    vals, coarse, fine = _record_levels(recs, cfg, hbar, mass, potential.tag)
+    vals, coarse, fine = _solve(recs, cfg, hbar, mass, potential.tag)
     for out, how in ((coarse_solve, coarse), (fine_solve, fine)):
         if out is not None and how is not None:
             out.extend(how)
@@ -443,7 +449,7 @@ def cartesian_1d_eigenvalues(mu: float, s: int, omega: float,
     divides out one power of x), solved as in `radial_eigenvalues`."""
     recs = [_axis_record(j, mu, s, omega, hbar, mass)
             for j in range(check_levels(k))]
-    return _record_levels(recs, cfg, hbar, mass, f"axis sector s={s:+d}")[0]
+    return _solve(recs, cfg, hbar, mass, f"axis sector s={s:+d}")[0]
 
 
 _STEP = 5e-4  # residual_check's stencil step, relative to |x|
@@ -527,7 +533,7 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
     def kummer(n: int, x: float) -> np.ndarray:
         # M(-n, b, 2 lam r^sigma) at the nodes, x = 2 lam/rho: x = 1 for
         # every Gaussian pair, so each state is evaluated once there
-        return kummer_m(sols[n].kummer_a, sols[n].b, x * rule.nodes)
+        return kummer_m(-n, sols[n].b, x * rule.nodes)
 
     gram = np.empty((n_max, n_max))
     for i, si in enumerate(sols):
@@ -597,10 +603,10 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
     passes when every relative error is at most tolerance, which must be
     positive and finite.
 
-    With an automatic box, levels of the attractive 1/r problem get
-    individually sized grids (their spatial extents differ by orders of
-    magnitude), and each is solved alone on its own box; the Gaussian-family
-    levels share one box. grid["r_max"] is the box used: one number, or the
+    The levels are solved by one `radial_eigenvalues` call, on its boxes:
+    with an automatic box each 1/r level is solved alone on its own (their
+    spatial extents differ by orders of magnitude), and the Gaussian-family
+    levels share one. grid["r_max"] is the box used: one number, or the
     list of per-level boxes. grid["coarse_solve"] and grid["fine_solve"] say
     per level whether its value on the n_points grid and on the doubled
     Richardson grid came from Rayleigh-quotient iteration ("rqi") or from
@@ -612,23 +618,15 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
     recs = [potential.radial_problem(n, state, params, hbar, mass)
             for n in range(k)]
     coarse, fine = [], []
-    if potential.gaussian or cfg.r_max is not None:
-        numeric = list(radial_eigenvalues(potential, params, state, cfg, k,
-                                          hbar, mass, coarse_solve=coarse,
-                                          fine_solve=fine))
-        r_max = cfg.r_max or recs[-1].r_max
-    else:
-        solves = [_record_levels([rec], cfg, hbar, mass, potential.tag)
-                  for rec in recs]
-        numeric = [vals[0] for vals, _, _ in solves]
-        coarse = [how for _, level, _ in solves for how in level]
-        fine = [how for _, _, level in solves for how in level or ()]
-        r_max = [rec.r_max for rec in recs]
+    numeric = radial_eigenvalues(potential, params, state, cfg, k, hbar, mass,
+                                 coarse_solve=coarse, fine_solve=fine)
+    boxes = [r_max for _, r_max in _runs(recs, cfg)]
     return OracleReport(
         potential=potential.tag, d=params.d, mu=params.mu,
         two_ell=state.two_ell, parity=state.parity.s,
         levels=tuple(range(k)), analytic=tuple(float(r.energy) for r in recs),
         numeric=tuple(float(v) for v in numeric), tolerance=tolerance,
-        grid={"r_max": r_max, "n_points": cfg.n_points,
+        grid={"r_max": boxes[0] if len(boxes) == 1 else boxes,
+              "n_points": cfg.n_points,
               "richardson": cfg.richardson, "coarse_solve": coarse,
               "fine_solve": fine if cfg.richardson else None})

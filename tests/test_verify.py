@@ -330,6 +330,34 @@ def test_declared_kratzer_well_passes_oracle_and_residual(d):
         assert residual_check(potential, params, state, n, points) <= 1e-7
 
 
+@dataclasses.dataclass(frozen=True)
+class _InverseSquareWell(_Potential):
+    """-e2/r - g/r^2: an attractive r^-2 term, strong enough at large g to
+    make the particle fall to the centre."""
+    e2: float = dataclasses.field(metadata={"help": "1/r coupling"})
+    g: float = dataclasses.field(metadata={"help": "r^-2 attraction"})
+    tag = "inverse-square"
+
+    def well(self, mass):
+        return 0.0, ((-self.e2, -1.0), (-self.g, -2.0))
+
+
+def test_fall_to_the_centre_fails_fast():
+    # at d = 3, L = 0 the indicial equation p (p + 1) = -2 g has no real
+    # root once g > 1/8: every entry point refuses the well by name. Below
+    # that the larger root gives a record that the oracle confirms
+    params = DeformationParams.uniform(3, 0.0)
+    state = AngularState.from_total(3, 0.0)
+    strong = _InverseSquareWell(1.0, 5.0)
+    with pytest.raises(DomainError, match="inverse-square.*fall to the centre"):
+        strong.radial_problem(0, state, params)
+    with pytest.raises(DomainError, match="fall to the centre"):
+        oracle_report(strong, params, state, DiscretizationConfig(), 2, 1e-3)
+    rep = oracle_report(_InverseSquareWell(1.0, 0.1), params, state,
+                        DiscretizationConfig(n_points=8000), 2, 1e-6)
+    assert rep.passed
+
+
 # ---------------------------------------------------------------------------
 # Gram matrices
 # ---------------------------------------------------------------------------
@@ -568,18 +596,21 @@ def test_p1_entries_match_per_element_moments(q, vterms):
 
 
 def _index_bisection(potential, params, state, cfg, k):
-    """Richardson values with both grids bisected at each level's index."""
-    rec = potential.radial_problem(k - 1, state, params, 1.0, 1.0)
-    r_max = rec.r_max if cfg.r_max is None else cfg.r_max
-    grids = []
-    for n in (cfg.n_points, 2 * cfg.n_points):
-        diag, off, _, _ = _p1_matrix(rec.c + 2.0 * rec.p, rec.vterms, r_max,
-                                     n, 2.0)
-        grids.append(np.array([
-            eigh_tridiagonal(diag, off, select="i", select_range=(j, j),
-                             eigvals_only=True)[0] for j in range(k)]) / 2.0)
-    coarse, fine = grids
-    return (4.0 * fine - coarse) / 3.0 + rec.shift
+    """Richardson values with both grids bisected at each level's index, on
+    the box it is solved on: cfg.r_max, else the top level's box for the
+    Gaussian family and each 1/r level's own."""
+    recs = [potential.radial_problem(j, state, params, 1.0, 1.0)
+            for j in range(k)]
+    out = []
+    for j, rec in enumerate(recs):
+        box = recs[-1] if potential.gaussian else rec
+        r_max = box.r_max if cfg.r_max is None else cfg.r_max
+        coarse, fine = (eigh_tridiagonal(
+            *_p1_matrix(rec.c + 2.0 * rec.p, rec.vterms, r_max, n, 2.0)[:2],
+            select="i", select_range=(j, j), eigvals_only=True)[0] / 2.0
+            for n in (cfg.n_points, 2 * cfg.n_points))
+        out.append((4.0 * fine - coarse) / 3.0 + rec.shift)
+    return np.array(out)
 
 
 _LEVEL_COUNT_CASES = [(Oscillator(1.0), 12.0),
@@ -601,6 +632,49 @@ def test_level_value_independent_of_level_count(potential, r_max, n_points):
             for k in range(1, 5)]
     for j in range(4):
         assert len({float(vals[j]) for vals in runs[j:]}) == 1
+
+
+@pytest.mark.parametrize("potential, r_max", _LEVEL_COUNT_CASES,
+                         ids=["oscillator", "pho", "coulomb"])
+def test_oracle_numbers_are_radial_eigenvalues(potential, r_max):
+    # one solve path: on an automatic or a given box the report's numbers
+    # are radial_eigenvalues' bit for bit; an automatic box is the top
+    # level's for the Gaussian family and each level's own for 1/r
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.5)
+    for box in (None, r_max):
+        cfg = DiscretizationConfig(r_max=box, n_points=400)
+        for k in range(1, 5):
+            rep = oracle_report(potential, params, state, cfg, k, 1.0)
+            want = radial_eigenvalues(potential, params, state, cfg, k)
+            assert rep.numeric == tuple(float(v) for v in want)
+            recs = [potential.radial_problem(n, state, params)
+                    for n in range(k)]
+            auto = [rec.r_max for rec in
+                    (recs[-1:] if potential.gaussian else recs)]
+            assert rep.grid["r_max"] == (box if box is not None else auto
+                                         if len(auto) > 1 else auto[0])
+
+
+@pytest.mark.parametrize("potential", [Oscillator(1.0),
+                                       Pseudoharmonic(5.0, 1.2),
+                                       Coulomb(1.0), _Kratzer(1.3, 0.4)],
+                         ids=["oscillator", "pho", "coulomb", "kratzer"])
+def test_oracle_report_is_one_radial_eigenvalues_call(monkeypatch,
+                                                      potential):
+    # every report, in either family, solves its levels in one call of the
+    # module's radial_eigenvalues, the function perfbench's tracer wraps
+    calls = []
+    solve = verify.radial_eigenvalues
+    monkeypatch.setattr(verify, "radial_eigenvalues",
+                        lambda *args, **kw: calls.append(args) or solve(
+                            *args, **kw))
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.5)
+    for k in range(1, 5):
+        oracle_report(potential, params, state,
+                      DiscretizationConfig(n_points=400), k, 1.0)
+        assert len(calls) == k
 
 
 def test_single_axis_level_independent_of_level_count():
@@ -957,18 +1031,18 @@ def test_rungs_sliced_from_one_profile_match_matrices_built_alone():
 
 
 def test_one_profile_per_report():
-    # the 1/r levels share one profile across their boxes, and at most one
-    # profile stays alive
+    # the 1/r levels share one profile across their boxes, looked up once
+    # per report, and at most one profile stays alive
     params = DeformationParams.uniform(3, 0.4)
     state = AngularState.from_total(3, 0.5)
     verify._profile.cache_clear()
-    for potential, k, hits in ((Coulomb(1.0), 3, 2), (Oscillator(1.0), 4, 0)):
+    for potential, k in ((Coulomb(1.0), 3), (Oscillator(1.0), 4)):
         before = verify._profile.cache_info()
         oracle_report(potential, params, state,
                       DiscretizationConfig(n_points=800), k, 1e-3)
         after = verify._profile.cache_info()
         assert after.misses - before.misses == 1
-        assert after.hits - before.hits == hits
+        assert after.hits == before.hits
         assert after.currsize == 1
 
 
