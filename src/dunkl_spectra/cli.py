@@ -6,7 +6,7 @@ finite-element oracle against the closed forms, and `figure` emits the data
 behind the standard plots.
 
 Every subcommand runs one pipeline. Level rows come from `bound_energy`,
-whose record refuses a level at or above the continuum, density rows from
+whose record refuses a level that is no bound state, density rows from
 `reduced_density` on an even grid, verify rows from `oracle_report`; the
 figures are level and density rows tagged with their curve. One writer
 sends each document to stdout, to `--output`, or, for figures, to one file

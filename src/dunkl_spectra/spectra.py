@@ -9,20 +9,22 @@ Radial functions solve
 A new potential is one new class: constants as fields with "help"
 metadata, a `tag`, and `well(mass)`, which declares V = shift + sum of
 coeff r^power terms. One derivation, `_record`, turns it into the
-RadialSolution record of each level (`radial_solution` is the one
-constructor), which this module, the `verify` oracle and the CLI read.
-Every state has one shape,
+RadialSolution record of each level, which this module, the `verify`
+oracle and the CLI read. Every state has one shape,
 
     U(r) = N r^p e^{-t/2} M(-n, b, t),  t = (2/sigma) scale r^sigma,
 
 with sigma = 2 for the Gaussian family (an r^2 term; one scale for every
 level) and sigma = 1 for the 1/r family (an r^-1 term; decay rate eta,
-changing with n); the oracle's box is one rule in t. An r^-2 term a_-2
-joins the barrier, delta^2 = W^2 + 2m a_-2/hbar^2, and p is then the larger
-root of p (p + c - 1) = delta^2; without one, p is the root p0 that the
-angular problem selects (2L, or (1 - s)/2 for a Cartesian axis). The rules
-differ only at d = 2, mu_1 + mu_2 < 0, L = 0: the larger root is 1 - c > 0,
-and the oscillator and 1/r keep p = 0, the Cartesian branch. Both roots are
+changing with n); the oracle's box is one rule in t. `_record` fixes each
+level's family once, as its sigma, and the record refuses a level that is
+no bound state (at or above the continuum, or b <= 0), so every entry point
+refuses the same levels. An r^-2 term a_-2 joins the barrier,
+delta^2 = W^2 + 2m a_-2/hbar^2, and p is then the larger root of
+p (p + c - 1) = delta^2; without one, p is the root p0 that the angular
+problem selects (2L, or (1 - s)/2 for a Cartesian axis). The rules differ
+only at d = 2, mu_1 + mu_2 < 0, L = 0: the larger root is 1 - c > 0, and
+the oscillator and 1/r keep p = 0, the Cartesian branch. Both roots are
 square-integrable there; which self-adjoint extension to take is open.
 
 Energies and normalization constants against r^c are exact closed forms
@@ -80,9 +82,10 @@ class RadialSolution:
 
     and U = N r^p e^{-t/2} M(-n, b, t) with t = (2/sigma) scale r^sigma.
     r_max, the oracle's box for levels up to n, is one rule in t
-    (`_box_radius`) read from n, b, scale and sigma. Fields that left double
-    range (an underflowed energy or potential coefficient too) and energies
-    at or above the continuum are refused.
+    (`_box_radius`) read from n, b, scale and sigma. Refused: fields that
+    left double range (an underflowed energy or potential coefficient too)
+    and a level that is no bound state: at or above the continuum (inf for
+    sigma = 2, shift for sigma = 1) or with b <= 0.
     """
     potential: PotentialSpec
     n: int
@@ -91,6 +94,7 @@ class RadialSolution:
     p: float
     b: float
     scale: float
+    sigma: float  # set by `_record`: 2 for the Gaussian family, 1 for 1/r
     barrier: float
     vterms: tuple
     shift: float
@@ -105,15 +109,14 @@ class RadialSolution:
                               f"double range: energy {self.energy}, "
                               f"potential terms {self.vterms}")
         check_positive(scale=self.scale)
-        if not self.energy < self.potential.continuum:
+        continuum = math.inf if self.sigma == 2.0 else self.shift
+        if not self.energy < continuum:
             raise InvalidStateError(
                 f"{self.potential.tag} bound states must lie below "
-                f"{self.potential.continuum}, got {self.energy}")
-
-    @property
-    def sigma(self) -> float:
-        """Power of r in the Kummer variable t."""
-        return 2.0 if self.potential.gaussian else 1.0
+                f"{continuum}, got {self.energy}")
+        if self.b <= 0.0:
+            raise InvalidStateError(
+                f"hypergeometric parameter b={self.b} must be positive")
 
     @property
     def r_max(self) -> float:
@@ -176,12 +179,12 @@ def _record(potential, n: int, c: float, w_sq: float, p0: float,
             p = (0.5 * ((1.0 - c) + root) if c <= 1.0
                  else 2.0 * barrier / ((c - 1.0) + root))
         if 2.0 in coeff:
-            big_omega = math.sqrt(2.0 * coeff[2.0] / mass)
+            sigma, big_omega = 2.0, math.sqrt(2.0 * coeff[2.0] / mass)
             b = (c + 1.0) / 2.0 + p
             energy = shift + hbar * big_omega * (2.0 * n + b)
             scale = mass * big_omega / hbar
         else:
-            b = c + 2.0 * p
+            sigma, b = 1.0, c + 2.0 * p
             kappa = n + b / 2.0
             if kappa <= 0.0:
                 raise DomainError(f"no bound state: effective principal "
@@ -194,21 +197,13 @@ def _record(potential, n: int, c: float, w_sq: float, p0: float,
                           ) from exc
     return RadialSolution(
         potential=potential, n=n, energy=energy, c=c, p=p, b=b, scale=scale,
-        barrier=barrier, shift=shift,
+        sigma=sigma, barrier=barrier, shift=shift,
         vterms=tuple(term for term in terms if term[1] != -2.0))
 
 
 class _Potential:
     """Checks shared by the potential classes. A new potential is one class
     of fields (constants with "help" metadata), `tag` and `well(mass)`."""
-
-    @property
-    def gaussian(self) -> bool:  # the declared well has an r^2 term
-        return any(power == 2.0 for _, power in self.well(1.0)[1])
-
-    @property
-    def continuum(self) -> float:  # where a 1/r well's levels end
-        return math.inf if self.gaussian else self.well(1.0)[0]
 
     def __post_init__(self):
         check_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
@@ -281,12 +276,9 @@ def bound_energy(potential: PotentialSpec, n: int, state: AngularState,
 def radial_solution(potential: PotentialSpec, n: int, state: AngularState,
                     params: DeformationParams, hbar: float = 1.0,
                     mass: float = 1.0) -> RadialSolution:
-    """The record of level n, refused unless its state is normalizable."""
-    sol = potential.radial_problem(n, state, params, hbar, mass)
-    if sol.b <= 0.0:
-        raise InvalidStateError(
-            f"hypergeometric parameter b={sol.b} must be positive")
-    return sol
+    """The record of level n, whose family `_record` fixes; the record
+    refuses a level at or above the continuum or with b <= 0."""
+    return potential.radial_problem(n, state, params, hbar, mass)
 
 
 def _state(sol: RadialSolution, r, power: float):

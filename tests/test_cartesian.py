@@ -19,9 +19,11 @@ from dunkl_spectra import (
     energy_1d,
     oscillator_energy,
     parity_offsets,
+    radial_wavefunction,
     total_energy,
     wavefunction_1d,
 )
+from dunkl_spectra.cartesian import _axis_record
 from dunkl_spectra.core import reflect_cartesian
 
 
@@ -274,6 +276,26 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def test_wavefunction_1d_is_its_axis_record():
+    # the two evaluation paths of one axis state: the Laguerre form here
+    # and the radial record's Kummer form on |x|, odd in x for s = -1 and
+    # split evenly over the two half lines
+    rng = np.random.default_rng(9)
+    for case in range(24):
+        n, s = int(rng.integers(0, 13)), (1, -1)[case % 2]
+        mu = float(rng.uniform(-0.45, 1.0))
+        omega, hbar, mass = np.exp(rng.uniform(-1.0, 1.0, 3))
+        rec = _axis_record(n, mu, s, omega, hbar, mass)
+        x_max = math.sqrt((4 * n + 2 * rec.b + 10.0) * hbar / (mass * omega))
+        x = np.linspace(-x_max, x_max, 400)
+        want = wavefunction_1d(n, mu, s, omega, x, hbar, mass)
+        got = (radial_wavefunction(rec, np.abs(x))
+               * np.where(x < 0.0, s, 1) / math.sqrt(2.0))
+        weight = np.abs(x) ** mu
+        assert (np.max(weight * np.abs(got - want))
+                <= 1e-12 * np.max(weight * np.abs(want)))
 
 
 def test_cartesian_and_polar_level_counts_agree_per_sector():

@@ -625,6 +625,18 @@ def test_verify_passes_where_the_cell_centred_oracle_failed(argv, capsys):
     assert (code, err) == (0, "")
 
 
+def test_verify_underflowing_masses_pass(capsys):
+    # q = 101 at d = 11: the lumped masses underflow to 0 near the origin,
+    # which is no overflow; every row passes with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["verify", "--potential", "pho", "--d", "11",
+                              "--mu", "0.5", "--De", "50", "--re", "2",
+                              "--mass", "1.5", "--hbar", "0.5"], capsys)
+    assert (code, err) == (0, "")
+    assert "all_passed=true" in out
+
+
 def test_verify_slow_oscillator_passes(capsys):
     # at omega = 0.1 the state at mu = -0.3 reaches past r = 8, where a
     # fixed box would truncate it; the box in t follows the frequency

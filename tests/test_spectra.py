@@ -411,6 +411,26 @@ def test_refused_coulomb_state_raises_package_error():
                 radial_solution(Coulomb(1.0), n, st, params)
 
 
+def test_every_entry_point_refuses_kummer_b_nonpositive():
+    # the record itself refuses b <= 0, so the energies, the record, the
+    # solution and the large-d series refuse the same 1/r levels; n = 0
+    # has no positive effective principal number and stays a DomainError
+    st = AngularState.from_total(2, 0.0)
+    for mu in ((-0.3, -0.3), (-0.25, -0.25)):
+        params = DeformationParams(d=2, mu=mu)
+        for call in (lambda n: bound_energy(Coulomb(1.0), n, st, params),
+                     lambda n: coulomb_energy(n, st, params, 1.0),
+                     lambda n: Coulomb(1.0).radial_problem(n, st, params),
+                     lambda n: radial_solution(Coulomb(1.0), n, st, params),
+                     lambda n: coulomb_large_d_expansion(n, st, params, 1.0)):
+            for n in (1, 3):
+                with pytest.raises(InvalidStateError,
+                                   match="b=.* must be positive"):
+                    call(n)
+            with pytest.raises(DomainError, match="principal number"):
+                call(0)
+
+
 def _mp_density(sol, r):
     """The reduced density of sol in 40-digit arithmetic, from each family's
     own closed form: N u^{p/2} e^{-u/2} M(-n, b, u) in u = scale r^2 with
@@ -494,7 +514,7 @@ def test_radial_problem_record_matches_solution():
                                                  sol.decay_scale)
             assert rec.c == _weight_exponent(params)
             assert sol.leading_exponent == (
-                rec.p / 2.0 if pot.gaussian else rec.p)
+                rec.p / 2.0 if rec.sigma == 2.0 else rec.p)
             # U ~ r^p near the origin: p solves the indicial equation
             npt.assert_allclose(rec.p * (rec.p + rec.c - 1.0), rec.barrier,
                                 rtol=1e-12)

@@ -279,9 +279,7 @@ def test_residual_sweep_over_every_sector():
                 try:
                     rec = potential.radial_problem(n, state, params, hbar,
                                                    mass)
-                except DomainError:  # 1/r with no bound state
-                    continue
-                if rec.b <= 0.0:  # refused by radial_solution
+                except (DomainError, InvalidStateError):  # 1/r, no bound state
                     continue
                 # radii inside the state: Kummer variable t up to about the
                 # outer turning point 4n + 2b + 2 of e^{-t/2} M(-n, b, t)
@@ -315,7 +313,7 @@ def test_declared_kratzer_well_passes_oracle_and_residual(d):
     potential = _Kratzer(1.3, 0.4)
     params = DeformationParams.uniform(d, 0.2)
     state = AngularState.from_total(d, 1.0)
-    assert not potential.gaussian and potential.continuum == 0.0
+    assert potential.radial_problem(0, state, params).sigma == 1.0
     rep = oracle_report(potential, params, state,
                         DiscretizationConfig(n_points=8000), 3, 1e-8)
     assert rep.passed
@@ -514,6 +512,29 @@ def test_oracle_report_overflowing_cells_fail_fast():
     assert not [w for w in caught if w.category is RuntimeWarning]
 
 
+def test_underflowing_masses_near_the_origin_pass():
+    # pho at q = 96.2 on the doubled 8000-cell grid: the lumped masses
+    # h (h rho)^q underflow to 0 at the first vertices, which only zeroes
+    # those vertices of each start; nothing overflows, and the report passes
+    params = DeformationParams(6, (0.9400338624575544, 0.9248172002503983,
+                                   -0.27431931800827714, -0.36763187357255184,
+                                   -0.27477731862881294, -0.18641110041319098))
+    state = AngularState.from_total(6, 0.0)
+    potential = Pseudoharmonic(43.24705537020759, 1.8644333792897605)
+    hbar, mass = 0.5121564187139328, 1.971161562587456
+    rec = potential.radial_problem(1, state, params, hbar, mass)
+    q = rec.c + 2.0 * rec.p
+    s = _p1_matrix(q, rec.vterms, rec.r_max, 8000, 2.0 * mass / hbar ** 2)[2]
+    assert s[0] == 0.0 and np.all(s < np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = oracle_report(potential, params, state,
+                            DiscretizationConfig(n_points=4000), 2, 1e-4,
+                            hbar, mass)
+    assert rep.passed and rep.max_rel_err < 1e-9
+    assert rep.grid["coarse_solve"] == rep.grid["fine_solve"] == ["rqi"] * 2
+
+
 # ---------------------------------------------------------------------------
 # level counts
 # ---------------------------------------------------------------------------
@@ -603,7 +624,7 @@ def _index_bisection(potential, params, state, cfg, k):
             for j in range(k)]
     out = []
     for j, rec in enumerate(recs):
-        box = recs[-1] if potential.gaussian else rec
+        box = recs[-1] if rec.sigma == 2.0 else rec
         r_max = box.r_max if cfg.r_max is None else cfg.r_max
         coarse, fine = (eigh_tridiagonal(
             *_p1_matrix(rec.c + 2.0 * rec.p, rec.vterms, r_max, n, 2.0)[:2],
@@ -651,7 +672,7 @@ def test_oracle_numbers_are_radial_eigenvalues(potential, r_max):
             recs = [potential.radial_problem(n, state, params)
                     for n in range(k)]
             auto = [rec.r_max for rec in
-                    (recs[-1:] if potential.gaussian else recs)]
+                    (recs[-1:] if recs[0].sigma == 2.0 else recs)]
             assert rep.grid["r_max"] == (box if box is not None else auto
                                          if len(auto) > 1 else auto[0])
 
