@@ -13,8 +13,7 @@ from .errors import (ConvergenceError, DomainError, InvalidStateError,
                      TailLeakWarning)
 from .polar import (AngularState, angular_inner_product, lambda_sq,
                     parity_offsets, theta_eigenfunction, varpi_sq)
-from .specfun import (QuadratureRule, build_quadrature, jacobi, kummer_m,
-                      laguerre)
+from .specfun import build_quadrature, jacobi, kummer_m, laguerre
 from .spectra import (Coulomb, Oscillator, PotentialSpec,
                       Pseudoharmonic, RadialSolution, bound_energy,
                       coulomb_energy, coulomb_large_d_expansion,
@@ -33,7 +32,7 @@ __all__ = [
     "CartesianState", "energy_1d", "wavefunction_1d", "total_energy",
     "AngularState", "parity_offsets", "theta_eigenfunction",
     "angular_inner_product", "lambda_sq", "varpi_sq",
-    "laguerre", "jacobi", "kummer_m", "QuadratureRule", "build_quadrature",
+    "laguerre", "jacobi", "kummer_m", "build_quadrature",
     "Oscillator", "Pseudoharmonic", "Coulomb", "PotentialSpec",
     "RadialSolution",
     "oscillator_energy", "pho_energy", "coulomb_energy", "bound_energy",

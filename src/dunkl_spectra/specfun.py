@@ -12,7 +12,6 @@ values. All evaluation routines accept numpy arrays in the argument position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 import sys
 
@@ -23,7 +22,6 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import ConvergenceError, DomainError, check_count
 
 __all__ = [
-    "QuadratureRule",
     "laguerre",
     "laguerre_norm_sq",
     "jacobi",
@@ -155,26 +153,6 @@ def kummer_m(a: float, b: float, x):
     return total if np.ndim(total) else float(total)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss rule for integrals of f(r) r^gamma w(r) over (0, inf).
-
-    variant names the exponential factor w (see `build_quadrature`). Exact
-    for polynomial f up to degree 2 * npoints - 1.
-    """
-    nodes: np.ndarray
-    weights: np.ndarray
-    weight_exponent: float
-    variant: str
-
-    @property
-    def npoints(self) -> int:
-        return len(self.nodes)
-
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
-
-
 def _gauss_rule(diag, off_sq, mu0: float):
     """Golub-Welsch nodes, Christoffel weights, from the recurrence
     coefficients (diagonal, squared off-diagonal) and zeroth moment mu0.
@@ -207,7 +185,8 @@ def _npoints(npoints) -> int:
 
 
 def gauss_jacobi(alpha: float, beta: float, npoints: int):
-    """Nodes and weights for the weight (1-u)^alpha (1+u)^beta on [-1, 1].
+    """Gauss rule (nodes, weights) for the weight (1-u)^alpha (1+u)^beta on
+    [-1, 1], exact for polynomial f up to degree 2 * npoints - 1.
 
     Golub-Welsch with Christoffel weights on the classical recurrence
     coefficients; the zeroth moment is the closed-form norm h_0.
@@ -259,8 +238,9 @@ def _half_hermite_rule(gamma: float, n: int):
     return _gauss_rule(diag, off[:-1] ** 2, mu0)
 
 
-def build_quadrature(gamma: float, variant: str, npoints: int) -> QuadratureRule:
-    """Build a Gauss rule for integral f(r) r^gamma w(r) dr on (0, inf).
+def build_quadrature(gamma: float, variant: str, npoints: int):
+    """Gauss rule (nodes, weights) for integral f(r) r^gamma w(r) dr on
+    (0, inf), exact for polynomial f up to degree 2 * npoints - 1.
 
     variant "exp_r" uses w = e^{-r}, the classical Laguerre recurrence with
     zeroth moment Gamma(gamma + 1); "exp_r2" uses w = e^{-r^2}, whose
@@ -293,5 +273,4 @@ def build_quadrature(gamma: float, variant: str, npoints: int) -> QuadratureRule
         raise ConvergenceError(
             f"quadrature construction produced an invalid rule "
             f"(gamma={gamma}, variant={variant}, n={n})")
-    return QuadratureRule(nodes=nodes, weights=weights,
-                          weight_exponent=float(gamma), variant=variant)
+    return nodes, weights

@@ -172,8 +172,8 @@ def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
     (that of at least n vertices; built here when None).
 
     vterms is a list of (coeff, power) pairs, V(r) = sum coeff * r^power,
-    and scale = 2m/hbar^2. Returns (diag, off, s, nodes): the eigenvalues
-    are scale times the energies, s holds the square roots of the lumped
+    and scale = 2m/hbar^2. Returns (diag, off, s): the eigenvalues are
+    scale times the energies, s holds the square roots of the lumped
     masses, and an eigenvector x is G = x/s at the vertices. Raises
     ConvergenceError when an entry or a mass is not finite (large q on a
     large box overflows r^q); a mass that underflows to 0 near the origin
@@ -194,7 +194,7 @@ def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
         raise ConvergenceError(
             f"P1 elements overflow double precision for weight exponent "
             f"q={q:g} on the box r_max={r_max:g}")
-    return diag, off, s, np.arange(n) * h
+    return diag, off, s
 
 
 def _bisect(diag: np.ndarray, off: np.ndarray, j: int):
@@ -219,16 +219,16 @@ _WINDOW = 1e-9
 
 def _rqi(diag: np.ndarray, off: np.ndarray, x: np.ndarray, tol: float):
     """Rayleigh-quotient iteration from x: the quotient and its unit vector
-    once the residual is at most tol, or None. Reductions are ufunc sums, as
-    BLAS threading only slows vectors this short."""
+    once the residual is at most tol, or None. Reductions are BLAS dot
+    products, several times faster than ufunc sums at these lengths."""
     for _ in range(_RQI_STEPS):
-        x = x / np.sqrt(np.sum(x * x))
+        x = x / np.sqrt(x @ x)
         tx = diag * x
         tx[:-1] += off * x[1:]
         tx[1:] += off * x[:-1]
-        sigma = np.sum(x * tx)
+        sigma = x @ tx
         r = tx - sigma * x
-        if np.sqrt(np.sum(r * r)) <= tol:
+        if np.sqrt(r @ r) <= tol:
             return float(sigma), x
         *_, x, info = dgtsv(off, diag - sigma, off, x)
         if info:
@@ -296,9 +296,10 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
     index and the matrix alone, never on which other levels are solved with
     it.
     """
-    tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+    off_max = max(off.max(), -off.min())
+    tnorm = max(diag.max(), -diag.min()) + 2.0 * off_max
     width = _WINDOW * tnorm
-    pivmin = sys.float_info.min * max(1.0, float(np.max(off * off)))
+    pivmin = sys.float_info.min * max(1.0, float(off_max * off_max))
 
     # eigenvalues <= x from one LDL^T pass, read up to want + 1
     def count(x, want=len(diag)):
@@ -390,7 +391,9 @@ def _solve(recs: list[RadialSolution], cfg: DiscretizationConfig,
     value on the grid and on the doubled grid was found (None without
     Richardson). The levels share the top record's weight r^q, q = c + 2p,
     potential terms, shift and profile; each of the `_runs` is solved on its
-    box, where `_refine` starts each level from s times its shape."""
+    box, where `_refine` starts each level from s times its shape. The
+    shapes are evaluated once per run, on the finest grid: the n-cell
+    vertices i (r_max/n) are the 2n-cell vertices 2i (r_max/2n) bit for bit."""
     top, n, scale = recs[-1], cfg.n_points, 2.0 * mass / hbar ** 2
     if top.n >= n:
         raise DomainError(f"{label}: level {top.n} needs at least "
@@ -399,13 +402,14 @@ def _solve(recs: list[RadialSolution], cfg: DiscretizationConfig,
     profile = _profile(q, tuple(p for _, p in top.vterms), sizes[-1])
     energies, how = [], ([], [])
     for run, r_max in _runs(recs, cfg):
-        shapes = [(rec.n, rec.b, rec.scale, rec.sigma) for rec in run]
+        shapes = _shapes(np.arange(sizes[-1]) * (r_max / sizes[-1]),
+                         [(rec.n, rec.b, rec.scale, rec.sigma) for rec in run])
         for m, found in zip(sizes, how):
-            diag, off, s, nodes = _p1_matrix(q, top.vterms, r_max, m, scale,
-                                             profile)
+            diag, off, s = _p1_matrix(q, top.vterms, r_max, m, scale,
+                                      profile)
             values, level_how, vecs = _refine(
-                diag, off, range(shapes[0][0], shapes[-1][0] + 1),
-                s * _shapes(nodes, shapes), r_max)
+                diag, off, range(run[0].n, run[-1].n + 1),
+                s * shapes[:, ::sizes[-1] // m], r_max)
             found.extend(level_how)
             if m == n:
                 _check_tail(vecs, r_max, label)
@@ -530,13 +534,13 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
     sols = [radial_solution(potential, n, state, params, hbar, mass)
             for n in range(n_max)]
     sigma, alpha = sols[0].sigma, sols[0].alpha
-    rule = build_quadrature(alpha, "exp_r", n_max + 6)
+    nodes, weights = build_quadrature(alpha, "exp_r", n_max + 6)
 
     @cache
     def kummer(n: int, x: float) -> np.ndarray:
         # M(-n, b, 2 lam r^sigma) at the nodes, x = 2 lam/rho: x = 1 for
         # every Gaussian pair, so each state is evaluated once there
-        return kummer_m(-n, sols[n].b, x * rule.nodes)
+        return kummer_m(-n, sols[n].b, x * nodes)
 
     gram = np.empty((n_max, n_max))
     for i, si in enumerate(sols):
@@ -546,7 +550,7 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
                     * kummer(j, 2.0 * sj.scale / rate))
             gram[i, j] = gram[j, i] = (
                 si.norm * sj.norm * (rate / sigma) ** -(alpha + 1.0) / sigma
-                * float(np.sum(rule.weights * vals)))
+                * float(np.sum(weights * vals)))
     return gram
 
 

@@ -208,14 +208,14 @@ def _overlap(n, m, mu, s, npoints=40):
     # odd-sector x, so the integrand handed to the rule is psi_n psi_m times
     # e^{x^2} x^{s-1}, a pure polynomial in x^2.
     gamma = 2.0 * mu + 1.0 - s
-    rule = build_quadrature(gamma, "exp_r2", npoints)
+    nodes, weights = build_quadrature(gamma, "exp_r2", npoints)
     vals = (
-        wavefunction_1d(n, mu, s, 1.0, rule.nodes)
-        * wavefunction_1d(m, mu, s, 1.0, rule.nodes)
-        * np.exp(rule.nodes**2)
-        * rule.nodes ** (s - 1.0)
+        wavefunction_1d(n, mu, s, 1.0, nodes)
+        * wavefunction_1d(m, mu, s, 1.0, nodes)
+        * np.exp(nodes**2)
+        * nodes ** (s - 1.0)
     )
-    return 2.0 * float(np.sum(rule.weights * vals))
+    return 2.0 * float(np.sum(weights * vals))
 
 
 @pytest.mark.parametrize("mu", [-0.3, 0.0, 0.4])

@@ -595,7 +595,7 @@ def _per_element_matrix(q, vterms, r_max, n, scale):
         off = [-stiff[i] / mp.sqrt(mass[i] * mass[i + 1])
                for i in range(n - 1)]
         return tuple(np.array([float(v) for v in arr]) for arr in
-                     (diag, off, [mp.sqrt(m) for m in mass], edges[:-1]))
+                     (diag, off, [mp.sqrt(m) for m in mass]))
 
 
 @pytest.mark.parametrize("q, vterms", [
@@ -1067,6 +1067,25 @@ def test_one_profile_per_report():
         assert after.currsize == 1
 
 
+def test_one_shapes_call_per_run(monkeypatch):
+    # each run's shapes are evaluated once, on the doubled grid's vertices,
+    # and the n_points grid takes every second column
+    calls = []
+    shapes = verify._shapes
+    monkeypatch.setattr(verify, "_shapes", lambda nodes, levels: (
+        calls.append(len(nodes)) or shapes(nodes, levels)))
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.5)
+    for potential, k, runs in ((Coulomb(1.0), 3, 3), (Oscillator(1.0), 4, 1)):
+        for richardson, vertices in ((True, 1600), (False, 800)):
+            calls.clear()
+            oracle_report(potential, params, state,
+                          DiscretizationConfig(n_points=800,
+                                               richardson=richardson),
+                          k, 1e-3)
+            assert calls == [vertices] * runs
+
+
 def test_smooth_case_refines_every_level():
     params = DeformationParams.uniform(3, 0.4)
     state = AngularState.from_total(3, 0.0)
@@ -1155,8 +1174,8 @@ def test_rejected_coarse_rung_falls_back_to_index_bisection(monkeypatch,
         rep = oracle_report(Oscillator(1.0), params, state, cfg, 3, 1e-3)
     assert rep.grid["coarse_solve"] == ["bisection"] * 3
     rec = Oscillator(1.0).radial_problem(2, state, params)
-    diag, off, _, _ = _p1_matrix(rec.c + 2.0 * rec.p, rec.vterms, rec.r_max,
-                                 cfg.n_points, 2.0)
+    diag, off, _ = _p1_matrix(rec.c + 2.0 * rec.p, rec.vterms, rec.r_max,
+                              cfg.n_points, 2.0)
     for j, got in enumerate(rep.numeric):
         want = eigh_tridiagonal(diag, off, select="i", select_range=(j, j),
                                 eigvals_only=True)[0]
