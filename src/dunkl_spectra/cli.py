@@ -196,16 +196,14 @@ def cmd_spectrum(args) -> int:
 def cmd_density(args) -> int:
     params, state, potential = _inputs(args)
     sol = radial_solution(potential, args.n, state, params, args.hbar, args.mass)
-    r_max = args.rmax if args.rmax is not None else 10.0
-    if not 0.0 < r_max < math.inf:
-        raise UsageError(f"--rmax must be positive and finite, got {r_max}")
-    npts = args.grid if args.grid is not None else 256
-    if npts < 2:
-        raise UsageError(f"--grid needs at least 2 samples, got {npts}")
+    if not 0.0 < args.rmax < math.inf:
+        raise UsageError(f"--rmax must be positive and finite, got {args.rmax}")
+    if args.grid < 2:
+        raise UsageError(f"--grid needs at least 2 samples, got {args.grid}")
     meta = _meta(args, params, state, n=args.n, energy=sol.energy,
-                 rmax=r_max, grid=npts)
+                 rmax=args.rmax, grid=args.grid)
     _write(args, args.output, meta, ("r", "rho"),
-           _density_rows(sol, r_max, npts), "samples")
+           _density_rows(sol, args.rmax, args.grid), "samples")
     return 0
 
 
@@ -323,7 +321,7 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, d_default) -> None:
+def _add_inputs(parser: argparse.ArgumentParser, d_default) -> None:
     parser.add_argument("--d", type=int, default=d_default,
                         help="spatial dimension (at least 2)")
     parser.add_argument("--mu", type=str, default=None,
@@ -340,10 +338,9 @@ def _add_common(parser: argparse.ArgumentParser, d_default) -> None:
         for constant in fields(cls):
             parser.add_argument(f"--{_flag(constant)}", type=float,
                                 default=1.0, help=constant.metadata["help"])
-    parser.add_argument("--rmax", type=float, default=None,
-                        help="radial box size (default: sized automatically)")
-    parser.add_argument("--grid", type=int, default=None,
-                        help="number of radial points")
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", type=str, default=None,
                         help="write to this path instead of stdout")
@@ -360,14 +357,20 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=tuple(POTENTIALS))
     p_spec.add_argument("--levels", type=int, default=5,
                         help="number of levels, n = 0 .. levels-1")
-    _add_common(p_spec, d_default=3)
+    _add_inputs(p_spec, d_default=3)
+    _add_output(p_spec)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_dens = sub.add_parser("density", help="reduced radial probability density")
     p_dens.add_argument("--potential", required=True,
                         choices=tuple(POTENTIALS))
     p_dens.add_argument("--n", type=int, default=0, help="radial level")
-    _add_common(p_dens, d_default=3)
+    _add_inputs(p_dens, d_default=3)
+    p_dens.add_argument("--rmax", type=float, default=10.0,
+                        help="largest sampled radius (default: %(default)s)")
+    p_dens.add_argument("--grid", type=int, default=256,
+                        help="samples over (0, rmax] (default: %(default)s)")
+    _add_output(p_dens)
     p_dens.set_defaults(func=cmd_density)
 
     p_ver = sub.add_parser("verify",
@@ -377,7 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict to one family (default: all three)")
     p_ver.add_argument("--levels", type=int, default=None,
                        help="levels per comparison (default per potential)")
-    _add_common(p_ver, d_default=None)
+    _add_inputs(p_ver, d_default=None)
+    p_ver.add_argument("--rmax", type=float, default=None,
+                       help="oracle box radius (default: sized per record)")
+    p_ver.add_argument("--grid", type=int, default=None,
+                       help="coarse grid's cell count (default per potential)")
+    _add_output(p_ver)
     # None tells an explicit --De 1.0 from the default depth sweep
     p_ver.set_defaults(func=cmd_verify, De=None)
 

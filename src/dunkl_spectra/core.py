@@ -121,10 +121,8 @@ def reflect_cartesian(point: Sequence[float], j: int) -> np.ndarray:
     return out
 
 
-def polar_to_cartesian(p: PolarPoint, d: int | None = None) -> np.ndarray:
+def polar_to_cartesian(p: PolarPoint) -> np.ndarray:
     """Cartesian coordinates of a polar point (chart in the module docstring)."""
-    if d is not None and d != p.d:
-        raise DomainError(f"point has dimension {p.d}, caller requested {d}")
     d = p.d
     theta = np.asarray(p.theta)
     x = np.empty(d)

@@ -28,7 +28,10 @@ prefactors:
 
 where e_i = (1 - s_i)/2 are the parity offsets. The quantum numbers l_j may
 be half-integers; they are stored doubled so the admissibility arithmetic
-(each Jacobi degree k must be a nonnegative integer) stays exact.
+(each Jacobi degree k must be a nonnegative integer) stays exact. One
+derivation, _tower, gives each level's two exponents and doubled degree 2k;
+AngularState's check reads it, and both evaluators read it through _level,
+which adds the Jacobi parameters.
 
 Eigenvalues follow one formula across the tower,
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -51,9 +55,7 @@ from .specfun import gauss_jacobi, jacobi, jacobi_norm_sq
 
 __all__ = [
     "AngularState",
-    "AngularSolution",
     "parity_offsets",
-    "angular_solution",
     "theta_eigenfunction",
     "angular_inner_product",
     "lambda_sq",
@@ -64,6 +66,15 @@ __all__ = [
 def parity_offsets(parity: ParityVector) -> tuple:
     """e_j = (1 - s_j)/2, so even sectors give 0 and odd sectors give 1."""
     return tuple((1 - s) // 2 for s in parity.s)
+
+
+def _tower(state: "AngularState"):
+    """Yield (cos exponent, sin exponent, doubled Jacobi degree 2k) of each
+    level j = 1 .. d-1 of the state, as in the module docstring."""
+    two_ell, e = state.two_ell, parity_offsets(state.parity)
+    yield e[0], e[1], two_ell[0] - e[0] - e[1]
+    for j in range(2, state.d):
+        yield e[j], sum(two_ell[:j - 1]), two_ell[j - 1] - e[j]
 
 
 @dataclass(frozen=True)
@@ -87,18 +98,14 @@ class AngularState:
             raise InvalidStateError(
                 f"need d-1={d - 1} angular quantum numbers, got {len(two_ell)}")
         object.__setattr__(self, "two_ell", two_ell)
-        e = parity_offsets(self.parity)
-        first = two_ell[0] - e[0] - e[1]
-        if first < 0 or first % 2:
-            raise InvalidStateError(
-                f"level 1 with 2*l_1={two_ell[0]} does not admit the parity "
-                f"sector (s_1, s_2)=({self.parity.s[0]}, {self.parity.s[1]})")
-        for j in range(2, d):
-            k = two_ell[j - 1] - e[j]
-            if k < 0 or k % 2:
+        s = self.parity.s
+        for j, (_, _, two_k) in enumerate(_tower(self), start=1):
+            if two_k < 0 or two_k % 2:
                 raise InvalidStateError(
+                    f"level 1 with 2*l_1={two_ell[0]} does not admit the "
+                    f"parity sector (s_1, s_2)=({s[0]}, {s[1]})" if j == 1 else
                     f"level {j} with 2*l_{j}={two_ell[j - 1]} does not admit "
-                    f"s_{j + 1}={self.parity.s[j]}")
+                    f"s_{j + 1}={s[j]}")
 
     @classmethod
     def from_total(cls, d: int, L: float) -> "AngularState":
@@ -129,25 +136,6 @@ class AngularState:
         return sum(self.two_ell) / 2.0
 
 
-@dataclass(frozen=True)
-class AngularSolution:
-    """Closed-form data of one tower level: prefactor exponents, the Jacobi
-    parameters and degree, and the level eigenvalue."""
-    level: int
-    jacobi_alpha: float
-    jacobi_beta: float
-    cos_exponent: int
-    sin_exponent: int
-    degree: int
-    eigenvalue: float
-
-    def __post_init__(self):
-        if self.jacobi_alpha <= -1.0 or self.jacobi_beta <= -1.0:
-            raise InvalidStateError(
-                f"jacobi parameters out of range: ({self.jacobi_alpha}, "
-                f"{self.jacobi_beta})")
-
-
 def _separation_eigenvalue(k: int, L_k: float, params: DeformationParams) -> float:
     return 4.0 * L_k * (L_k + params.mu_partial(k + 1) + (k - 1) / 2.0)
 
@@ -159,67 +147,47 @@ def _check_dimension(state: AngularState, params: DeformationParams) -> None:
             f"state has dimension {state.d}, parameters have {params.d}")
 
 
-def _check_level(j: int, state: AngularState, params: DeformationParams) -> None:
+def _level(j: int, state: AngularState, params: DeformationParams) -> tuple:
+    """(a, b, cos exponent, sin exponent, degree) of tower level j: its
+    Jacobi parameters and the row of _tower that the state admits."""
     _check_dimension(state, params)
     if not 1 <= j <= params.d - 1:
         raise DomainError(f"level must lie in [1, {params.d - 1}], got {j}")
-
-
-def angular_solution(j: int, state: AngularState,
-                     params: DeformationParams) -> AngularSolution:
-    """Closed-form record of tower level j for the given state."""
-    _check_level(j, state, params)
-    e = parity_offsets(state.parity)
+    cos_e, sin_e, two_k = next(islice(_tower(state), j - 1, None))
     mu = params.mu
     if j == 1:
-        degree = (state.two_ell[0] - e[0] - e[1]) // 2
-        return AngularSolution(
-            level=1,
-            jacobi_alpha=mu[1] + e[1] - 0.5,
-            jacobi_beta=mu[0] + e[0] - 0.5,
-            cos_exponent=e[0],
-            sin_exponent=e[1],
-            degree=degree,
-            eigenvalue=_separation_eigenvalue(1, state.ell_partial(1), params))
-    two_S = sum(state.two_ell[:j - 1])
-    degree = (state.two_ell[j - 1] - e[j]) // 2
-    return AngularSolution(
-        level=j,
-        jacobi_alpha=(j - 2) / 2.0 + two_S + params.mu_partial(j),
-        jacobi_beta=mu[j] + e[j] - 0.5,
-        cos_exponent=e[j],
-        sin_exponent=two_S,
-        degree=degree,
-        eigenvalue=_separation_eigenvalue(j, state.ell_partial(j), params))
+        a, b = mu[1] + sin_e - 0.5, mu[0] + cos_e - 0.5
+    else:
+        a, b = (j - 2) / 2.0 + sin_e + params.mu_partial(j), mu[j] + cos_e - 0.5
+    # reachable: mu_j = nextafter(-1/2, 0) gives mu_j - 1/2 == -1.0 exactly
+    if a <= -1.0 or b <= -1.0:
+        raise InvalidStateError(f"jacobi parameters out of range: ({a}, {b})")
+    return a, b, cos_e, sin_e, two_k // 2
 
 
 def theta_eigenfunction(j: int, state: AngularState, params: DeformationParams,
-                        theta, normalized: bool = True):
-    """Evaluate tower level j at angle(s) theta.
-
-    Normalized (default) to unit norm against the level's weight over its
-    angular range; in u = cos 2t the constant is the closed-form Jacobi norm
-    h_k (DLMF 18.3). DomainError when it or a value leaves double range.
+                        theta):
+    """Evaluate tower level j at angle(s) theta, normalized to unit norm
+    against the level's weight over its angular range; in u = cos 2t the
+    constant is the closed-form Jacobi norm h_k (DLMF 18.3). DomainError
+    when it or a value leaves double range.
     """
-    sol = angular_solution(j, state, params)
+    a, b, cos_e, sin_e, k = _level(j, state, params)
     theta = np.asarray(theta, dtype=float)
-    a, b = sol.jacobi_alpha, sol.jacobi_beta
     # in u = cos 2t the level weight, over the full turn for j = 1 and the
     # half turn above, is mult 2^{-(a+b+2)} (1-u)^a (1+u)^b du
     mult = 4.0 if j == 1 else 2.0
     try:
         with np.errstate(all="ignore"):
-            out = (jacobi(sol.degree, a, b, np.cos(2.0 * theta))
-                   * np.cos(theta) ** sol.cos_exponent
-                   * np.sin(theta) ** sol.sin_exponent)
-            norm = (np.sqrt(mult * 2.0 ** (-(a + b + 2.0))
-                            * jacobi_norm_sq(sol.degree, a, b))
-                    if normalized else 1.0)
+            out = (jacobi(k, a, b, np.cos(2.0 * theta))
+                   * np.cos(theta) ** cos_e * np.sin(theta) ** sin_e)
+            norm = np.sqrt(mult * 2.0 ** (-(a + b + 2.0))
+                           * jacobi_norm_sq(k, a, b))
             out = out / norm
     except OverflowError:
         norm = math.inf
     if not (0.0 < norm < math.inf and np.all(np.isfinite(out))):
-        raise DomainError(f"level {j} eigenfunction of degree {sol.degree} "
+        raise DomainError(f"level {j} eigenfunction of degree {k} "
                           f"leaves double range")
     return out if np.ndim(out) else float(out)
 
@@ -233,28 +201,24 @@ def angular_inner_product(j: int, state_a: AngularState, state_b: AngularState,
     numbers, so they live over one and the same weight. DomainError when
     the rule, the quadrature sum or the norms leave double range.
     """
-    _check_level(j, state_a, params)
+    a, b, _, _, ka = _level(j, state_a, params)
     if state_a.parity != state_b.parity:
         raise InvalidStateError("states lie in different parity sectors")
     if state_a.two_ell[:j - 1] != state_b.two_ell[:j - 1]:
         raise InvalidStateError("states differ below the requested level")
-    sa = angular_solution(j, state_a, params)
-    sb = angular_solution(j, state_b, params)
-    a, b = sa.jacobi_alpha, sa.jacobi_beta
+    kb = _level(j, state_b, params)[4]
     try:
         with np.errstate(all="ignore"):
-            nodes, weights = gauss_jacobi(a, b, max(sa.degree, sb.degree) + 2)
-            vals = (jacobi(sa.degree, a, b, nodes)
-                    * jacobi(sb.degree, a, b, nodes))
-            norms = (jacobi_norm_sq(sa.degree, a, b)
-                     * jacobi_norm_sq(sb.degree, a, b))
+            nodes, weights = gauss_jacobi(a, b, max(ka, kb) + 2)
+            vals = jacobi(ka, a, b, nodes) * jacobi(kb, a, b, nodes)
+            norms = jacobi_norm_sq(ka, a, b) * jacobi_norm_sq(kb, a, b)
             # mult 2^{-(a+b+2)} of the level weight cancels against the norms
             value = float(np.sum(weights * vals)) / np.sqrt(norms)
     except OverflowError:
         value = norms = math.inf
     if not (math.isfinite(value) and norms < math.inf):
-        raise DomainError(f"level {j} inner product of degrees {sa.degree} "
-                          f"and {sb.degree} leaves double range")
+        raise DomainError(f"level {j} inner product of degrees {ka} "
+                          f"and {kb} leaves double range")
     return value
 
 

@@ -32,9 +32,11 @@ __all__ = [
 ]
 
 def _degree(n, *params) -> int:
-    """The checked degree; weight parameters must exceed -1 (integrable)."""
-    if any(p <= -1.0 for p in params):
-        raise DomainError(f"weight parameters must exceed -1, got {params}")
+    """The checked degree; weight parameters must be finite and exceed -1
+    (integrable)."""
+    if not all(-1.0 < p < math.inf for p in params):
+        raise DomainError(f"weight parameters must be finite and exceed -1, "
+                          f"got {params}")
     return check_count(n, "degree")
 
 
@@ -104,7 +106,7 @@ def jacobi_norm_sq(n, alpha, beta) -> float:
 
 
 def _is_nonpos_int(v: float) -> bool:
-    return v <= 0.0 and abs(v - round(v)) < 1e-13
+    return -math.inf < v <= 0.0 and abs(v - round(v)) < 1e-13
 
 
 def _kummer_poly_mp(n: int, b: float, x: float) -> float:
@@ -126,11 +128,13 @@ def kummer_m(a: float, b: float, x):
     non-positive integer, where the series terminates and is summed exactly
     as a polynomial; that also covers b a non-positive integer with
     |a| <= |b|, where the truncation stops before the zero denominator.
-    Every other a raises DomainError.
+    Every other a, and a b that is not finite, raises DomainError.
     """
     if not _is_nonpos_int(a):
         raise DomainError(f"M(a, b, x) is summed only as a polynomial: a={a} "
                           f"must be a non-positive integer")
+    if not math.isfinite(b):
+        raise DomainError(f"M(a, b, x) needs a finite b, got {b}")
     if _is_nonpos_int(b) and abs(a) > abs(b):
         raise DomainError(
             f"M(a, b, x) undefined for b={b}: non-positive integer b requires "
@@ -250,7 +254,7 @@ def build_quadrature(gamma: float, variant: str, npoints: int):
     weight's zeroth moment, Gamma(gamma + 1) or Gamma((gamma + 1)/2)/2, must
     be finite in double precision; npoints is a positive whole number.
     """
-    if gamma <= -1.0:
+    if not gamma > -1.0:
         raise DomainError(f"weight exponent must exceed -1, got {gamma}")
     n = _npoints(npoints)
     if variant not in ("exp_r", "exp_r2"):

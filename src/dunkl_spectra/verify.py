@@ -166,10 +166,10 @@ def _profile(q: float, powers: tuple, n: int):
 
 
 def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
-               profile=None):
+               profile):
     """The weighted form with w = r^q on the P1 vertices r_i = i h, i < n,
     h = r_max/n, as a symmetric tridiagonal matrix, scaled from `profile`
-    (that of at least n vertices; built here when None).
+    (the _profile of q and the powers of vterms, at least n vertices).
 
     vterms is a list of (coeff, power) pairs, V(r) = sum coeff * r^power,
     and scale = 2m/hbar^2. Returns (diag, off, s): the eigenvalues are
@@ -179,8 +179,6 @@ def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
     large box overflows r^q); a mass that underflows to 0 near the origin
     (large q on a fine grid) only zeroes that vertex of a start.
     """
-    if profile is None:
-        profile = _profile(q, tuple(p for _, p in vterms), n)
     a, o, m, loads, rho = profile
     h = r_max / n
     with np.errstate(all="ignore"):

@@ -27,11 +27,14 @@ from dunkl_spectra import (
     oscillator_energy,
     pho_energy,
     polar_to_cartesian,
+    radial_solution,
+    radial_wavefunction,
     residual_check,
+    theta_eigenfunction,
     wavefunction_1d,
 )
 from dunkl_spectra.cli import _FIGURES
-from dunkl_spectra.core import reflect_cartesian
+from dunkl_spectra.core import _chart_inverse, reflect_cartesian
 from dunkl_spectra.verify import (
     cartesian_1d_eigenvalues,
     oracle_report,
@@ -259,3 +262,60 @@ def test_criterion_10_large_d():
     state = AngularState.from_total(d, 0.0)
     ratio = oscillator_energy(0, state, params, 1.0) / (d / 2.0)
     assert abs(ratio - 1.0) < 0.02
+
+
+def _worst_shell_fit(params, quanta, points):
+    """Fit each polar oscillator state U_n(r) Theta_1(t_1) ... of every
+    parity sector and shell N <= quanta, by least squares, on the products
+    of single-axis states of the same sector and shell; returns the worst
+    relative residual and the number of states fitted."""
+    d = params.d
+    r, theta, _ = _chart_inverse(points)
+    worst, count = 0.0, 0
+    for signs in itertools.product((1, -1), repeat=d):
+        e = [(1 - s) // 2 for s in signs]
+        low = [e[0] + e[1]] + e[2:]
+        for shell in range(quanta + 1):
+            cartesian = [np.prod([wavefunction_1d(n[j], params.mu[j], signs[j],
+                                                  1.0, points[:, j])
+                                  for j in range(d)], axis=0)
+                         for n in itertools.product(range(shell + 1), repeat=d)
+                         if sum(n) == shell]
+            polar = []
+            # level j's Jacobi degree k_j; 2n + 2L = 2N + sum e fixes n
+            for k in itertools.product(range(shell + 1), repeat=d - 1):
+                if sum(k) > shell:
+                    continue
+                state = AngularState(tuple(lo + 2 * kj for lo, kj in
+                                           zip(low, k)), signs)
+                f = radial_wavefunction(radial_solution(
+                    Oscillator(1.0), shell - sum(k), state, params), r)
+                for j in range(1, d):
+                    f = f * theta_eigenfunction(j, state, params,
+                                                theta[:, j - 1])
+                polar.append(f)
+            assert len(polar) == len(cartesian)
+            a, b = np.transpose(cartesian), np.transpose(polar)
+            fit = a @ np.linalg.lstsq(a, b, rcond=None)[0]
+            worst = max(worst, np.max(np.linalg.norm(fit - b, axis=0)
+                                      / np.linalg.norm(b, axis=0)))
+            count += len(polar)
+    return worst, count
+
+
+@pytest.mark.acceptance(num=11, label="Cartesian and polar share each shell")
+def test_criterion_11_coordinate_systems_share_every_eigenspace():
+    # the paper's central claim, state by state: in every parity sector of
+    # d 2-6, each polar oscillator state of a shell is a combination of the
+    # Cartesian products of that shell; at d = 2 with mu_1 + mu_2 < 0 this
+    # also pins the oscillator's p = 0 branch as the Cartesian one
+    rng = np.random.default_rng(2511)
+    cases = [DeformationParams(2, (-0.3, -0.1))] + [
+        DeformationParams(d, tuple(rng.uniform(-0.45, 1.0, d)))
+        for d in range(2, 7)]
+    for params in cases:
+        quanta = {2: 4, 3: 3, 4: 2, 5: 2, 6: 1}[params.d]
+        points = rng.standard_normal((400, params.d))
+        worst, count = _worst_shell_fit(params, quanta, points)
+        assert count == 2 ** params.d * math.comb(quanta + params.d, params.d)
+        assert worst < 1e-12, (params, worst)

@@ -564,6 +564,15 @@ def test_density_bad_rmax_is_usage_error(rmax, capsys):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("flag", ["--rmax=3", "--grid=7"])
+def test_spectrum_refuses_the_box_flags(flag, capsys):
+    # only density and verify read --rmax and --grid
+    code, out, err = run(["spectrum", "--potential", "coulomb", "--levels",
+                          "1", flag], capsys)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+
+
 def test_verify_explicit_default_depth(capsys):
     argv = ["verify", "--potential", "pho", "--d", "3", "--mu", "0.4"]
     code, out, err = run(argv, capsys)

@@ -95,7 +95,7 @@ def test_chart_radius_identity():
             theta = [float(rng.uniform(0.0, 2 * np.pi))]
             theta += [float(rng.uniform(0.0, np.pi)) for _ in range(d - 2)]
             r = float(rng.uniform(0.1, 5.0))
-            x = polar_to_cartesian(PolarPoint(r=r, theta=tuple(theta)), d)
+            x = polar_to_cartesian(PolarPoint(r=r, theta=tuple(theta)))
             assert x.shape == (d,)
             npt.assert_allclose(np.sum(x * x), r * r, rtol=1e-12)
 
@@ -106,11 +106,11 @@ def test_chart_roundtrip_d5():
         theta = [float(rng.uniform(0.05, 2 * np.pi - 0.05))]
         theta += [float(rng.uniform(0.05, np.pi - 0.05)) for _ in range(3)]
         p = PolarPoint(r=float(rng.uniform(0.2, 4.0)), theta=tuple(theta))
-        x = polar_to_cartesian(p, 5)
+        x = polar_to_cartesian(p)
         q, degenerate = cartesian_to_polar(x)
         assert not degenerate
         npt.assert_allclose(q.r, p.r, rtol=1e-10)
-        back = polar_to_cartesian(q, 5)
+        back = polar_to_cartesian(q)
         npt.assert_allclose(back, x, atol=1e-10 * p.r)
 
 
@@ -151,7 +151,7 @@ def test_chart_degenerate_flag():
     q, degenerate = cartesian_to_polar([0.0, 0.0, 2.0])
     assert degenerate
     npt.assert_allclose(q.r, 2.0, rtol=1e-14)
-    x = polar_to_cartesian(q, 3)
+    x = polar_to_cartesian(q)
     npt.assert_allclose(x, [0.0, 0.0, 2.0], atol=1e-14)
 
 

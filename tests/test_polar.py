@@ -136,12 +136,9 @@ def test_theta_scalar_angle_returns_float():
     # a level with no cos/sin prefactor, at a scalar angle
     params = DeformationParams.uniform(3, 0.2)
     state = AngularState.from_total(3, 0.0)
-    for normalized in (False, True):
-        got = theta_eigenfunction(1, state, params, 0.3, normalized=normalized)
-        assert isinstance(got, float)
-        assert got == theta_eigenfunction(1, state, params, np.array([0.3]),
-                                          normalized=normalized)[0]
-    assert theta_eigenfunction(1, state, params, 0.3, normalized=False) == 1.0
+    got = theta_eigenfunction(1, state, params, 0.3)
+    assert isinstance(got, float)
+    assert got == theta_eigenfunction(1, state, params, np.array([0.3]))[0]
 
 
 def test_theta_reflection_actions():

@@ -176,9 +176,12 @@ def test_kummer_domain_and_convergence():
     val = kummer_m(-2, -3.0, 1.0)
     assert np.isfinite(val)
     # only the terminating series is summed: any other a is refused
-    for a in (0.5, 1.0, -2.5, math.nan):
+    for a in (0.5, 1.0, -2.5, math.nan, -math.inf, math.inf):
         with pytest.raises(DomainError, match="non-positive integer"):
             kummer_m(a, 1.7, 1.0)
+    for b in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite b"):
+            kummer_m(-2, b, 1.0)
 
 
 def test_polynomial_domain_errors():
@@ -192,6 +195,15 @@ def test_polynomial_domain_errors():
         jacobi(2, 0.5, -1.5, 0.3)
     with pytest.raises(DomainError):
         jacobi(-2, 0.5, 0.5, 0.3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            laguerre(3, bad, 1.0)
+        with pytest.raises(DomainError):
+            jacobi(2, bad, 0.0, 0.3)
+        with pytest.raises(DomainError):
+            jacobi(2, 0.0, bad, 0.3)
+        with pytest.raises(DomainError):
+            gauss_jacobi(bad, 0.0, 5)
 
 
 def test_polynomial_rejects_fractional_degree():
@@ -231,6 +243,13 @@ def test_norm_domain_errors():
     for bad in ((2, -1.0, 0.5), (2, 0.5, -1.5), (1.5, 0.5, 0.5)):
         with pytest.raises(DomainError):
             jacobi_norm_sq(*bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            laguerre_norm_sq(3, bad)
+        with pytest.raises(DomainError):
+            jacobi_norm_sq(2, bad, 0.0)
+        with pytest.raises(DomainError):
+            jacobi_norm_sq(2, 0.0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +323,9 @@ def test_build_quadrature_domain_errors():
         build_quadrature(0.5, "exp_cube", 8)
     with pytest.raises(DomainError):
         build_quadrature(0.5, "exp_r", 0)
+    for variant in ("exp_r", "exp_r2"):
+        with pytest.raises(DomainError, match="must exceed -1"):
+            build_quadrature(math.nan, variant, 8)
 
 
 @pytest.mark.parametrize("gamma, variant", [(343.0, "exp_r2"),

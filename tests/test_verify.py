@@ -524,7 +524,7 @@ def test_underflowing_masses_near_the_origin_pass():
     hbar, mass = 0.5121564187139328, 1.971161562587456
     rec = potential.radial_problem(1, state, params, hbar, mass)
     q = rec.c + 2.0 * rec.p
-    s = _p1_matrix(q, rec.vterms, rec.r_max, 8000, 2.0 * mass / hbar ** 2)[2]
+    s = _matrix(q, rec.vterms, rec.r_max, 8000, 2.0 * mass / hbar ** 2)[2]
     assert s[0] == 0.0 and np.all(s < np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -562,6 +562,12 @@ def test_single_axis_rejects_fractional_count():
 # ---------------------------------------------------------------------------
 # assembly and the two-grid eigensolve
 # ---------------------------------------------------------------------------
+
+def _matrix(q, vterms, r_max, n, scale):
+    """_p1_matrix on a profile of its own n vertices."""
+    return _p1_matrix(q, vterms, r_max, n, scale,
+                      verify._profile(q, tuple(p for _, p in vterms), n))
+
 
 def _per_element_matrix(q, vterms, r_max, n, scale):
     """The tridiagonal form with every element's stiffness and hat moments
@@ -610,7 +616,7 @@ def test_p1_entries_match_per_element_moments(q, vterms):
     # origin: every entry agrees with the exact per-element moments to a
     # few tens of roundoffs
     for r_max, n in ((12.0, 400), (37.3, 1234)):
-        got = _p1_matrix(q, vterms, r_max, n, 2.0)
+        got = _matrix(q, vterms, r_max, n, 2.0)
         want = _per_element_matrix(q, vterms, r_max, n, 2.0)
         for g, w in zip(got, want):
             npt.assert_allclose(g, w, rtol=1e-14, atol=0.0)
@@ -627,7 +633,7 @@ def _index_bisection(potential, params, state, cfg, k):
         box = recs[-1] if rec.sigma == 2.0 else rec
         r_max = box.r_max if cfg.r_max is None else cfg.r_max
         coarse, fine = (eigh_tridiagonal(
-            *_p1_matrix(rec.c + 2.0 * rec.p, rec.vterms, r_max, n, 2.0)[:2],
+            *_matrix(rec.c + 2.0 * rec.p, rec.vterms, r_max, n, 2.0)[:2],
             select="i", select_range=(j, j), eigvals_only=True)[0] / 2.0
             for n in (cfg.n_points, 2 * cfg.n_points))
         out.append((4.0 * fine - coarse) / 3.0 + rec.shift)
@@ -1045,7 +1051,7 @@ def test_rungs_sliced_from_one_profile_match_matrices_built_alone():
     for r_max in (40.0, 173.2, 911.0):
         for n in (100, 800, 1600):
             got = _p1_matrix(q, vterms, r_max, n, 2.0, profile)
-            want = _p1_matrix(q, vterms, r_max, n, 2.0)
+            want = _matrix(q, vterms, r_max, n, 2.0)
             for g, w in zip(got, want):
                 npt.assert_allclose(g, w, rtol=1e-14, atol=0.0)
     assert verify._profile.cache_info().currsize <= 1
@@ -1174,8 +1180,8 @@ def test_rejected_coarse_rung_falls_back_to_index_bisection(monkeypatch,
         rep = oracle_report(Oscillator(1.0), params, state, cfg, 3, 1e-3)
     assert rep.grid["coarse_solve"] == ["bisection"] * 3
     rec = Oscillator(1.0).radial_problem(2, state, params)
-    diag, off, _ = _p1_matrix(rec.c + 2.0 * rec.p, rec.vterms, rec.r_max,
-                              cfg.n_points, 2.0)
+    diag, off, _ = _matrix(rec.c + 2.0 * rec.p, rec.vterms, rec.r_max,
+                           cfg.n_points, 2.0)
     for j, got in enumerate(rep.numeric):
         want = eigh_tridiagonal(diag, off, select="i", select_range=(j, j),
                                 eigvals_only=True)[0]
