@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -400,6 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes a list like "-0.3,-0.1" for an option: join it to its
+    # flag, as "--mu=-0.3,-0.1"
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in reversed(range(1, len(argv))):
+        flag, value = argv[i - 1], argv[i]
+        if flag in ("--mu", "--parity") and re.match(r"-[\d.,]", value):
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

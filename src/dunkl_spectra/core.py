@@ -23,7 +23,6 @@ from .errors import DomainError, check_count
 __all__ = [
     "DeformationParams",
     "ParityVector",
-    "PolarPoint",
     "reflect_cartesian",
     "polar_to_cartesian",
     "cartesian_to_polar",
@@ -85,32 +84,6 @@ class ParityVector:
         return len(self.s)
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    """Radius r > 0 plus d-1 angles in the ranges stated above."""
-    r: float
-    theta: tuple
-
-    def __post_init__(self):
-        r = float(self.r)
-        if not r > 0.0:
-            raise DomainError(f"radius must be positive, got {r}")
-        theta = tuple(float(t) for t in self.theta)
-        if not theta:
-            raise DomainError("need at least one angle")
-        if not 0.0 <= theta[0] < TWO_PI:
-            raise DomainError(f"first angle must lie in [0, 2pi), got {theta[0]}")
-        for j, t in enumerate(theta[1:], start=2):
-            if not 0.0 <= t <= np.pi:
-                raise DomainError(f"angle {j} must lie in [0, pi], got {t}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "theta", theta)
-
-    @property
-    def d(self) -> int:
-        return len(self.theta) + 1
-
-
 def reflect_cartesian(point: Sequence[float], j: int) -> np.ndarray:
     """Flip the sign of coordinate x_j (1-based axis index)."""
     point = np.asarray(point, dtype=float)
@@ -121,26 +94,37 @@ def reflect_cartesian(point: Sequence[float], j: int) -> np.ndarray:
     return out
 
 
-def polar_to_cartesian(p: PolarPoint) -> np.ndarray:
-    """Cartesian coordinates of a polar point (chart in the module docstring)."""
-    d = p.d
-    theta = np.asarray(p.theta)
-    x = np.empty(d)
-    # suffix[k] = prod of sin(theta_i) for angle indices i > k (1-based)
-    sines = np.sin(theta)
-    suffix = np.concatenate((np.cumprod(sines[::-1])[::-1], [1.0]))
-    x[0] = np.cos(theta[0]) * suffix[1]
-    x[1] = np.sin(theta[0]) * suffix[1]
-    for j in range(3, d + 1):
-        x[j - 1] = np.cos(theta[j - 2]) * suffix[j - 1]
-    return p.r * x
+def polar_to_cartesian(r, theta) -> np.ndarray:
+    """Cartesian points (..., d) of the radii r and angles theta (..., d-1)
+    on the module docstring's chart, r broadcast against theta[..., 0];
+    refuses a radius not positive and finite and an angle out of range."""
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+    if theta.ndim == 0 or theta.shape[-1] == 0:
+        raise DomainError("need at least one angle")
+    if not np.all((0.0 < r) & (r < np.inf)):
+        raise DomainError(f"radius must be positive and finite, got {r}")
+    first, rest = theta[..., 0], theta[..., 1:]
+    if not (np.all((0.0 <= first) & (first < TWO_PI))
+            and np.all((0.0 <= rest) & (rest <= np.pi))):
+        raise DomainError(f"angles outside [0, 2pi) x [0, pi]^(d-2): {theta}")
+    # (cos t_1, sin t_1); each next t_j scales it by sin t_j, appends cos t_j
+    x = np.stack((np.cos(first), np.sin(first)), axis=-1)
+    for t in np.moveaxis(rest, -1, 0):
+        x = np.concatenate((x * np.sin(t)[..., None], np.cos(t)[..., None]),
+                           axis=-1)
+    return x * r[..., None]
 
 
-def _chart_inverse(x: np.ndarray):
-    """Radii, angles (on the last axis) and the mask of determined angles
-    of the Cartesian points x, shape (..., d). On the singular set an angle
-    whose partial radius vanishes is undetermined and returned as 0."""
+def cartesian_to_polar(x):
+    """Radii, angles (..., d-1) and the mask of determined angles of the
+    Cartesian points x (..., d), d >= 2, refusing a radius 0 or not finite.
+    On the singular set an angle whose partial radius vanishes is 0."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] < 2:
+        raise DomainError("need at least two coordinates")
     r = np.sqrt(np.sum(x * x, axis=-1))
+    if not np.all((0.0 < r) & (r < np.inf)):
+        raise DomainError(f"radius must be nonzero and finite, got {r}")
     # partial radii rho_k = sqrt(x_1^2 + ... + x_k^2); t_{j-1} for j >= 3 is
     # atan2(rho_{j-1}, x_j) and is determined when rho_j does not vanish
     rho = np.sqrt(np.cumsum(x * x, axis=-1))
@@ -149,19 +133,3 @@ def _chart_inverse(x: np.ndarray):
          np.arctan2(rho[..., 1:-1], x[..., 2:])), axis=-1)
     determined = rho[..., 1:] >= 1e-15 * r[..., None]
     return r, np.where(determined, theta, 0.0), determined
-
-
-def cartesian_to_polar(point: Sequence[float]) -> tuple[PolarPoint, bool]:
-    """Invert the polar chart; returns (point, degenerate).
-
-    degenerate is True on the singular set where some trailing angle has
-    vanishing sine, leaving the lower angles undetermined (they are returned
-    as 0). The radius must be nonzero.
-    """
-    x = np.asarray(point, dtype=float)
-    if len(x) < 2:
-        raise DomainError("need at least two coordinates")
-    r, theta, determined = _chart_inverse(x)
-    if r == 0.0:
-        raise DomainError("polar chart undefined at the origin")
-    return PolarPoint(r=float(r), theta=tuple(theta)), not determined.all()

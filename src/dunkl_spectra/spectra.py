@@ -53,7 +53,6 @@ __all__ = [
     "POTENTIALS",
     "RadialSolution",
     "oscillator_energy",
-    "pho_energy",
     "coulomb_energy",
     "coulomb_large_d_expansion",
     "radial_wavefunction",
@@ -208,16 +207,6 @@ class _Potential:
     def __post_init__(self):
         check_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
 
-    def radial_problem(self, n: int, state: AngularState,
-                       params: DeformationParams, hbar: float = 1.0,
-                       mass: float = 1.0) -> RadialSolution:
-        """Closed-form record of radial level n, after checking every input."""
-        check_positive(hbar=hbar, mass=mass)
-        n = check_count(n, "radial quantum number")
-        return _record(self, n, params.d - 1.0 + 2.0 * params.mu_sum,
-                       varpi_sq(state, params), 2.0 * state.ell_total, hbar,
-                       mass)
-
 
 @dataclass(frozen=True)
 class Oscillator(_Potential):
@@ -266,19 +255,28 @@ PotentialSpec = Oscillator | Pseudoharmonic | Coulomb
 POTENTIALS = {cls.tag: cls for cls in get_args(PotentialSpec)}
 
 
+def _level(potential: PotentialSpec, n: int, state: AngularState,
+           params: DeformationParams, hbar: float,
+           mass: float) -> RadialSolution:
+    """The record of radial level n, after checking every input."""
+    check_positive(hbar=hbar, mass=mass)
+    n = check_count(n, "radial quantum number")
+    return _record(potential, n, params.d - 1.0 + 2.0 * params.mu_sum,
+                   varpi_sq(state, params), 2.0 * state.ell_total, hbar, mass)
+
+
 def bound_energy(potential: PotentialSpec, n: int, state: AngularState,
                  params: DeformationParams, hbar: float = 1.0,
                  mass: float = 1.0) -> float:
     """Closed-form energy for any potential variant."""
-    return potential.radial_problem(n, state, params, hbar, mass).energy
+    return _level(potential, n, state, params, hbar, mass).energy
 
 
 def radial_solution(potential: PotentialSpec, n: int, state: AngularState,
                     params: DeformationParams, hbar: float = 1.0,
                     mass: float = 1.0) -> RadialSolution:
-    """The record of level n, whose family `_record` fixes; the record
-    refuses a level at or above the continuum or with b <= 0."""
-    return potential.radial_problem(n, state, params, hbar, mass)
+    """The record of level n; it refuses what is no bound state (`_record`)."""
+    return _level(potential, n, state, params, hbar, mass)
 
 
 def _state(sol: RadialSolution, r, power: float):
@@ -302,13 +300,6 @@ def oscillator_energy(n: int, state: AngularState, params: DeformationParams,
     return bound_energy(Oscillator(omega), n, state, params, hbar)
 
 
-def pho_energy(n: int, state: AngularState, params: DeformationParams,
-               D_e: float, r_e: float, hbar: float = 1.0,
-               mass: float = 1.0) -> float:
-    """Pseudoharmonic-well level; the formula is on Pseudoharmonic."""
-    return bound_energy(Pseudoharmonic(D_e, r_e), n, state, params, hbar, mass)
-
-
 def coulomb_energy(n: int, state: AngularState, params: DeformationParams,
                    e2: float, hbar: float = 1.0, mass: float = 1.0) -> float:
     """Attractive 1/r level -(m e2^2 / 2 hbar^2) / (n + 2L + sum mu + (d-1)/2)^2."""
@@ -326,7 +317,7 @@ def coulomb_large_d_expansion(n: int, state: AngularState,
     order counts the retained bracket terms (0, 1, or 2). The remainder of
     the order-2 truncation is O(d^-4) times the prefactor 2 m e2^2/hbar^2.
     """
-    Coulomb(e2).radial_problem(n, state, params, hbar, mass)  # input checks
+    _level(Coulomb(e2), n, state, params, hbar, mass)  # input checks
     if order not in (0, 1, 2):
         raise DomainError(f"truncation order must be 0, 1, or 2, got {order}")
     d = params.d

@@ -65,13 +65,13 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dpttrf
 
 from .cartesian import _axis_record
-from .core import DeformationParams, _chart_inverse, reflect_cartesian
+from .core import DeformationParams, cartesian_to_polar, reflect_cartesian
 from .errors import (ConvergenceError, DomainError, TailLeakWarning,
                      check_count, check_levels, check_positive)
 from .polar import AngularState, theta_eigenfunction
 from .specfun import build_quadrature, kummer_m
-from .spectra import (PotentialSpec, RadialSolution, radial_solution,
-                      radial_wavefunction)
+from .spectra import (PotentialSpec, RadialSolution, _level,
+                      radial_solution, radial_wavefunction)
 
 _log = logging.getLogger("dunkl_spectra")
 
@@ -437,8 +437,7 @@ def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
     from.
     """
     k = check_levels(k)
-    recs = [potential.radial_problem(n, state, params, hbar, mass)
-            for n in range(k)]
+    recs = [_level(potential, n, state, params, hbar, mass) for n in range(k)]
     vals, coarse, fine = _solve(recs, cfg, hbar, mass, potential.tag)
     for out, how in ((coarse_solve, coarse), (fine_solve, fine)):
         if out is not None and how is not None:
@@ -495,7 +494,7 @@ def residual_check(potential: PotentialSpec, params: DeformationParams,
     offsets = np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * h[:, None]
     shifted = x + offsets * np.eye(d)[:, None, None, :]  # (axis, offset, m, d)
     mirrored = [reflect_cartesian(x, j + 1) for j in range(d)]
-    radius, theta, _ = _chart_inverse(np.concatenate(
+    radius, theta, _ = cartesian_to_polar(np.concatenate(
         ([x], shifted.reshape(-1, *x.shape), mirrored)).reshape(-1, d))
     f = radial_wavefunction(sol, radius)
     for j in range(1, d):
@@ -620,8 +619,7 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
     """
     k = check_levels(k)
     check_positive(tolerance=tolerance)
-    recs = [potential.radial_problem(n, state, params, hbar, mass)
-            for n in range(k)]
+    recs = [_level(potential, n, state, params, hbar, mass) for n in range(k)]
     coarse, fine = [], []
     numeric = radial_eigenvalues(potential, params, state, cfg, k, hbar, mass,
                                  coarse_solve=coarse, fine_solve=fine)

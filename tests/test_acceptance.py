@@ -18,14 +18,14 @@ from dunkl_spectra import (
     DeformationParams,
     DiscretizationConfig,
     Oscillator,
-    PolarPoint,
     Pseudoharmonic,
+    bound_energy,
+    cartesian_to_polar,
     coulomb_energy,
     coulomb_large_d_expansion,
     kummer_m,
     laguerre,
     oscillator_energy,
-    pho_energy,
     polar_to_cartesian,
     radial_solution,
     radial_wavefunction,
@@ -34,7 +34,7 @@ from dunkl_spectra import (
     wavefunction_1d,
 )
 from dunkl_spectra.cli import _FIGURES
-from dunkl_spectra.core import _chart_inverse, reflect_cartesian
+from dunkl_spectra.core import reflect_cartesian
 from dunkl_spectra.verify import (
     cartesian_1d_eigenvalues,
     oracle_report,
@@ -109,12 +109,12 @@ def test_criterion_5_pho_oracle_check():
         numeric = radial_eigenvalues(Pseudoharmonic(De, 1.0), params, state,
                                      cfg, 2)
         for n, num in enumerate(numeric):
-            ref = pho_energy(n, state, params, De, 1.0)
+            ref = bound_energy(Pseudoharmonic(De, 1.0), n, state, params)
             assert abs(num - ref) <= 1e-4 * abs(ref)
     # the deep-well reference point must come out of both routes
     params = DeformationParams.uniform(3, 0.0)
     state = AngularState.from_total(3, 0.0)
-    analytic = pho_energy(0, state, params, 8.0, 1.0)
+    analytic = bound_energy(Pseudoharmonic(8.0, 1.0), 0, state, params)
     numeric = radial_eigenvalues(Pseudoharmonic(8.0, 1.0), params, state,
                                  cfg, 1)[0]
     assert abs(analytic - 12.4603) <= 1e-4
@@ -145,8 +145,8 @@ def test_criterion_7_angular_eigencheck():
     # the assembled state U(r) Theta_1(t_1) Theta_2(t_2) solves the full
     # d = 3 equation on a grid of the level-1 angle
     grid = np.linspace(0.17, np.pi / 2 - 0.11, 50)
-    points = [polar_to_cartesian(PolarPoint(r=1.3, theta=(t, 1.0)))
-              for t in grid]
+    points = polar_to_cartesian(1.3, np.stack(
+        (grid, np.ones_like(grid)), axis=-1))
     for mu in (-0.3, 0.0, 0.4):
         params = DeformationParams(d=3, mu=(mu, mu, 0.0))
         for two_l in (0, 1, 2, 3):
@@ -270,7 +270,7 @@ def _worst_shell_fit(params, quanta, points):
     of single-axis states of the same sector and shell; returns the worst
     relative residual and the number of states fitted."""
     d = params.d
-    r, theta, _ = _chart_inverse(points)
+    r, theta, _ = cartesian_to_polar(points)
     worst, count = 0.0, 0
     for signs in itertools.product((1, -1), repeat=d):
         e = [(1 - s) // 2 for s in signs]

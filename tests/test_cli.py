@@ -16,11 +16,11 @@ from dunkl_spectra import (
     Coulomb,
     DeformationParams,
     DiscretizationConfig,
+    Pseudoharmonic,
     TailLeakWarning,
     bound_energy,
     coulomb_energy,
     oscillator_energy,
-    pho_energy,
     radial_eigenvalues,
     radial_solution,
     reduced_density,
@@ -175,6 +175,25 @@ def test_spectrum_angular_flags(capsys):
     params = DeformationParams.uniform(3, 0.0)
     state = AngularState(two_ell=(1, 0), parity=(1, -1, 1))
     assert float(rows[0][1]) == oscillator_energy(0, state, params, 1.0)
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["--mu", "-0.3,-0.1"], ["--mu=-0.3,-0.1"]),
+    (["--parity", "-1,1", "--ell", "1/2"], ["--parity=-1,1", "--ell", "1/2"]),
+    (["--mu", "-.3", "--parity", "-,+", "--ell", "1/2"],
+     ["--mu=-.3", "--parity=-,+", "--ell", "1/2"]),
+])
+def test_list_flag_value_may_start_with_minus(spaced, joined, capsys):
+    # argparse reads "-0.3,-0.1" as an option; the spaced form must print
+    # the bytes of the joined one
+    base = ["spectrum", "--potential", "oscillator", "--d", "2"]
+    code, out, err = run(base + spaced, capsys)
+    assert (code, err) == (0, "")
+    assert run(base + joined, capsys) == (0, out, "")
+    for command in ("verify", "density"):
+        assert run([command] + base[1:] + spaced, capsys)[0] == 0
+    # a flag, not a list, still follows --mu: a missing value stays an error
+    assert run(base + ["--mu", "--levels", "2"], capsys)[0] == 2
 
 
 def test_usage_errors_exit_2(capsys):
@@ -585,7 +604,8 @@ def test_verify_explicit_default_depth(capsys):
     params = DeformationParams.uniform(3, 0.4)
     state = AngularState.from_total(3, 0.0)
     assert [float(r[-5]) for r in rows] == [
-        pho_energy(n, state, params, 1.0, 1.0) for n in range(2)]
+        bound_energy(Pseudoharmonic(1.0, 1.0), n, state, params)
+        for n in range(2)]
 
 
 def test_verify_overflowing_cells_exit_3(capsys):

@@ -11,11 +11,10 @@ from dunkl_spectra import (
     DomainError,
     InvalidStateError,
     ParityVector,
-    PolarPoint,
     cartesian_to_polar,
     polar_to_cartesian,
 )
-from dunkl_spectra.core import _chart_inverse, reflect_cartesian
+from dunkl_spectra.core import reflect_cartesian
 from dunkl_spectra.errors import check_count
 
 
@@ -39,26 +38,24 @@ def test_reflection_polar_roundtrip_is_identity():
     for d in (2, 3, 5):
         theta = (float(rng.uniform(0.1, 6.2)),) + tuple(
             rng.uniform(0.1, 3.0, d - 2))
-        p = PolarPoint(r=1.3, theta=theta)
         for j in range(1, d + 1):
-            q = p
+            r, t = 1.3, theta
             for _ in range(2):
-                q, _ = cartesian_to_polar(
-                    reflect_cartesian(polar_to_cartesian(q), j))
-            npt.assert_allclose(q.r, p.r, rtol=1e-14)
-            npt.assert_allclose(q.theta, p.theta, rtol=1e-13)
+                r, t, _ = cartesian_to_polar(
+                    reflect_cartesian(polar_to_cartesian(r, t), j))
+            npt.assert_allclose(r, 1.3, rtol=1e-14)
+            npt.assert_allclose(t, theta, rtol=1e-13)
 
 
 def test_reflection_third_axis_flips_x3():
     # in d = 3 the third reflection flips x_3 and keeps the other two, which
     # in the chart sends theta_2 to pi - theta_2
-    p = PolarPoint(r=2.0, theta=(0.9, 0.6))
-    x = polar_to_cartesian(p)
+    x = polar_to_cartesian(2.0, (0.9, 0.6))
     flipped = reflect_cartesian(x, 3)
     npt.assert_array_equal(flipped, [x[0], x[1], -x[2]])
-    q, degenerate = cartesian_to_polar(flipped)
-    assert not degenerate
-    npt.assert_allclose(q.theta, (0.9, np.pi - 0.6), rtol=1e-14)
+    _, theta, determined = cartesian_to_polar(flipped)
+    assert determined.all()
+    npt.assert_allclose(theta, (0.9, np.pi - 0.6), rtol=1e-14)
 
 
 def test_reflection_even_monomial_invariant():
@@ -84,7 +81,7 @@ def test_reflection_axis_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_chart_d3_axis_point():
-    x = polar_to_cartesian(PolarPoint(r=1.0, theta=(0.0, np.pi / 2)))
+    x = polar_to_cartesian(1.0, (0.0, np.pi / 2))
     npt.assert_allclose(x, [1.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -95,7 +92,7 @@ def test_chart_radius_identity():
             theta = [float(rng.uniform(0.0, 2 * np.pi))]
             theta += [float(rng.uniform(0.0, np.pi)) for _ in range(d - 2)]
             r = float(rng.uniform(0.1, 5.0))
-            x = polar_to_cartesian(PolarPoint(r=r, theta=tuple(theta)))
+            x = polar_to_cartesian(r, theta)
             assert x.shape == (d,)
             npt.assert_allclose(np.sum(x * x), r * r, rtol=1e-12)
 
@@ -105,13 +102,13 @@ def test_chart_roundtrip_d5():
     for _ in range(25):
         theta = [float(rng.uniform(0.05, 2 * np.pi - 0.05))]
         theta += [float(rng.uniform(0.05, np.pi - 0.05)) for _ in range(3)]
-        p = PolarPoint(r=float(rng.uniform(0.2, 4.0)), theta=tuple(theta))
-        x = polar_to_cartesian(p)
-        q, degenerate = cartesian_to_polar(x)
-        assert not degenerate
-        npt.assert_allclose(q.r, p.r, rtol=1e-10)
-        back = polar_to_cartesian(q)
-        npt.assert_allclose(back, x, atol=1e-10 * p.r)
+        r0 = float(rng.uniform(0.2, 4.0))
+        x = polar_to_cartesian(r0, theta)
+        r, t, determined = cartesian_to_polar(x)
+        assert determined.all()
+        npt.assert_allclose(r, r0, rtol=1e-10)
+        back = polar_to_cartesian(r, t)
+        npt.assert_allclose(back, x, atol=1e-10 * r0)
 
 
 def _chart_inverse_loop(x):
@@ -130,41 +127,67 @@ def _chart_inverse_loop(x):
 
 
 def test_chart_inverse_matches_pointwise_loop():
-    # the array form used for batches of points, and the single-point
-    # inverse built on it, give the loop's values, degenerate points too
+    # a batch of points and each point alone give the loop's values,
+    # degenerate points too
     rng = np.random.default_rng(29)
     for d in range(2, 9):
         points = rng.normal(size=(40, d))
         points[:10, :int(rng.integers(1, d))] = 0.0  # on the singular set
-        r, theta, determined = _chart_inverse(points)
+        r, theta, determined = cartesian_to_polar(points)
         for i, x in enumerate(points):
             want_r, want_theta, want_degenerate = _chart_inverse_loop(x)
-            q, degenerate = cartesian_to_polar(x)
-            assert degenerate == want_degenerate == (not determined[i].all())
-            npt.assert_allclose([q.r, r[i]], want_r, rtol=1e-15, atol=0.0)
-            npt.assert_allclose(q.theta, want_theta, rtol=1e-15, atol=0.0)
+            one_r, one_theta, one_determined = cartesian_to_polar(x)
+            assert (not one_determined.all()) == want_degenerate == (
+                not determined[i].all())
+            npt.assert_allclose([one_r, r[i]], want_r, rtol=1e-15, atol=0.0)
+            npt.assert_allclose(one_theta, want_theta, rtol=1e-15, atol=0.0)
             npt.assert_allclose(theta[i], want_theta, rtol=1e-15, atol=0.0)
 
 
 def test_chart_degenerate_flag():
     # a point on the x_3 axis leaves theta_1 undetermined
-    q, degenerate = cartesian_to_polar([0.0, 0.0, 2.0])
-    assert degenerate
-    npt.assert_allclose(q.r, 2.0, rtol=1e-14)
-    x = polar_to_cartesian(q)
+    r, theta, determined = cartesian_to_polar([0.0, 0.0, 2.0])
+    assert determined.tolist() == [False, True]
+    npt.assert_allclose(r, 2.0, rtol=1e-14)
+    x = polar_to_cartesian(r, theta)
     npt.assert_allclose(x, [0.0, 0.0, 2.0], atol=1e-14)
 
 
 def test_chart_zero_radius_rejected():
-    with pytest.raises(DomainError):
-        cartesian_to_polar([0.0, 0.0, 0.0])
+    # the origin is refused, alone or as one point of a batch
+    for x in ([0.0, 0.0, 0.0], [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]):
+        with pytest.raises(DomainError, match="radius"):
+            cartesian_to_polar(x)
 
 
-def test_polar_point_validation():
-    with pytest.raises(DomainError):
-        PolarPoint(r=-1.0, theta=(0.3, 0.4))
-    with pytest.raises(DomainError):
-        PolarPoint(r=1.0, theta=(0.3, 3.5))
+def test_chart_refuses_bad_input():
+    for r, theta in [(-1.0, (0.3, 0.4)), (0.0, (0.3,)), (math.inf, (0.3,)),
+                     (math.nan, (0.3,)), ([1.0, -1.0], (0.3, 0.4)),
+                     (1.0, (0.3, 3.5)), (1.0, (2.0 * np.pi,)),
+                     (1.0, (-0.1, 0.4)), (1.0, (0.3, -0.1)),
+                     (1.0, (math.nan,)), (1.0, ())]:
+        with pytest.raises(DomainError):
+            polar_to_cartesian(r, theta)
+    for x in (2.0, [1.0], [[1.0], [2.0]], [math.inf, 0.0], [math.nan, 1.0]):
+        with pytest.raises(DomainError):
+            cartesian_to_polar(x)
+
+
+def test_chart_batches_match_single_points():
+    # angles on the last axis; one radius or one per point broadcasts
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 6):
+        theta = np.column_stack((rng.uniform(0.0, 2.0 * np.pi, 12),
+                                 rng.uniform(0.0, np.pi, (12, d - 2))))
+        r = rng.uniform(0.1, 5.0, 12)
+        x = polar_to_cartesian(r, theta)
+        assert x.shape == (12, d)
+        for i in range(12):
+            npt.assert_array_equal(x[i], polar_to_cartesian(r[i], theta[i]))
+        npt.assert_array_equal(polar_to_cartesian(2.0, theta),
+                               polar_to_cartesian(np.full(12, 2.0), theta))
+        grid = polar_to_cartesian(r[:, None], theta[:4])
+        assert grid.shape == (12, 4, d)
 
 
 # ---------------------------------------------------------------------------

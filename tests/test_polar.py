@@ -1,11 +1,13 @@
 """Tests for the angular tower: eigenfunctions, separation constants."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import roots_jacobi
 
 from dunkl_spectra import (
     AngularState,
@@ -14,7 +16,6 @@ from dunkl_spectra import (
     InvalidStateError,
     ParityVector,
     Oscillator,
-    PolarPoint,
     angular_inner_product,
     lambda_sq,
     parity_offsets,
@@ -249,7 +250,7 @@ def _sectors_for(two_l):
 def _residual_along(params, state, angles):
     """Residual of the assembled oscillator ground level at radius 1.3 and
     each of the given angle tuples."""
-    points = [polar_to_cartesian(PolarPoint(r=1.3, theta=t)) for t in angles]
+    points = polar_to_cartesian(1.3, angles)
     return residual_check(Oscillator(1.0), params, state, 0, points)
 
 
@@ -324,6 +325,47 @@ def test_level2_orthonormal():
             target = 1.0 if a is b else 0.0
             tol = 1e-10 if a is b else 1e-9
             assert abs(got - target) < tol
+
+
+def _admissible(d, max_two_ell):
+    """Every admissible state of dimension d with each 2 l_j <= max_two_ell."""
+    out = []
+    for two_ell in itertools.product(range(max_two_ell + 1), repeat=d - 1):
+        for parity in itertools.product((1, -1), repeat=d):
+            try:
+                out.append(AngularState(two_ell, parity))
+            except InvalidStateError:
+                pass
+    return out
+
+
+_MU4 = DeformationParams(d=4, mu=(0.4, -0.3, 0.7, 0.2))
+
+
+def _state_id(state):
+    return "l{}s{}".format("".join(map(str, state.two_ell)),
+                           "".join("+-"[s < 0] for s in state.parity.s))
+
+
+@pytest.mark.parametrize("state", _admissible(4, 3), ids=_state_id)
+def test_theta_eigenfunction_unit_norm_deformed(state):
+    # each level integrates to one against its measure, the d-dimensional
+    # Dunkl weight prod |x_i|^(2 mu_i) times the Jacobian's sin^(j-1) t_j:
+    # |cos t|^(2 mu_1) |sin t|^(2 mu_2) on [0, 2pi) at level 1, and
+    # sin^(j-1+2(mu_1+..+mu_j)) t |cos t|^(2 mu_(j+1)) on [0, pi] above.
+    # Theta^2 is a polynomial in u = cos 2t (its prefactor powers are even
+    # integers), so a Gauss-Jacobi rule in u for the measure alone,
+    # independent of the package's own rule and exponents, is exact; each
+    # quarter turn contributes the same.
+    mu = _MU4.mu
+    for j in range(1, 4):
+        sin_p, cos_p, copies = ((2 * mu[1], 2 * mu[0], 4) if j == 1 else
+                                (j - 1 + 2 * sum(mu[:j]), 2 * mu[j], 2))
+        alpha, beta = (sin_p - 1.0) / 2.0, (cos_p - 1.0) / 2.0
+        u, w = roots_jacobi(40, alpha, beta)
+        theta = theta_eigenfunction(j, state, _MU4, np.arccos(u) / 2.0)
+        norm = copies * 2.0 ** -(alpha + beta) / 4.0 * np.sum(w * theta ** 2)
+        assert abs(norm - 1.0) < 1e-12, (j, norm)
 
 
 def test_level1_norm_at_rounded_weight_sum_minus_one():

@@ -42,7 +42,8 @@ def test_readme_python_blocks_show_their_values():
             if shown is not None:
                 assert value == shown[0], ast.unparse(stmt)
                 checked.append(shown[0])
-    assert checked == [[2.7, 4.7, 6.7], -0.10330578512396693, True]
+    assert checked == [[2.7, 4.7, 6.7], -0.10330578512396693, True,
+                       [False, True], True]
 
 
 def test_readme_command_blocks_print_their_lines(capsys):
@@ -51,7 +52,8 @@ def test_readme_command_blocks_print_their_lines(capsys):
     blocks = re.findall(r"```\n\$ dunkl-spectra (.*?)\n(.*?)```",
                         README.read_text("utf-8"), re.S)
     assert [argv for argv, _ in blocks] == [
-        "spectrum --potential coulomb --d 3 --mu 0 --levels 3"]
+        "spectrum --potential coulomb --d 3 --mu 0 --levels 3",
+        "spectrum --potential oscillator --d 2 --mu -0.3,-0.1 --levels 2"]
     for argv, shown in blocks:
         assert main(shlex.split(argv)) == 0
         pattern = "".join(r"(?:.*\n)*?" if line == "..." else

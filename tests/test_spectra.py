@@ -22,7 +22,6 @@ from dunkl_spectra import (
     coulomb_large_d_expansion,
     energy_1d,
     oscillator_energy,
-    pho_energy,
     radial_solution,
     radial_wavefunction,
     reduced_density,
@@ -136,7 +135,7 @@ def test_oscillator_norm():
 def test_pho_energy_reference_value():
     params = DeformationParams.uniform(3, 0.0)
     st = AngularState.from_total(3, 0.0)
-    got = pho_energy(0, st, params, 8.0, 1.0)
+    got = bound_energy(Pseudoharmonic(8.0, 1.0), 0, st, params)
     assert abs(got - 12.4603) < 1e-4
     npt.assert_allclose(got, 12.460362751475142, rtol=1e-14)
 
@@ -147,8 +146,9 @@ def test_pho_ladder_spacing():
         st = AngularState.from_total(3, 1.0)
         Omega = 2.0 * math.sqrt(D_e) / r_e
         for n in range(5):
-            diff = (pho_energy(n + 1, st, params, D_e, r_e)
-                    - pho_energy(n, st, params, D_e, r_e))
+            pot = Pseudoharmonic(D_e, r_e)
+            diff = (bound_energy(pot, n + 1, st, params)
+                    - bound_energy(pot, n, st, params))
             npt.assert_allclose(diff, 2.0 * Omega, rtol=1e-12)
 
 
@@ -162,7 +162,8 @@ def test_pho_shallow_well_oscillator_form():
     s0 = params.mu_sum + params.d / 2.0
     base = math.sqrt(1.0 + s0 * (s0 - 2.0))
     for n in range(4):
-        shifted = pho_energy(n, st, params, D_e, r_e) + 2.0 * D_e
+        shifted = (bound_energy(Pseudoharmonic(D_e, r_e), n, st, params)
+                   + 2.0 * D_e)
         npt.assert_allclose(shifted, Omega * (2 * n + 1 + base), rtol=1e-6)
 
 
@@ -182,9 +183,9 @@ def test_pho_parameter_validation():
     params = DeformationParams.uniform(3, 0.0)
     st = AngularState.from_total(3, 0.0)
     with pytest.raises(DomainError):
-        pho_energy(0, st, params, -1.0, 1.0)
+        bound_energy(Pseudoharmonic(-1.0, 1.0), 0, st, params)
     with pytest.raises(DomainError):
-        pho_energy(0, st, params, 8.0, 0.0)
+        bound_energy(Pseudoharmonic(8.0, 0.0), 0, st, params)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +408,6 @@ def test_bound_energy_dispatch():
         0, st, params, 1.0)
     assert bound_energy(Coulomb(1.0), 0, st, params) == coulomb_energy(
         0, st, params, 1.0)
-    assert bound_energy(Pseudoharmonic(8.0, 1.0), 0, st, params) == pho_energy(
-        0, st, params, 8.0, 1.0)
 
 
 def test_radial_solution_dispatch():
@@ -433,12 +432,12 @@ def test_potential_validation():
 def test_record_refuses_level_above_continuum():
     params = DeformationParams.uniform(3, 0.0)
     st = AngularState.from_total(3, 0.0)
-    rec = Coulomb(1.0).radial_problem(0, st, params)
+    rec = radial_solution(Coulomb(1.0), 0, st, params)
     assert rec.energy == -0.5
     with pytest.raises(InvalidStateError,
                        match="coulomb bound states must lie below 0.0, got 0.5"):
         dataclasses.replace(rec, energy=0.5)
-    lvl = Oscillator(1.0).radial_problem(0, st, params)
+    lvl = radial_solution(Oscillator(1.0), 0, st, params)
     assert (lvl.energy, lvl.potential.tag) == (1.5, "oscillator")
 
 
@@ -471,7 +470,6 @@ def test_every_entry_point_refuses_kummer_b_nonpositive():
         params = DeformationParams(d=2, mu=mu)
         for call in (lambda n: bound_energy(Coulomb(1.0), n, st, params),
                      lambda n: coulomb_energy(n, st, params, 1.0),
-                     lambda n: Coulomb(1.0).radial_problem(n, st, params),
                      lambda n: radial_solution(Coulomb(1.0), n, st, params),
                      lambda n: coulomb_large_d_expansion(n, st, params, 1.0)):
             for n in (1, 3):
@@ -552,19 +550,17 @@ def test_states_on_a_2d_grid_match_the_flat_grid():
 # closed-form records and physical constants
 # ---------------------------------------------------------------------------
 
-def test_radial_problem_record_matches_solution():
+def test_radial_solution_record_matches_energy():
     params = DeformationParams(d=4, mu=(0.3, -0.2, 0.5, 0.1))
     st = AngularState.from_total(4, 1.0)
     for pot in (Oscillator(1.7), Pseudoharmonic(3.0, 1.4), Coulomb(1.3)):
         for n in range(3):
-            rec = pot.radial_problem(n, st, params, 1.2, 0.8)
-            sol = radial_solution(pot, n, st, params, 1.2, 0.8)
-            assert rec.energy == sol.energy == bound_energy(
-                pot, n, st, params, 1.2, 0.8)
-            assert (rec.n, rec.b, rec.scale) == (n, sol.kummer_b,
-                                                 sol.decay_scale)
+            rec = radial_solution(pot, n, st, params, 1.2, 0.8)
+            assert rec.energy == bound_energy(pot, n, st, params, 1.2, 0.8)
+            assert (rec.n, rec.b, rec.scale) == (n, rec.kummer_b,
+                                                 rec.decay_scale)
             assert rec.c == _weight_exponent(params)
-            assert sol.leading_exponent == (
+            assert rec.leading_exponent == (
                 rec.p / 2.0 if rec.sigma == 2.0 else rec.p)
             # U ~ r^p near the origin: p solves the indicial equation
             npt.assert_allclose(rec.p * (rec.p + rec.c - 1.0), rec.barrier,
@@ -588,9 +584,6 @@ def test_physical_constants_positive_and_finite(bad):
                 radial_solution(pot, 0, st, params, **consts)
     with pytest.raises(DomainError):
         oscillator_energy(0, st, params, 1.0, hbar=bad)
-    # a negative mass used to trip an assert instead
-    with pytest.raises(DomainError):
-        pho_energy(0, st, params, 8.0, 1.0, mass=bad)
     with pytest.raises(DomainError):
         coulomb_large_d_expansion(0, st, params, 1.0, hbar=bad)
 
@@ -694,9 +687,9 @@ def test_branch_rule_at_d2_negative_coupling_sum():
     params = DeformationParams(2, (-0.3, -0.1))
     state = AngularState.from_total(2, 0.0)
     for potential in (Oscillator(1.3), Coulomb(0.7)):
-        assert potential.radial_problem(0, state, params).p == 0.0
+        assert radial_solution(potential, 0, state, params).p == 0.0
     for D_e, want in ((2.0, None), (1e-9, 0.8)):
-        rec = Pseudoharmonic(D_e, 1.0).radial_problem(0, state, params)
+        rec = radial_solution(Pseudoharmonic(D_e, 1.0), 0, state, params)
         npt.assert_allclose(rec.p * (rec.p + rec.c - 1.0), rec.barrier,
                             rtol=1e-12, atol=1e-15)
         assert rec.p > 1.0 - rec.c
@@ -756,8 +749,8 @@ def test_records_match_the_level_formulas():
         for potential in (Oscillator(omega), Pseudoharmonic(D_e, r_e),
                           Coulomb(e2)):
             if want[potential.tag] is not None:
-                records[potential.tag] = potential.radial_problem(
-                    n, state, params, hbar, mass)
+                records[potential.tag] = radial_solution(
+                    potential, n, state, params, hbar, mass)
         assert set(records) == {key for key, v in want.items() if v}
         for key, rec in records.items():
             for got, value in zip((rec.energy, rec.p, rec.b, rec.scale),

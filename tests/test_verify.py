@@ -25,14 +25,15 @@ from dunkl_spectra import (
     Oscillator,
     Pseudoharmonic,
     TailLeakWarning,
+    bound_energy,
     cartesian_1d_eigenvalues,
     coulomb_energy,
     energy_1d,
     oracle_report,
     orthogonality_matrix,
     oscillator_energy,
-    pho_energy,
     radial_eigenvalues,
+    radial_solution,
     residual_check,
     varpi_sq,
 )
@@ -131,7 +132,8 @@ def test_pho_levels():
     state = AngularState.from_total(3, 0.0)
     got = radial_eigenvalues(Pseudoharmonic(8.0, 1.0), params, state,
                              DiscretizationConfig(), 2)
-    ref = [pho_energy(n, state, params, 8.0, 1.0) for n in range(2)]
+    ref = [bound_energy(Pseudoharmonic(8.0, 1.0), n, state, params)
+           for n in range(2)]
     npt.assert_allclose(got, ref, rtol=1e-4)
 
 
@@ -277,8 +279,8 @@ def test_residual_sweep_over_every_sector():
                 n = int(rng.integers(0, 7))
                 cases += 1
                 try:
-                    rec = potential.radial_problem(n, state, params, hbar,
-                                                   mass)
+                    rec = radial_solution(potential, n, state, params, hbar,
+                                          mass)
                 except (DomainError, InvalidStateError):  # 1/r, no bound state
                     continue
                 # radii inside the state: Kummer variable t up to about the
@@ -313,13 +315,13 @@ def test_declared_kratzer_well_passes_oracle_and_residual(d):
     potential = _Kratzer(1.3, 0.4)
     params = DeformationParams.uniform(d, 0.2)
     state = AngularState.from_total(d, 1.0)
-    assert potential.radial_problem(0, state, params).sigma == 1.0
+    assert radial_solution(potential, 0, state, params).sigma == 1.0
     rep = oracle_report(potential, params, state,
                         DiscretizationConfig(n_points=8000), 3, 1e-8)
     assert rep.passed
     rng = np.random.default_rng(d)
     for n in range(3):
-        rec = potential.radial_problem(n, state, params)
+        rec = radial_solution(potential, n, state, params)
         assert rec.barrier > varpi_sq(state, params)
         radii = (np.array([0.3, 0.7]) * (4 * n + 2 * rec.b + 2.0)
                  / (2.0 * rec.scale))
@@ -348,7 +350,7 @@ def test_fall_to_the_centre_fails_fast():
     state = AngularState.from_total(3, 0.0)
     strong = _InverseSquareWell(1.0, 5.0)
     with pytest.raises(DomainError, match="inverse-square.*fall to the centre"):
-        strong.radial_problem(0, state, params)
+        radial_solution(strong, 0, state, params)
     with pytest.raises(DomainError, match="fall to the centre"):
         oracle_report(strong, params, state, DiscretizationConfig(), 2, 1e-3)
     rep = oracle_report(_InverseSquareWell(1.0, 0.1), params, state,
@@ -522,7 +524,7 @@ def test_underflowing_masses_near_the_origin_pass():
     state = AngularState.from_total(6, 0.0)
     potential = Pseudoharmonic(43.24705537020759, 1.8644333792897605)
     hbar, mass = 0.5121564187139328, 1.971161562587456
-    rec = potential.radial_problem(1, state, params, hbar, mass)
+    rec = radial_solution(potential, 1, state, params, hbar, mass)
     q = rec.c + 2.0 * rec.p
     s = _matrix(q, rec.vterms, rec.r_max, 8000, 2.0 * mass / hbar ** 2)[2]
     assert s[0] == 0.0 and np.all(s < np.inf)
@@ -626,7 +628,7 @@ def _index_bisection(potential, params, state, cfg, k):
     """Richardson values with both grids bisected at each level's index, on
     the box it is solved on: cfg.r_max, else the top level's box for the
     Gaussian family and each 1/r level's own."""
-    recs = [potential.radial_problem(j, state, params, 1.0, 1.0)
+    recs = [radial_solution(potential, j, state, params, 1.0, 1.0)
             for j in range(k)]
     out = []
     for j, rec in enumerate(recs):
@@ -675,7 +677,7 @@ def test_oracle_numbers_are_radial_eigenvalues(potential, r_max):
             rep = oracle_report(potential, params, state, cfg, k, 1.0)
             want = radial_eigenvalues(potential, params, state, cfg, k)
             assert rep.numeric == tuple(float(v) for v in want)
-            recs = [potential.radial_problem(n, state, params)
+            recs = [radial_solution(potential, n, state, params)
                     for n in range(k)]
             auto = [rec.r_max for rec in
                     (recs[-1:] if recs[0].sigma == 2.0 else recs)]
@@ -1179,7 +1181,7 @@ def test_rejected_coarse_rung_falls_back_to_index_bisection(monkeypatch,
     with caplog.at_level(logging.DEBUG, logger="dunkl_spectra"):
         rep = oracle_report(Oscillator(1.0), params, state, cfg, 3, 1e-3)
     assert rep.grid["coarse_solve"] == ["bisection"] * 3
-    rec = Oscillator(1.0).radial_problem(2, state, params)
+    rec = radial_solution(Oscillator(1.0), 2, state, params)
     diag, off, _ = _matrix(rec.c + 2.0 * rec.p, rec.vterms, rec.r_max,
                            cfg.n_points, 2.0)
     for j, got in enumerate(rep.numeric):
@@ -1274,21 +1276,26 @@ def test_seeded_sweep_agrees_with_closed_forms():
     assert solved >= 80
 
 
-@dataclasses.dataclass(frozen=True)
-class _TightCoulomb(Coulomb):
-    """1/r whose automatic per-level boxes are far too small: the oracle
-    reads the record's scale only through its box, r_max ~ 1/scale."""
-    def radial_problem(self, n, state, params, hbar=1.0, mass=1.0):
-        rec = super().radial_problem(n, state, params, hbar, mass)
+def _tight_coulomb_report():
+    """A 1/r oracle report whose records' automatic per-level boxes are far
+    too small: the oracle reads the record's scale only through its box,
+    r_max ~ 1/scale."""
+    level = verify._level
+
+    def tight(*args):
+        rec = level(*args)
         return dataclasses.replace(rec, scale=rec.scale * 10.0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_level", tight)
+        return oracle_report(Coulomb(1.0), DeformationParams.uniform(3, 0.0),
+                             AngularState.from_total(3, 0.0),
+                             DiscretizationConfig(n_points=400), 2, 1e-2)
 
 
 def test_tail_leak_warning_per_level_coulomb_report():
-    params = DeformationParams.uniform(3, 0.0)
-    state = AngularState.from_total(3, 0.0)
     with pytest.warns(TailLeakWarning) as caught:
-        rep = oracle_report(_TightCoulomb(1.0), params, state,
-                            DiscretizationConfig(n_points=400), 2, 1e-2)
+        rep = _tight_coulomb_report()
     # each level is solved, and its tail checked, on its own box
     assert len(rep.grid["r_max"]) == 2
     assert sum(w.category is TailLeakWarning for w in caught) == 2
@@ -1308,8 +1315,7 @@ _P3, _S3 = DeformationParams.uniform(3, 0.0), AngularState.from_total(3, 0.0)
 @pytest.mark.parametrize("call", [
     lambda: radial_eigenvalues(Oscillator(1.0), _P3, _S3, _TIGHT, 2),
     lambda: oracle_report(Oscillator(1.0), _P3, _S3, _TIGHT, 2, 1e-2),
-    lambda: oracle_report(_TightCoulomb(1.0), _P3, _S3,
-                          DiscretizationConfig(n_points=400), 2, 1e-2),
+    _tight_coulomb_report,
     lambda: cartesian_1d_eigenvalues(0.4, 1, 1.0, _TIGHT, 2),
 ], ids=["radial_eigenvalues", "oracle_report_gaussian", "oracle_report_1_r",
         "cartesian_1d_eigenvalues"])
