@@ -81,15 +81,13 @@ def wavefunction_1d(n: int, mu: float, s: int, omega: float, x,
     n = check_count(n, "quantum number")
     alpha = mu - s / 2.0
     x = np.asarray(x, dtype=float)
-    try:
-        with np.errstate(all="ignore"):
-            c = 1.0 / np.sqrt((hbar / (mass * omega)) ** (alpha + 1.0)
-                              * laguerre_norm_sq(n, alpha))
-            u = mass * omega * x * x / hbar
-            out = (c * np.exp(-0.5 * u) * laguerre(n, alpha, u)
-                   * x ** ((1 - s) // 2))
-    except OverflowError:
-        c = math.inf
+    with np.errstate(all="ignore"):
+        # a numpy float, so hbar/(m w) over- or underflows to inf or 0
+        c = 1.0 / np.sqrt((np.float64(hbar) / (mass * omega)) ** (alpha + 1.0)
+                          * laguerre_norm_sq(n, alpha))
+        u = mass * omega * x * x / hbar
+        out = (c * np.exp(-0.5 * u) * laguerre(n, alpha, u)
+               * x ** ((1 - s) // 2))
     if not (0.0 < c < math.inf and np.all(np.isfinite(out))):
         raise DomainError(f"single-axis state n={n}, mu={mu}, s={s:+d} "
                           f"leaves double range")

@@ -34,6 +34,7 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
+from itertools import product
 
 import numpy as np
 
@@ -208,42 +209,35 @@ def cmd_density(args) -> int:
     return 0
 
 
-_SWEEP_MU = (-0.3, 0.0, 0.4)
-# per potential: levels, tolerance, grid points, dimensions, doubled L values
-_SWEEP = {"oscillator": (4, 1e-4, 4000, (3, 4, 5), (0, 1, 2)),
-          "coulomb": (3, 1e-3, 8000, (3, 4, 5), (0, 1)),
-          "pho": (2, 1e-4, 4000, (3, 4), (0,))}
+# per potential: levels, tolerance, grid points, dimensions, uniform
+# couplings (pho's validated envelope is mu >= 0), doubled L values
+_SWEEP = {"oscillator": (4, 1e-4, 4000, (3, 4, 5), (-0.3, 0.0, 0.4),
+                         (0, 1, 2)),
+          "coulomb": (3, 1e-3, 8000, (3, 4, 5), (-0.3, 0.0, 0.4), (0, 1)),
+          "pho": (2, 1e-4, 4000, (3, 4), (0.0, 0.4), (0,))}
 
 
-def _verify_jobs(args):
-    """Yield (tag, potential, params, state, cfg, k, tol) comparisons."""
-    tags = [args.potential] if args.potential else list(_SWEEP)
-    for tag in tags:
-        k, tol, base_n, default_ds, ell_sweep = _SWEEP[tag]
-        if args.levels is not None:
-            k = args.levels
-        n_points = args.grid if args.grid is not None else base_n
+def _verify_reports(args):
+    """Yield the oracle report of each comparison: every flag given, and
+    the potential's `_SWEEP` row for the rest."""
+    for tag in [args.potential] if args.potential else list(_SWEEP):
+        k, tol, n_points, ds, mus, ells = _SWEEP[tag]
+        k = k if args.levels is None else args.levels
+        n_points = n_points if args.grid is None else args.grid
         cfg = DiscretizationConfig(r_max=args.rmax, n_points=n_points)
-        if tag == "pho" and args.De is None:  # the default depth sweep
-            potentials = [Pseudoharmonic(de, args.re) for de in (2.0, 8.0)]
-        else:
-            potentials = [_potential(args, tag)]
-        ds = [args.d] if args.d is not None else list(default_ds)
-        for d in ds:
-            mus = [_parse_mu(args.mu, d)] if args.mu is not None else \
-                  [(m,) * d for m in _SWEEP_MU]
-            for mu in mus:
-                if tag == "pho" and args.mu is None and any(m < 0 for m in mu):
-                    continue  # default sweep sticks to the validated envelope
-                params = DeformationParams(d=d, mu=mu)
-                if args.ell is not None:
-                    states = [_angular_state(args, d)]
-                else:
-                    states = [AngularState.from_total(d, two / 2.0)
-                              for two in ell_sweep]
-                for state in states:
-                    for potential in potentials:
-                        yield tag, potential, params, state, cfg, k, tol
+        potentials = ([Pseudoharmonic(de, args.re) for de in (2.0, 8.0)]
+                      if tag == "pho" and args.De is None  # depth sweep
+                      else [_potential(args, tag)])
+        for d, mu, two_l, potential in product(
+                ds if args.d is None else [args.d],
+                mus if args.mu is None else [args.mu],
+                ells if args.ell is None else [args.ell], potentials):
+            params = DeformationParams(
+                d, (mu,) * d if args.mu is None else _parse_mu(mu, d))
+            state = (AngularState.from_total(d, two_l / 2.0)
+                     if args.ell is None else _angular_state(args, d))
+            yield oracle_report(potential, params, state, cfg, k, tol,
+                                args.hbar, args.mass)
 
 
 def cmd_verify(args) -> int:
@@ -251,13 +245,12 @@ def cmd_verify(args) -> int:
                "rel_err", "tolerance", "passed")
     rows = []
     all_passed = True
-    for tag, potential, params, state, cfg, k, tol in _verify_jobs(args):
-        report = oracle_report(potential, params, state, cfg, k, tol,
-                               args.hbar, args.mass)
+    for report in _verify_reports(args):
         all_passed = all_passed and report.passed
-        labels = (tag, params.d, ",".join(repr(m) for m in params.mu),
-                  ",".join(str(t) for t in state.two_ell))
-        rows += [dict(zip(columns, (*labels, *level, tol, report.passed)))
+        labels = (report.potential, report.d, ",".join(map(repr, report.mu)),
+                  ",".join(map(str, report.two_ell)))
+        rows += [dict(zip(columns, (*labels, *level, report.tolerance,
+                                    report.passed)))
                  for level in zip(report.levels, report.analytic,
                                   report.numeric, report.rel_err)]
     meta = {"checks": len(rows), "all_passed": all_passed,

@@ -177,15 +177,11 @@ def theta_eigenfunction(j: int, state: AngularState, params: DeformationParams,
     # in u = cos 2t the level weight, over the full turn for j = 1 and the
     # half turn above, is mult 2^{-(a+b+2)} (1-u)^a (1+u)^b du
     mult = 4.0 if j == 1 else 2.0
-    try:
-        with np.errstate(all="ignore"):
-            out = (jacobi(k, a, b, np.cos(2.0 * theta))
-                   * np.cos(theta) ** cos_e * np.sin(theta) ** sin_e)
-            norm = np.sqrt(mult * 2.0 ** (-(a + b + 2.0))
-                           * jacobi_norm_sq(k, a, b))
-            out = out / norm
-    except OverflowError:
-        norm = math.inf
+    with np.errstate(all="ignore"):
+        out = (jacobi(k, a, b, np.cos(2.0 * theta))
+               * np.cos(theta) ** cos_e * np.sin(theta) ** sin_e)
+        norm = np.sqrt(mult * 2.0 ** (-(a + b + 2.0)) * jacobi_norm_sq(k, a, b))
+        out = out / norm
     if not (0.0 < norm < math.inf and np.all(np.isfinite(out))):
         raise DomainError(f"level {j} eigenfunction of degree {k} "
                           f"leaves double range")
@@ -207,15 +203,12 @@ def angular_inner_product(j: int, state_a: AngularState, state_b: AngularState,
     if state_a.two_ell[:j - 1] != state_b.two_ell[:j - 1]:
         raise InvalidStateError("states differ below the requested level")
     kb = _level(j, state_b, params)[4]
-    try:
-        with np.errstate(all="ignore"):
-            nodes, weights = gauss_jacobi(a, b, max(ka, kb) + 2)
-            vals = jacobi(ka, a, b, nodes) * jacobi(kb, a, b, nodes)
-            norms = jacobi_norm_sq(ka, a, b) * jacobi_norm_sq(kb, a, b)
-            # mult 2^{-(a+b+2)} of the level weight cancels against the norms
-            value = float(np.sum(weights * vals)) / np.sqrt(norms)
-    except OverflowError:
-        value = norms = math.inf
+    with np.errstate(all="ignore"):
+        nodes, weights = gauss_jacobi(a, b, max(ka, kb) + 2)
+        vals = jacobi(ka, a, b, nodes) * jacobi(kb, a, b, nodes)
+        norms = jacobi_norm_sq(ka, a, b) * jacobi_norm_sq(kb, a, b)
+        # mult 2^{-(a+b+2)} of the level weight cancels against the norms
+        value = float(np.sum(weights * vals)) / np.sqrt(norms)
     if not (math.isfinite(value) and norms < math.inf):
         raise DomainError(f"level {j} inner product of degrees {ka} "
                           f"and {kb} leaves double range")

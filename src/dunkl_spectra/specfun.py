@@ -31,6 +31,20 @@ __all__ = [
     "build_quadrature",
 ]
 
+def _lgamma(x: float) -> float:
+    """log Gamma(x), x > 0; inf from 2.5e305 on, just short of its overflow."""
+    return math.lgamma(x) if x < 2.5e305 else math.inf
+
+
+def _exp(log_value: float, what: str) -> float:
+    """e^log_value; DomainError when it leaves double range (inf, 0, NaN)."""
+    value = (math.exp(log_value) if log_value < math.log(sys.float_info.max)
+             else math.inf)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} {value} leaves double range")
+    return value
+
+
 def _degree(n, *params) -> int:
     """The checked degree; weight parameters must be finite and exceed -1
     (integrable)."""
@@ -62,7 +76,7 @@ def laguerre_norm_sq(n, alpha) -> float:
     on (0, inf) (DLMF 18.3); alpha > -1.
     """
     n = _degree(n, alpha)
-    return math.exp(math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
+    return _exp(_lgamma(n + alpha + 1.0) - _lgamma(n + 1.0), "Laguerre norm")
 
 
 def jacobi(n, alpha, beta, x):
@@ -97,12 +111,12 @@ def jacobi_norm_sq(n, alpha, beta) -> float:
     n = _degree(n, alpha, beta)
     ab = alpha + beta + 1.0
     if n == 0:
-        log_den = math.lgamma(ab + 1.0)
+        log_den = _lgamma(ab + 1.0)
     else:
-        log_den = (math.log(2.0 * n + ab) + math.lgamma(n + 1.0)
-                   + math.lgamma(n + ab))
-    return math.exp(ab * math.log(2.0) + math.lgamma(n + alpha + 1.0)
-                    + math.lgamma(n + beta + 1.0) - log_den)
+        log_den = (math.log(2.0 * n + ab) + _lgamma(n + 1.0)
+                   + _lgamma(n + ab))
+    return _exp(ab * math.log(2.0) + _lgamma(n + alpha + 1.0)
+                + _lgamma(n + beta + 1.0) - log_den, "Jacobi norm")
 
 
 def _is_nonpos_int(v: float) -> bool:
@@ -259,16 +273,14 @@ def build_quadrature(gamma: float, variant: str, npoints: int):
     n = _npoints(npoints)
     if variant not in ("exp_r", "exp_r2"):
         raise DomainError(f"unknown quadrature variant {variant!r}")
-    log_mu0 = (math.lgamma(gamma + 1.0) if variant == "exp_r"
-               else math.lgamma((gamma + 1.0) / 2.0) - math.log(2.0))
-    if not log_mu0 < math.log(sys.float_info.max):
-        raise DomainError(f"the {variant} weight's zeroth moment overflows "
-                          f"double precision at gamma={gamma}")
+    mu0 = _exp(_lgamma(gamma + 1.0) if variant == "exp_r"
+               else _lgamma((gamma + 1.0) / 2.0) - math.log(2.0),
+               f"gamma={gamma}: the {variant} weight's zeroth moment")
     if variant == "exp_r":
         k = np.arange(1.0, n)
         nodes, weights = _gauss_rule(
             2.0 * np.arange(n, dtype=float) + gamma + 1.0, k * (k + gamma),
-            laguerre_norm_sq(0, gamma))
+            mu0)
     else:
         nodes, weights = _half_hermite_rule(gamma, n)
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))

@@ -44,7 +44,7 @@ from .core import DeformationParams
 from .errors import (DomainError, InvalidStateError, check_count,
                      check_positive)
 from .polar import AngularState, varpi_sq
-from .specfun import kummer_m
+from .specfun import _exp, _lgamma, kummer_m
 
 __all__ = [
     "Oscillator",
@@ -144,18 +144,12 @@ class RadialSolution:
         moment (alpha = b, 1/r).
         """
         n, b, sigma = self.n, self.b, self.sigma
-        log_norm = -0.5 * (2.0 * math.lgamma(b) + math.lgamma(n + 1.0)
-                           - math.lgamma(n + b)
-                           + (2.0 - sigma) * math.log(2.0 * n + b)
-                           - math.log(sigma)
-                           - (self.alpha + 1.0)
-                           * math.log(2.0 / sigma * self.scale))
-        norm = (math.exp(log_norm) if log_norm < math.log(sys.float_info.max)
-                else math.inf)
-        if not 0.0 < norm < math.inf:
-            raise DomainError(f"{self.potential.tag} level {self.n}: norm "
-                              f"{norm} leaves double range")
-        return norm
+        return _exp(-0.5 * (2.0 * _lgamma(b) + _lgamma(n + 1.0)
+                            - _lgamma(n + b)
+                            + (2.0 - sigma) * math.log(2.0 * n + b)
+                            - math.log(sigma) - (self.alpha + 1.0)
+                            * math.log(2.0 / sigma * self.scale)),
+                    f"{self.potential.tag} level {n}: norm")
 
 
 def _record(potential, n: int, c: float, w_sq: float, p0: float,
@@ -279,19 +273,24 @@ def radial_solution(potential: PotentialSpec, n: int, state: AngularState,
     return _level(potential, n, state, params, hbar, mass)
 
 
-def _state(sol: RadialSolution, r, power: float):
-    """N r^power e^{-t/2} M(-n, b, t), t = (2/sigma) scale r^sigma, at r."""
+def _state(sol: RadialSolution, r, power: float, order: int):
+    """(N r^power e^{-t/2} M(-n, b, t))^order, t = (2/sigma) scale r^sigma,
+    at r; DomainError when a value off the origin leaves double range."""
     r = np.asarray(r, dtype=float)
-    t = 2.0 / sol.sigma * sol.scale * np.power(r, sol.sigma)
-    return (sol.norm * np.power(r, power) * np.exp(-0.5 * t)
-            * kummer_m(-sol.n, sol.b, t))
+    with np.errstate(all="ignore"):
+        t = 2.0 / sol.sigma * sol.scale * np.power(r, sol.sigma)
+        out = (sol.norm * np.power(r, power) * np.exp(-0.5 * t)
+               * kummer_m(-sol.n, sol.b, t)) ** order
+    if not np.all(np.isfinite(out) | (r == 0.0)):
+        raise DomainError(f"{sol.potential.tag} level {sol.n}: a value "
+                          f"leaves double range")
+    return out if out.ndim else float(out)
 
 
 def radial_wavefunction(sol: RadialSolution, r):
     """U = N r^p e^{-t/2} M(-n, b, t), t = (2/sigma) scale r^sigma, at r
     (scalar or array)."""
-    out = _state(sol, r, sol.p)
-    return out if out.ndim else float(out)
+    return _state(sol, r, sol.p, 1)
 
 
 def oscillator_energy(n: int, state: AngularState, params: DeformationParams,
@@ -335,8 +334,8 @@ def reduced_density(sol: RadialSolution, r):
 
     Integrates to one over (0, inf) because the solutions are normalized
     against exactly this weight. Formed as (U r^{c/2})^2 with r^{c/2} folded
-    into U's own power of r, so neither U^2 nor r^c, which can leave double
-    range where the density does not, is ever formed.
+    into U's own power of r, so neither U^2 nor r^c is ever formed; r^{p+c/2}
+    itself can overflow where the density does not (ROADMAP item 4), and
+    that raises DomainError, as every non-finite value off the origin does.
     """
-    out = _state(sol, r, sol.p + 0.5 * sol.c) ** 2
-    return out if out.ndim else float(out)
+    return _state(sol, r, sol.p + 0.5 * sol.c, 2)

@@ -54,9 +54,10 @@ checks the state against the declared well. Levels whose records share
 from __future__ import annotations
 
 import logging
+import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, lru_cache
 from itertools import groupby
 
@@ -69,7 +70,7 @@ from .core import DeformationParams, cartesian_to_polar, reflect_cartesian
 from .errors import (ConvergenceError, DomainError, TailLeakWarning,
                      check_count, check_levels, check_positive)
 from .polar import AngularState, theta_eigenfunction
-from .specfun import build_quadrature, kummer_m
+from .specfun import _exp, build_quadrature, kummer_m
 from .spectra import (PotentialSpec, RadialSolution, _level,
                       radial_solution, radial_wavefunction)
 
@@ -545,9 +546,9 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
             rate = si.scale + sj.scale  # sigma * rho
             vals = (kummer(i, 2.0 * si.scale / rate)
                     * kummer(j, 2.0 * sj.scale / rate))
-            gram[i, j] = gram[j, i] = (
-                si.norm * sj.norm * (rate / sigma) ** -(alpha + 1.0) / sigma
-                * float(np.sum(weights * vals)))
+            gram[i, j] = gram[j, i] = float(np.sum(weights * vals)) * _exp(
+                math.log(si.norm) + math.log(sj.norm) - math.log(sigma)
+                - (alpha + 1.0) * math.log(rate / sigma), "Gram prefactor")
     return gram
 
 
@@ -582,21 +583,12 @@ class OracleReport:
         return bool(self.max_rel_err <= self.tolerance)
 
     def to_dict(self) -> dict:
-        return {
-            "potential": self.potential,
-            "d": self.d,
-            "mu": list(self.mu),
-            "two_ell": list(self.two_ell),
-            "parity": list(self.parity),
-            "levels": list(self.levels),
-            "analytic": list(self.analytic),
-            "numeric": list(self.numeric),
-            "abs_err": list(self.abs_err),
-            "rel_err": list(self.rel_err),
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "grid": dict(self.grid),
-        }
+        """Every field, abs_err, rel_err and passed, with tuples as lists."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(grid=dict(self.grid), abs_err=self.abs_err,
+                   rel_err=self.rel_err, passed=self.passed)
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in doc.items()}
 
 
 def oracle_report(potential: PotentialSpec, params: DeformationParams,

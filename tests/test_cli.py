@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface, run in process."""
 
 import argparse
+import collections
 import dataclasses
 import json
 import math
@@ -347,6 +348,20 @@ def test_verify_default_sweep(capsys):
     assert int(meta["checks"]) == len(rows)
     tags = {r[0] for r in rows}
     assert tags == {"oscillator", "coulomb", "pho"}
+    assert collections.Counter(r[0] for r in rows) == {
+        "oscillator": 108, "coulomb": 54, "pho": 16}
+    # mu and two_ell hold d and d - 1 comma-separated entries; pho stays in
+    # its validated envelope, and each of its labels appears once per depth
+    pho = collections.defaultdict(list)
+    for r in rows:
+        d = int(r[1])
+        if r[0] == "pho":
+            label = (d, tuple(r[2:2 + d]), tuple(r[2 + d:1 + 2 * d]),
+                     r[1 + 2 * d])
+            pho[label].append(float(r[2 + 2 * d]))
+    assert {label[0] for label in pho} == {3, 4}
+    assert {float(m) for label in pho for m in label[1]} == {0.0, 0.4}
+    assert all(len(e) == 2 and e[0] != e[1] for e in pho.values())
 
 
 # ---------------------------------------------------------------------------
