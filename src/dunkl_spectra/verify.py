@@ -26,16 +26,19 @@ element moments are built once per report, as an h-free profile of the
 largest grid; each grid, and each per-level 1/r box, takes a prefix of it
 and scales it by its own h.
 
-On each grid, Rayleigh-quotient iteration (Parlett, The Symmetric
-Eigenvalue Problem, 1998, ch. 4) refines each level from its closed form,
-which the discrete eigenvector matches to O(h^2). The levels refined on one
-grid form a run, certified at once by Sturm counts at the ends of their
-disjoint windows (one count when the run starts at index 0), each the
-number of non-positive pivots of one LDL^T pass (LAPACK dpttrf, restarted
-past each such pivot). When a run fails, each level is checked alone; one
-whose counts do not place it at its index is bisected at the index instead
-(logged at DEBUG level under the `dunkl_spectra` logger). So a level's
-value depends only on its index, the box and the grid, never on its start.
+On each grid, inverse iteration (Parlett, The Symmetric Eigenvalue
+Problem, 1998, ch. 4) refines each level from its closed form, which the
+discrete eigenvector matches to O(h^2), with a shift tau just above the
+start's Rayleigh quotient. One LDL^T factorization of T - tau I (LAPACK
+dpttrf, restarted past each non-positive pivot) serves twice: LAPACK dpttrs
+solves on it, and its number of non-positive pivots is the Sturm count of
+the eigenvalues at most tau. The levels refined on one grid form a run,
+certified at once by those counts and their disjoint windows, plus one
+count-only pass below the run when it starts above index 0. When a run
+fails, each level is checked alone; one whose counts do not place it at
+its index is bisected at the index instead (logged at DEBUG level under the
+`dunkl_spectra` logger). So a level's value depends only on its index, the
+box and the grid, never on its start.
 
 Absorbing the exact power matters: the naive substitution u = r^{c/2} U
 with a Dirichlet origin converges to the wrong self-adjoint extension
@@ -63,7 +66,7 @@ from itertools import groupby
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .cartesian import _axis_record
 from .core import DeformationParams, cartesian_to_polar, reflect_cartesian
@@ -127,13 +130,15 @@ def _profile(q: float, powers: tuple, n: int):
     diag = a/h^2 + scale sum coeff h^power loads[power], off = o/h^2, and
     the lumped masses are h (h rho)^q m, rho_k = k but 1 at the origin,
     whose hat moments are those of r_1. Each entry is formed from ratios
-    such as (1 + 1/k)^q, never from k^q, so none leaves double range. The
-    arrays are read-only: one profile serves every grid of a report.
+    such as (1 + 1/k)^q, never from k^q, so none leaves double range
+    unless q does the same at small k ((1 + 1/k)^q overflows past
+    q ~ 700 k); `_p1_matrix` refuses such entries. The arrays are
+    read-only: one profile serves every grid of a report.
     """
     k = np.arange(float(n))
     rho = np.maximum(k, 1.0)
     x = 1.0 / rho
-    with np.errstate(divide="ignore"):
+    with np.errstate(all="ignore"):
         atanh, log_sq, up = np.arctanh(x), np.log1p(-x * x), np.log1p(x)
         # element k: 1 - (k/(k+1))^(q+1)
         edge = -np.expm1((q + 1.0) * np.log1p(-1.0 / (k + 1.0)))
@@ -153,14 +158,15 @@ def _profile(q: float, powers: tuple, n: int):
 
         m = beta(q)
         loads = tuple(rho ** p * beta(q + p) / m for p in powers)
-    # vertex k's two element stiffnesses over its mass: element k on its
-    # right, whose r_k+1^(q+1) is (k+1) h (1 + 1/k)^q r_k^q, and element
-    # k-1 on its left
-    right = (k + 1.0) * np.exp(q * np.where(k > 0.0, up, 0.0)) * edge / (
-        (q + 1.0) * m)
-    left = np.zeros(n)
-    left[1:] = k[1:] * edge[:-1] / ((q + 1.0) * m[1:])
-    profile = (right + left, -np.sqrt(right[:-1] * left[1:]), m, loads, rho)
+        # vertex k's two element stiffnesses over its mass: element k on its
+        # right, whose r_k+1^(q+1) is (k+1) h (1 + 1/k)^q r_k^q, and element
+        # k-1 on its left
+        right = (k + 1.0) * np.exp(q * np.where(k > 0.0, up, 0.0)) * edge / (
+            (q + 1.0) * m)
+        left = np.zeros(n)
+        left[1:] = k[1:] * edge[:-1] / ((q + 1.0) * m[1:])
+        profile = (right + left, -np.sqrt(right[:-1] * left[1:]), m, loads,
+                   rho)
     for arr in (*profile[:3], *loads, rho):
         arr.flags.writeable = False
     return profile
@@ -182,14 +188,18 @@ def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
     """
     a, o, m, loads, rho = profile
     h = r_max / n
-    with np.errstate(all="ignore"):
-        diag = a[:n] / h ** 2 + scale * sum(
-            coeff * h ** power * load[:n]
-            for (coeff, power), load in zip(vterms, loads))
-        off = o[:n - 1] / h ** 2
-        s = np.sqrt(h * (h * rho[:n]) ** q * m[:n])
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()
-            and np.all(s < np.inf)):
+    try:
+        with np.errstate(all="ignore"):
+            diag = a[:n] / h ** 2 + scale * sum(
+                coeff * h ** power * load[:n]
+                for (coeff, power), load in zip(vterms, loads))
+            off = o[:n - 1] / h ** 2
+            s = np.sqrt(h * (h * rho[:n]) ** q * m[:n])
+        finite = (np.isfinite(diag).all() and np.isfinite(off).all()
+                  and np.all(s < np.inf))
+    except OverflowError:  # a power of the float h
+        finite = False
+    if not finite:
         raise ConvergenceError(
             f"P1 elements overflow double precision for weight exponent "
             f"q={q:g} on the box r_max={r_max:g}")
@@ -205,68 +215,97 @@ def _bisect(diag: np.ndarray, off: np.ndarray, j: int):
     return w[0], v[:, 0]
 
 
-# Refinement on a grid: Rayleigh-quotient iteration stops once the
-# residual |T x - sigma x| falls to _RESIDUAL * |T|, a few hundred
-# roundoffs; a Sturm count then needs the window sigma -+ _WINDOW * |T| to
-# hold exactly one eigenvalue, of the level's own index. That bounds the
-# quotient's error by residual^2/window (Kato-Temple), far below the
-# roundoff of bisection.
-_RQI_STEPS = 6
+# Refinement on a grid: inverse iteration stops once the residual
+# |T x - sigma x| falls to _RESIDUAL * |T|, a few hundred roundoffs, within
+# _STEPS solves; the certificate then needs the window (sigma - w, tau],
+# w = _WINDOW * |T| and tau the shift of the level's factorization, to hold
+# exactly one eigenvalue, of the level's own index. The quotient's error is
+# then at most residual^2 over its distance to the nearest other
+# eigenvalue, which lies outside the window (Kato-Temple), far below the
+# roundoff of bisection. A quotient that falls _DRIFT windows below its
+# shift gets a new one.
+_STEPS = 10
 _RESIDUAL = 1e-13
 _WINDOW = 1e-9
+_DRIFT = 1e3
 
 
-def _rqi(diag: np.ndarray, off: np.ndarray, x: np.ndarray, tol: float):
-    """Rayleigh-quotient iteration from x: the quotient and its unit vector
-    once the residual is at most tol, or None. Reductions are BLAS dot
-    products, several times faster than ufunc sums at these lengths."""
-    for _ in range(_RQI_STEPS):
-        x = x / np.sqrt(x @ x)
-        tx = diag * x
-        tx[:-1] += off * x[1:]
-        tx[1:] += off * x[:-1]
-        sigma = x @ tx
-        r = tx - sigma * x
-        if np.sqrt(r @ r) <= tol:
-            return float(sigma), x
-        *_, x, info = dgtsv(off, diag - sigma, off, x)
-        if info:
-            return None
-    return None
+def _ldl(diag: np.ndarray, off: np.ndarray, x: float, pivmin: float):
+    """The factors of T - x I = L D L^T and the number of eigenvalues of T at
+    most x, as (d, l, count): D = diag(d), L unit lower bidiagonal with the
+    multipliers l, the form LAPACK dpttrs solves with. None for a
+    non-finite x.
 
-
-def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float, pivmin: float,
-                 stop: int):
-    """The number of eigenvalues at most x of the tridiagonal matrix, counted
-    up to stop + 1, or None for a non-finite x.
-
-    The count is the number of non-positive pivots of the unpivoted LDL^T
-    factorization of T - x I (Parlett, The Symmetric Eigenvalue Problem,
-    1998, sec. 3.3), taken in one pass: LAPACK dpttrf factors until a pivot
+    The count is the number of non-positive pivots of the unpivoted
+    factorization (Parlett, The Symmetric Eigenvalue Problem, 1998,
+    sec. 3.3), taken in one pass: LAPACK dpttrf factors until a pivot
     q <= 0, which is counted and, when |q| < pivmin, taken as -pivmin
     (pivmin = tiny * max(1, max e^2), as in LAPACK's bisection, dlaebz);
-    the next diagonal entry takes its update d - e^2/q, and dpttrf restarts
-    there, in place. A count in floating point is the exact count of a
-    nearby matrix (Demmel, Dhillon & Ren, ETNA 3, 1995), so one pass is
-    enough. The pass stops once the count exceeds stop.
+    its multiplier e/q and the next pivot's update d - (e/q) e follow, and
+    dpttrf restarts there, in place. A count in floating point is the exact
+    count of a nearby matrix (Demmel, Dhillon & Ren, ETNA 3, 1995), so one
+    pass is enough.
     """
     if not np.isfinite(x):
         return None
-    d, e = diag - x, off.copy()
-    n, k, negative = len(d), 0, 0
-    while negative <= stop:
+    d, l = diag - x, off.copy()
+    n, k, count = len(d), 0, 0
+    while True:
         if k == n - 1:  # dpttrf takes no matrix of size 1
-            return negative + int(d[k] <= 0.0)
-        *_, info = dpttrf(d[k:], e[k:], overwrite_d=1, overwrite_e=1)
+            info = int(d[k] <= 0.0)
+        else:  # in place: overwrite_d, overwrite_e
+            info = dpttrf(d[k:], l[k:], 1, 1)[2]
         if not info:
-            return negative
-        k += info  # pivot k - 1 failed; e[k - 1] is still the matrix's
-        negative += 1
+            return d, l, count
+        k += info  # pivot k - 1 failed; l[k - 1] is still the matrix's
+        count += 1
+        q = d.item(k - 1)  # Python floats: a restart costs about a microsecond
+        if abs(q) < pivmin:
+            q = d[k - 1] = -pivmin
         if k == n:
-            return negative
-        q = d[k - 1]
-        d[k] -= e[k - 1] ** 2 / (q if abs(q) >= pivmin else -pivmin)
-    return negative
+            return d, l, count
+        e = l.item(k - 1)
+        l[k - 1] = multiplier = e / q
+        d[k] = d.item(k) - multiplier * e
+
+
+def _inverse_iteration(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
+                       tol: float, width: float, pivmin: float):
+    """Inverse iteration from x with the shift tau = sigma + width, sigma
+    the Rayleigh quotient of x: (sigma, x, tau, count) once the residual of
+    the unit vector x is at most tol, or None.
+
+    Each step solves on the `_ldl` factors of T - tau I (LAPACK dpttrs),
+    whose count is the number of eigenvalues at most tau. The factors are
+    kept while the quotient stays in [tau - _DRIFT width, tau - tol] and
+    taken again at the new quotient plus width when it leaves, so
+    tau - sigma >= tol on return: a start close to its level is solved on
+    its first factorization, and one far from it gets a nearer shift, where
+    the first would converge slowly. Reductions are BLAS dot products,
+    several times faster than ufunc sums at these lengths."""
+    tau = -math.inf
+    for step in range(_STEPS + 1):
+        norm = np.sqrt(x @ x)
+        if not 0.0 < norm < math.inf:
+            return None
+        x = x / norm
+        tx = diag * x
+        tx[:-1] += off * x[1:]
+        tx[1:] += off * x[:-1]
+        sigma = float(x @ tx)
+        if not tau - _DRIFT * width <= sigma <= tau - tol:
+            factors = _ldl(diag, off, sigma + width, pivmin)
+            if factors is None:
+                return None
+            (d, l, count), tau = factors, sigma + width
+        r = tx - sigma * x
+        if np.sqrt(r @ r) <= tol:
+            return sigma, x, tau, count
+        if step == _STEPS:
+            return None
+        x, info = dpttrs(d, l, x)
+        if info:
+            return None
 
 
 def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
@@ -274,65 +313,83 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
     """Eigenpairs of the indices `levels`: the values, per level "rqi" or
     "bisection" for how each was found, and the vectors as columns.
 
-    Each level's iteration starts from its vector in `starts`. One rule
-    certifies a run of levels lo .. hi-1 (Parlett, The Symmetric Eigenvalue
-    Problem, 1998, ch. 3 and 10): every quotient sigma_j converged, the
-    windows sigma_j -+ w are pairwise disjoint, the Sturm count at
-    sigma_lo - w is lo (skipped at lo = 0) and the one at sigma_hi-1 + w is
-    hi. A converged quotient lies within its residual, far inside w, of an
-    eigenvalue, so each window holds at least one; the counts leave hi - lo
-    eigenvalues to the hi - lo windows, so window j holds lambda_j alone
-    (at lo = 0 the top count already leaves none below the first window).
-    Each count is one LDL^T pass (`_sturm_count`) that stops once it
-    exceeds the value the rule expects, so it costs at most hi restarts.
+    Each level's inverse iteration starts from its vector in `starts` and
+    its Rayleigh quotient. One rule certifies a run of levels lo .. hi-1
+    (Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 3 and 10): every
+    level converged to a quotient sigma_j whose factorization at tau_j
+    counts j + 1 eigenvalues at most tau_j, with sigma_j <= tau_j - tol; the
+    windows (sigma_j - w, tau_j] are disjoint, tau_j-1 < sigma_j - w; and a
+    count-only pass at sigma_lo - w is lo (skipped at lo = 0). A converged
+    quotient lies within its residual tol of an eigenvalue, so each window
+    holds at least one; tau_j-1 and tau_j leave one eigenvalue between them,
+    and the count below the run leaves lo below it, so window j holds
+    lambda_j alone (at lo = 0 the count at tau_0 already leaves none below
+    the first window). Each count is the number of non-positive pivots of
+    one LDL^T pass (`_ldl`), so the solve's own factorization is its level's
+    count, and a run takes one more pass at most.
 
     The rule is applied to the whole run first. When that fails, it is
-    applied to each level alone, which is the per-level check of two counts
-    (one at index 0), and each level it rejects is bisected at its index.
+    applied to each level alone, which for level j > 0 adds its own count
+    at sigma_j - w, and each level it rejects is bisected at its index.
     A run passes only when each of its levels would pass alone, so every
     "rqi" or "bisection" and every value is the per-level check's: this is
-    one acceptance rule, not a second path. So each value depends on its
-    index and the matrix alone, never on which other levels are solved with
-    it.
+    one acceptance rule, not a second path. Each level's iteration uses
+    its own start alone, so each value depends on its index and the matrix
+    alone, never on which other levels are solved with it.
     """
-    off_max = max(off.max(), -off.min())
-    tnorm = max(diag.max(), -diag.min()) + 2.0 * off_max
-    width = _WINDOW * tnorm
-    pivmin = sys.float_info.min * max(1.0, float(off_max * off_max))
+    # Python floats: a square past the doubles is inf, with no warning
+    off_max = float(max(off.max(), -off.min()))
+    tnorm = float(max(diag.max(), -diag.min())) + 2.0 * off_max
+    width, tol = _WINDOW * tnorm, _RESIDUAL * tnorm
+    pivmin = sys.float_info.min * max(1.0, off_max * off_max)
 
-    # eigenvalues <= x from one LDL^T pass, read up to want + 1
-    def count(x, want=len(diag)):
-        return _sturm_count(diag, off, x, pivmin, want)
+    # eigenvalues <= x from a count-only LDL^T pass
+    def count(x):
+        factors = _ldl(diag, off, x, pivmin)
+        return None if factors is None else factors[2]
 
-    def certified(lo, pairs):
-        if any(pair is None for pair in pairs):
+    def certified(lo, found):
+        if any(f is None for f in found):
             return False
-        sigma = np.array([pair[0] for pair in pairs])
-        hi = lo + len(pairs)
-        return bool(np.all(np.diff(sigma) > 2.0 * width)
-                    and (lo == 0 or count(sigma[0] - width, lo) == lo)
-                    and count(sigma[-1] + width, hi) == hi)
+        top = -math.inf  # tau of the level below, none for the first
+        for j, (sigma, _, tau, below) in enumerate(found, lo):
+            # written as differences, so a non-finite pair fails
+            if not (below == j + 1 and tau - sigma >= tol
+                    and sigma - width > top):
+                return False
+            top = tau
+        return lo == 0 or count(found[0][0] - width) == lo
 
-    pairs = [_rqi(diag, off, start, _RESIDUAL * tnorm) for start in starts]
-    whole = certified(levels.start, pairs)
-    how = []
-    for j, pair in zip(levels, pairs):
-        how.append("rqi" if whole or certified(j, [pair]) else "bisection")
-        if how[-1] == "bisection":
-            if _log.isEnabledFor(logging.DEBUG):
-                _log.debug("level %d: refinement on the %d-point grid "
-                           "rejected (Sturm index %s), bisected at its index "
-                           "on the box r_max=%g", j, len(diag),
-                           None if pair is None else count(pair[0] - width),
-                           r_max)
-            pairs[j - levels.start] = _bisect(diag, off, j)
+    found = [_inverse_iteration(diag, off, start, tol, width, pivmin)
+             for start in starts]
+    whole = certified(levels.start, found)
+    how, pairs = [], []
+    for j, f in zip(levels, found):
+        if whole or certified(j, [f]):
+            how.append("rqi")
+            pairs.append(f[:2])
+            continue
+        how.append("bisection")
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("level %d: refinement on the %d-point grid "
+                       "rejected (Sturm index %s), bisected at its index "
+                       "on the box r_max=%g", j, len(diag),
+                       None if f is None else count(f[0] - width), r_max)
+        pairs.append(_bisect(diag, off, j))
     values, vecs = zip(*pairs)
     return np.array(values), how, np.column_stack(vecs)
 
 
 def _check_tail(vecs: np.ndarray, r_max: float, label: str) -> None:
-    """Warn of a truncated state, naming the first caller outside verify."""
-    leak = np.max(np.abs(vecs[-1, :]) / np.max(np.abs(vecs), axis=0))
+    """Warn of a truncated state, naming the first caller outside verify.
+
+    The columns are unit vectors, so each has an entry of at least
+    1/sqrt(n): when no last entry exceeds 1e-6/sqrt(n), none leaks, and the
+    column maxima are not taken."""
+    last = np.abs(vecs[-1, :])
+    if np.all(last <= 1e-6 / math.sqrt(len(vecs))):
+        return
+    leak = np.max(last / np.max(np.abs(vecs), axis=0))
     if leak > 1e-6:
         level = 2  # stacklevel L names the frame sys._getframe(L - 1)
         while sys._getframe(level - 1).f_globals["__name__"] == __name__:
@@ -384,6 +441,23 @@ def _runs(recs: list[RadialSolution], cfg: DiscretizationConfig):
     return [(run, run[-1].r_max) for run in runs]
 
 
+def _scale(hbar: float, mass: float) -> float:
+    """2m/hbar^2, the factor from energies to eigenvalues of the weighted
+    form; DomainError when it leaves double range. Where hbar^2 alone
+    leaves it, the factor is taken as 2 (m/hbar)/hbar."""
+    with np.errstate(all="ignore"):  # numpy scalars give inf or 0
+        try:
+            scale = 2.0 * mass / hbar ** 2
+        except (OverflowError, ZeroDivisionError):
+            scale = math.nan
+        if not 0.0 < scale < math.inf:
+            scale = 2.0 * (mass / hbar) / hbar
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"2 mass/hbar^2 leaves double range for "
+                          f"hbar={hbar:g}, mass={mass:g}")
+    return scale
+
+
 def _solve(recs: list[RadialSolution], cfg: DiscretizationConfig,
            hbar: float, mass: float, label: str):
     """Eigenvalues of the consecutive levels `recs`, and per level how its
@@ -392,8 +466,9 @@ def _solve(recs: list[RadialSolution], cfg: DiscretizationConfig,
     potential terms, shift and profile; each of the `_runs` is solved on its
     box, where `_refine` starts each level from s times its shape. The
     shapes are evaluated once per run, on the finest grid: the n-cell
-    vertices i (r_max/n) are the 2n-cell vertices 2i (r_max/2n) bit for bit."""
-    top, n, scale = recs[-1], cfg.n_points, 2.0 * mass / hbar ** 2
+    vertices i (r_max/n) are the 2n-cell vertices 2i (r_max/2n) bit for bit.
+    They come after the matrices, which refuse a box past double range."""
+    top, n, scale = recs[-1], cfg.n_points, _scale(hbar, mass)
     if top.n >= n:
         raise DomainError(f"{label}: level {top.n} needs at least "
                           f"{top.n + 1} grid vertices, the grid has {n}")
@@ -401,11 +476,11 @@ def _solve(recs: list[RadialSolution], cfg: DiscretizationConfig,
     profile = _profile(q, tuple(p for _, p in top.vterms), sizes[-1])
     energies, how = [], ([], [])
     for run, r_max in _runs(recs, cfg):
+        matrices = [_p1_matrix(q, top.vterms, r_max, m, scale, profile)
+                    for m in sizes]
         shapes = _shapes(np.arange(sizes[-1]) * (r_max / sizes[-1]),
                          [(rec.n, rec.b, rec.scale, rec.sigma) for rec in run])
-        for m, found in zip(sizes, how):
-            diag, off, s = _p1_matrix(q, top.vterms, r_max, m, scale,
-                                      profile)
+        for m, (diag, off, s), found in zip(sizes, matrices, how):
             values, level_how, vecs = _refine(
                 diag, off, range(run[0].n, run[-1].n + 1),
                 s * shapes[:, ::sizes[-1] // m], r_max)
@@ -431,8 +506,10 @@ def radial_eigenvalues(potential: PotentialSpec, params: DeformationParams,
     n, b and scale); no energy enters. Each level is found by its own index
     (module docstring), so on a given box entry j is the same for every
     k > j. Lists passed as coarse_solve and fine_solve receive, per level,
-    "rqi" or "bisection" for how its value on the grid and on the doubled
-    grid was found (fine_solve nothing without Richardson). `oracle_report`
+    "rqi" (inverse iteration from the closed form, certified by the counts
+    of its own factorization) or "bisection" (at the level's index) for
+    how its value on the grid and on the doubled grid was found
+    (fine_solve nothing without Richardson). `oracle_report`
     reads them there, so that each of its solves is one call of this public
     function, whose spans perfbench's per-layer verify figures are taken
     from.
@@ -484,7 +561,11 @@ def residual_check(potential: PotentialSpec, params: DeformationParams,
     if x.ndim != 2 or x.shape[1] != d or not len(x):
         raise DomainError(f"points must be an (m, {d}) array, m >= 1, got "
                           f"shape {x.shape}")
-    r = np.sqrt(np.sum(x * x, axis=1))
+    with np.errstate(over="ignore"):
+        r = np.sqrt(np.sum(x * x, axis=1))
+    if not np.all(r < math.inf):
+        raise DomainError("points must lie within double range of the "
+                          "origin")
     h = _STEP * r
     if not np.all(np.abs(x) > 2.0 * h[:, None]):
         raise DomainError("points must stay more than two steps clear of "
@@ -502,17 +583,26 @@ def residual_check(potential: PotentialSpec, params: DeformationParams,
         f = f * theta_eigenfunction(j, state, params, theta[:, j - 1])
     f = f.reshape(5 * d + 1, len(x))
     f0, f, mirror = f[0], f[1:4 * d + 1].reshape(d, 4, -1), f[4 * d + 1:]
-    d2 = (-f[:, 0] + 16.0 * (f[:, 1] + f[:, 2]) - 30.0 * f0 - f[:, 3]) / (
-        12.0 * h ** 2)
-    d1 = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * h)
     mu = np.array(params.mu)[:, None]
-    axis_terms = (d2, 2.0 * mu / x.T * d1, -mu / x.T ** 2 * (f0 - mirror))
     shift, terms = potential.well(mass)
-    v = shift + sum(coeff * r ** power for coeff, power in terms)
-    well = 2.0 * mass / hbar ** 2 * (sol.energy - v) * f0
-    residual = np.abs(sum(t.sum(axis=0) for t in axis_terms) + well)
-    magnitude = sum(np.abs(t).sum(axis=0) for t in axis_terms) + np.abs(well)
-    return float(np.max(residual) / np.max(magnitude))
+    scale = _scale(hbar, mass)
+    with np.errstate(all="ignore"):  # the largest magnitude is checked
+        d2 = (-f[:, 0] + 16.0 * (f[:, 1] + f[:, 2]) - 30.0 * f0
+              - f[:, 3]) / (12.0 * h ** 2)
+        d1 = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * h)
+        axis_terms = (d2, 2.0 * mu / x.T * d1,
+                      -mu / x.T ** 2 * (f0 - mirror))
+        v = shift + sum(coeff * r ** power for coeff, power in terms)
+        well = scale * (sol.energy - v) * f0
+        residual = np.abs(sum(t.sum(axis=0) for t in axis_terms) + well)
+        magnitude = (sum(np.abs(t).sum(axis=0) for t in axis_terms)
+                     + np.abs(well))
+    largest = np.max(magnitude)
+    if not 0.0 < largest < math.inf:
+        raise DomainError(f"{potential.tag} level {n}: the terms of the "
+                          f"equation are 0 or leave double range at these "
+                          f"points")
+    return float(np.max(residual) / largest)
 
 
 def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
@@ -605,7 +695,7 @@ def oracle_report(potential: PotentialSpec, params: DeformationParams,
     levels share one. grid["r_max"] is the box used: one number, or the
     list of per-level boxes. grid["coarse_solve"] and grid["fine_solve"] say
     per level whether its value on the n_points grid and on the doubled
-    Richardson grid came from Rayleigh-quotient iteration ("rqi") or from
+    Richardson grid came from certified inverse iteration ("rqi") or from
     bisection at the level's index ("bisection"); fine_solve is None
     without Richardson extrapolation.
     """

@@ -5,6 +5,7 @@ never returns a non-finite value off the origin."""
 
 import math
 import random
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -15,17 +16,23 @@ from dunkl_spectra import (
     AngularState,
     ConvergenceError,
     DeformationParams,
+    DiscretizationConfig,
     DomainError,
     InvalidStateError,
     Oscillator,
+    TailLeakWarning,
     angular_inner_product,
     bound_energy,
     build_quadrature,
+    cartesian_1d_eigenvalues,
     energy_1d,
+    oracle_report,
     orthogonality_matrix,
+    radial_eigenvalues,
     radial_solution,
     radial_wavefunction,
     reduced_density,
+    residual_check,
     theta_eigenfunction,
     wavefunction_1d,
 )
@@ -52,6 +59,27 @@ _HUGE_MU = DeformationParams.uniform(2, 1e306)
 def test_constant_out_of_range_is_a_domain_error(call):
     with pytest.raises(DomainError, match="double range"):
         call()
+
+
+def test_oracle_scale_in_range_when_hbar_squared_is_not():
+    # 2 m/hbar^2 = 2e-160 although hbar^2 = 1e320 overflows; at hbar =
+    # 1e-170 the factor itself is past the doubles
+    params = DeformationParams.uniform(3, 0.0)
+    state = AngularState.from_total(3, 0.0)
+    rep = oracle_report(Oscillator(1.0), params, state,
+                        DiscretizationConfig(), 2, 1e-3, 1e160, 1e160)
+    assert rep.passed
+    assert rep.analytic[0] == bound_energy(Oscillator(1.0), 0, state, params,
+                                           1e160, 1e160)
+    assert residual_check(Oscillator(1.0), params, state, 1,
+                          [[0.3, 0.4, 0.5]], 1e160, 1e160) < 1e-6
+    for call in (
+            lambda: oracle_report(Oscillator(1.0), params, state,
+                                  DiscretizationConfig(), 2, 1e-3, 1e-170),
+            lambda: residual_check(Oscillator(1.0), params, state, 1,
+                                   [[0.3, 0.4, 0.5]], 1e-170)):
+        with pytest.raises(DomainError, match="double range"):
+            call()
 
 
 def test_gram_prefactor_in_log_form():
@@ -112,6 +140,17 @@ def _entry_points(rng):
         return evaluate(sol, np.geomspace(1e-3, 1e3, 20) * min(sol.r_max,
                                                                 1e300))
 
+    # the oracle on small grids, 100 to 200 cells, and the residual at
+    # points on the diagonal inside the state's box
+    cfg = DiscretizationConfig(n_points=100 + 25 * n)
+
+    def residual():
+        sol = radial_solution(potential, n, state, params, hbar, mass)
+        r = np.array([[0.2], [0.5], [0.9]]) * min(sol.r_max, 1e300)
+        return residual_check(potential, params, state, n,
+                              np.full((3, d), 1.0) * r / math.sqrt(d), hbar,
+                              mass)
+
     return [
         ("bound_energy", lambda: bound_energy(potential, n, state, params,
                                               hbar, mass)),
@@ -130,6 +169,13 @@ def _entry_points(rng):
         ("jacobi_norm_sq", lambda: jacobi_norm_sq(n, a, b)),
         ("gauss_jacobi", lambda: gauss_jacobi(a, b, n + 1)),
         ("build_quadrature", lambda: build_quadrature(a, variant, n + 1)),
+        ("oracle_report", lambda: oracle_report(
+            potential, params, state, cfg, n + 1, 1e-3, hbar, mass).numeric),
+        ("radial_eigenvalues", lambda: radial_eigenvalues(
+            potential, params, state, cfg, n + 1, hbar, mass)),
+        ("cartesian_1d_eigenvalues", lambda: cartesian_1d_eigenvalues(
+            mu, s, omega, cfg, n + 1, hbar, mass)),
+        ("residual_check", residual),
     ]
 
 
@@ -138,7 +184,10 @@ def test_entry_points_raise_only_package_errors():
     for draw in range(200):
         for name, call in _entry_points(rng):
             try:
-                out = call()
+                with warnings.catch_warnings():
+                    # a box too small for a state is the oracle's own report
+                    warnings.simplefilter("ignore", TailLeakWarning)
+                    out = call()
             except (DomainError, InvalidStateError, ConvergenceError):
                 refused += 1
                 continue
@@ -146,4 +195,4 @@ def test_entry_points_raise_only_package_errors():
                 pytest.fail(f"draw {draw}, {name}: {exc!r}")
             assert np.all(np.isfinite(out)), (draw, name)
     # the sweep reaches both sides of the range
-    assert 0 < refused < 200 * 12
+    assert 0 < refused < 200 * 16

@@ -39,7 +39,7 @@ from dunkl_spectra import (
 )
 from dunkl_spectra import verify
 from dunkl_spectra.spectra import _Potential
-from dunkl_spectra.verify import _p1_matrix, _refine, _sturm_count
+from dunkl_spectra.verify import _ldl, _p1_matrix, _refine
 
 
 # ---------------------------------------------------------------------------
@@ -821,34 +821,37 @@ def test_run_certificate_rules(case):
 
 
 def test_run_certificate_counts(monkeypatch):
-    # one Sturm count per refined rung for a Gaussian-family run, which
-    # starts at index 0, one for a 1/r level 0 and two for a 1/r level 1
+    # per grid, one LDL^T factorization per level, which is both its solve
+    # and its count (no level here refactors), and one count-only pass per
+    # run that starts above index 0: none for a Gaussian-family run or a
+    # 1/r level 0, one for a 1/r level 1
     calls = []
-    count = verify._sturm_count
-    monkeypatch.setattr(verify, "_sturm_count",
-                        lambda *args: calls.append(args) or count(*args))
+    ldl = verify._ldl
+    monkeypatch.setattr(verify, "_ldl",
+                        lambda *args: calls.append(args) or ldl(*args))
     params = DeformationParams.uniform(3, 0.4)
     state = AngularState.from_total(3, 0.5)
     cfg = DiscretizationConfig(n_points=800)
     rep = oracle_report(Oscillator(1.0), params, state, cfg, 4, 1e-4)
-    assert rep.grid["fine_solve"] == ["rqi"] * 4 and len(calls) == 2
+    assert rep.grid["fine_solve"] == ["rqi"] * 4 and len(calls) == 2 * 4
     calls.clear()
     rep = oracle_report(Coulomb(1.0), params, state, cfg, 2, 1e-3)
     assert rep.grid["fine_solve"] == ["rqi"] * 2 and len(calls) == 2 * 3
 
 
-@pytest.mark.parametrize("level, counts", [(logging.WARNING, 4),
-                                           (logging.DEBUG, 5)],
+@pytest.mark.parametrize("level, counts", [(logging.WARNING, 3),
+                                           (logging.DEBUG, 4)],
                          ids=["warning", "debug"])
 def test_rejected_level_counts_its_sturm_index_only_for_debug(
         monkeypatch, caplog, level, counts):
-    # the run's count at sigma_lo - w refuses it, then level 1 takes one
-    # count and level 2 two; the rejected level 1 takes one more, for its
-    # DEBUG message alone
+    # each level takes one factorization; level 2's counts 4 at its tau and
+    # refuses the run, then level 1 alone takes one count-only pass and
+    # level 2 none; the rejected level 2 takes one more, for its DEBUG
+    # message alone
     calls = []
-    count = verify._sturm_count
-    monkeypatch.setattr(verify, "_sturm_count",
-                        lambda *args: calls.append(args) or count(*args))
+    ldl = verify._ldl
+    monkeypatch.setattr(verify, "_ldl",
+                        lambda *args: calls.append(args) or ldl(*args))
     diag, levels, rows, want_how = _RUN_CASES["eigenvalue_below_the_run"]
     eye = np.eye(len(diag))
     with caplog.at_level(level, logger="dunkl_spectra"):
@@ -875,7 +878,7 @@ def _pivmin(off):
 
 def _full_count(diag, off, x):
     diag, off = np.asarray(diag, float), np.asarray(off, float)
-    return _sturm_count(diag, off, x, _pivmin(off), len(diag))
+    return _ldl(diag, off, x, _pivmin(off))[2]
 
 
 @pytest.mark.parametrize("diag, off, shifts", [
@@ -897,9 +900,11 @@ def test_sturm_count_edges(diag, off, shifts):
             np.array(diag), np.array(off), x), x
 
 
-def test_sturm_count_hundreds_of_negative_pivots_and_early_exit(monkeypatch):
+def test_sturm_count_hundreds_of_negative_pivots(monkeypatch):
     # the 1-D Laplacian, eigenvalues 2 - 2 cos(j pi/(n + 1)): half of them
-    # lie below 2, and every shift below is counted through restarts
+    # lie below 2, and every shift below is counted through restarts, one
+    # dpttrf call past each non-positive pivot but the last, which at the
+    # midpoint below is the last vertex's, a matrix of size 1
     n = 1000
     diag, off = np.full(n, 2.0), np.full(n - 1, -1.0)
     exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
@@ -913,9 +918,28 @@ def test_sturm_count_hundreds_of_negative_pivots_and_early_exit(monkeypatch):
                         lambda *args, **kw: calls.append(1) or dpttrf(*args,
                                                                       **kw))
     x = 0.5 * (exact[499] + exact[500])
-    assert _sturm_count(diag, off, x, _pivmin(off), 3) == 4
-    assert len(calls) == 4
-    assert _sturm_count(diag, off, x, _pivmin(off), 500) == 500
+    assert _full_count(diag, off, x) == 500
+    assert len(calls) == 500
+
+
+def test_ldl_factors_solve_the_shifted_matrix():
+    # with restarts, L D L^T is T - x I itself (no pivot below pivmin here),
+    # and dpttrs on the factors solves with it
+    rng = np.random.default_rng(7)
+    n = 300
+    diag, off = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1)
+    shifted = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    for x in (-3.0, -0.2, 0.1, 0.7, 3.0):
+        d, l, count = _ldl(diag, off, x, _pivmin(off))
+        assert count == _reference_count(diag, off, x)
+        lower = np.eye(n) + np.diag(l, -1)
+        npt.assert_allclose(lower @ np.diag(d) @ lower.T,
+                            shifted - x * np.eye(n), rtol=0.0, atol=1e-9)
+        b = rng.standard_normal(n)
+        got, info = verify.dpttrs(d, l, b)
+        assert info == 0
+        npt.assert_allclose((shifted - x * np.eye(n)) @ got, b, rtol=0.0,
+                            atol=1e-8 * np.max(np.abs(got)))
 
 
 def test_sturm_count_leaves_the_matrix_alone():
@@ -929,12 +953,15 @@ def test_sturm_count_leaves_the_matrix_alone():
 def test_non_finite_shift_certifies_nothing(monkeypatch):
     diag, off = np.array([1.0, 3.0]), np.array([0.5])
     for x in (math.nan, math.inf, -math.inf):
-        assert _sturm_count(diag, off, x, _pivmin(off), 2) is None
-    # a run whose top quotient is infinite would pass both of its tests
-    # with a count of 2 at +inf
+        assert _ldl(diag, off, x, _pivmin(off)) is None
+    # a run whose top quotient and shift are infinite would pass its count
+    # test with a count of 2 at +inf, and sigma <= tau - tol and the
+    # disjoint windows too
     value, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    pairs = iter([(value[0], vec[:, 0]), (math.inf, np.ones(2))])
-    monkeypatch.setattr(verify, "_rqi", lambda *args: next(pairs))
+    found = iter([(value[0], vec[:, 0], value[0] + 1.0, 1),
+                  (math.inf, np.ones(2), math.inf, 2)])
+    monkeypatch.setattr(verify, "_inverse_iteration",
+                        lambda *args: next(found))
     values, how, _ = _refine(diag, off, range(0, 2), [None, None], 1.0)
     assert how == ["rqi", "bisection"]
     npt.assert_allclose(values, eigh_tridiagonal(diag, off,
@@ -946,15 +973,21 @@ def test_sturm_count_matches_bisection_count_on_p1_matrices(monkeypatch):
     # cells, and random shifts with no eigenvalue near them on the same
     # matrices, counted both ways
     rng = np.random.default_rng(20261019)
-    count = verify._sturm_count
-    seen = []
+    ldl, iterate = verify._ldl, verify._inverse_iteration
+    seen, solved = [], []
 
-    def spy(diag, off, x, pivmin, stop):
-        got = count(diag, off, x, pivmin, stop)
-        seen.append((diag, off, x, stop, got))
+    def spy(diag, off, x, pivmin):
+        got = ldl(diag, off, x, pivmin)
+        seen.append((diag, off, x, got[2]))
         return got
 
-    monkeypatch.setattr(verify, "_sturm_count", spy)
+    def spy_iterate(diag, off, *args):
+        got = iterate(diag, off, *args)
+        solved.append((diag, off, got))
+        return got
+
+    monkeypatch.setattr(verify, "_ldl", spy)
+    monkeypatch.setattr(verify, "_inverse_iteration", spy_iterate)
     potentials = (Oscillator(1.0), Pseudoharmonic(5.0, 1.2), Coulomb(1.0))
     for case, n_points in enumerate((100, 400, 1000, 2500, 4000, 8000)):
         d = int(rng.integers(2, 9))
@@ -965,9 +998,14 @@ def test_sturm_count_matches_bisection_count_on_p1_matrices(monkeypatch):
     assert max(len(diag) for diag, *_ in seen) == 16000
     checked, hundreds = 0, 0
     matrices = {}
-    for diag, off, x, stop, got in seen:
-        assert got == min(_reference_count(diag, off, x), stop + 1)
+    for diag, off, x, got in seen:
+        assert got == _reference_count(diag, off, x)
         matrices[id(diag)] = diag, off
+    # the count each solve hands the certificate is its factorization's
+    assert len(solved) > len(matrices)
+    for diag, off, (_, _, tau, got) in solved:
+        assert got == _reference_count(diag, off, tau)
+    assert len(seen) > len(solved)  # the count-only passes were seen too
     for diag, off in matrices.values():
         tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
         band = 1e-8 * tnorm
@@ -985,10 +1023,13 @@ def test_sturm_count_matches_bisection_count_on_p1_matrices(monkeypatch):
 
 
 def _two_count_refine(diag, off, levels, starts, r_max):
-    """The per-level check: each converged quotient is kept when the Sturm
-    counts at sigma -+ w are exactly its index and its index + 1."""
+    """The per-level check: each converged quotient sigma is kept when its
+    shift tau lies at least tol above it and the eigenvalue counts at
+    sigma - w and tau, taken by bisection, are exactly its index and its
+    index + 1."""
     tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
     floor, width = np.min(diag) - tnorm, verify._WINDOW * tnorm
+    tol = verify._RESIDUAL * tnorm
 
     def count(x):
         return eigh_tridiagonal(diag, off, select="v",
@@ -997,11 +1038,13 @@ def _two_count_refine(diag, off, levels, starts, r_max):
 
     pairs, how = [], []
     for j, start in zip(levels, starts):
-        pair = verify._rqi(diag, off, start, verify._RESIDUAL * tnorm)
-        keep = (pair is not None and count(pair[0] - width) == j
-                and count(pair[0] + width) == j + 1)
+        found = verify._inverse_iteration(diag, off, start, tol, width,
+                                          _pivmin(off))
+        keep = (found is not None and found[2] - found[0] >= tol
+                and count(found[0] - width) == j
+                and count(found[2]) == j + 1)
         how.append("rqi" if keep else "bisection")
-        pairs.append(pair if keep else verify._bisect(diag, off, j))
+        pairs.append(found[:2] if keep else verify._bisect(diag, off, j))
     values, vecs = zip(*pairs)
     return np.array(values), how, np.column_stack(vecs)
 
@@ -1011,16 +1054,16 @@ def test_run_certificate_matches_the_per_level_check(monkeypatch):
     # wrong index (an exact eigenpair of another level); the run rule must
     # give every value and every rqi/bisection of the per-level check
     rng = np.random.default_rng(20261018)
-    rqi = verify._rqi
+    inverse_iteration = verify._inverse_iteration
 
     def unreliable(draws):
-        def iterate(diag, off, x, tol):
+        def iterate(diag, off, x, *rest):
             u = next(draws)
             if u < 0.15:
                 return None
-            if u < 0.35:
-                return verify._bisect(diag, off, int(u * 100) % 5)
-            return rqi(diag, off, x, tol)
+            if u < 0.35:  # at once converged from another level's vector
+                x = verify._bisect(diag, off, int(u * 100) % 5)[1]
+            return inverse_iteration(diag, off, x, *rest)
         return iterate
 
     potentials = (Oscillator(1.0), Pseudoharmonic(5.0, 1.2), Coulomb(1.0))
@@ -1034,7 +1077,8 @@ def test_run_certificate_matches_the_per_level_check(monkeypatch):
         reports = []
         for refine in (verify._refine, _two_count_refine):
             monkeypatch.setattr(verify, "_refine", refine)
-            monkeypatch.setattr(verify, "_rqi", unreliable(iter(draws)))
+            monkeypatch.setattr(verify, "_inverse_iteration",
+                                unreliable(iter(draws)))
             reports.append(oracle_report(potentials[case % 3], params, state,
                                          cfg, 3, 1.0))
         got, want = reports
@@ -1173,9 +1217,9 @@ def test_rejected_coarse_rung_falls_back_to_index_bisection(monkeypatch,
     # the iteration fails on the n_points rung only, so each level's value
     # there is its index bisection, logged with the grid it was rejected on
     cfg = DiscretizationConfig(n_points=1600, richardson=False)
-    rqi = verify._rqi
-    monkeypatch.setattr(verify, "_rqi", lambda diag, off, x, tol: (
-        None if len(diag) == cfg.n_points else rqi(diag, off, x, tol)))
+    iterate = verify._inverse_iteration
+    monkeypatch.setattr(verify, "_inverse_iteration", lambda diag, *rest: (
+        None if len(diag) == cfg.n_points else iterate(diag, *rest)))
     params = DeformationParams.uniform(3, 0.4)
     state = AngularState.from_total(3, 0.5)
     with caplog.at_level(logging.DEBUG, logger="dunkl_spectra"):
