@@ -24,7 +24,10 @@ over the grid and its doubling removes the leading error term.
 Every entry of vertex i depends on i alone up to powers of h, so the
 element moments are built once per report, as an h-free profile of the
 largest grid; each grid, and each per-level 1/r box, takes a prefix of it
-and scales it by its own h.
+and scales it by its own h. The profile also holds the start weights, the
+square roots of the masses relative to the box edge: on every grid and
+every box they differ from the masses' own square roots by one constant,
+which changes no eigenvector's direction.
 
 On each grid, inverse iteration (Parlett, The Symmetric Eigenvalue
 Problem, 1998, ch. 4) refines each level from its closed form, which the
@@ -125,23 +128,24 @@ def _profile(q: float, powers: tuple, n: int):
 
     On the vertices r_k = k h, vertex k's hat moment of r^a is
     h^(a+1) k^a beta_a(k), and element k integrates r^q to
-    h^(q+1) (k+1)^(q+1) edge_k/(q+1). Entry k depends on k alone, so every
-    grid of at most n cells takes a prefix. Returns (a, o, m, loads, rho):
-    diag = a/h^2 + scale sum coeff h^power loads[power], off = o/h^2, and
-    the lumped masses are h (h rho)^q m, rho_k = k but 1 at the origin,
-    whose hat moments are those of r_1. Each entry is formed from ratios
-    such as (1 + 1/k)^q, never from k^q, so none leaves double range
-    unless q does the same at small k ((1 + 1/k)^q overflows past
-    q ~ 700 k); `_p1_matrix` refuses such entries. The arrays are
-    read-only: one profile serves every grid of a report.
+    h^(q+1) ((k+1)^(q+1) - k^(q+1))/(q+1). Entry k depends on k alone, so
+    every grid of at most n cells takes a prefix. Returns
+    (a, o, m, loads, w): diag = a/h^2 + scale sum coeff h^power
+    loads[power], off = o/h^2, the lumped masses are h (h rho)^q m,
+    rho_k = k but 1 at the origin, whose hat moments are those of r_1, and
+    the start weights are w = sqrt(m) (rho/n)^(q/2), the masses' square
+    roots over h^((q+1)/2) n^(q/2): one constant per grid and box. Each
+    entry is formed from ratios such as (1 + 1/k)^q, never from k^q, so
+    none leaves double range unless q does the same at small k
+    ((1 + 1/k)^q overflows past q ~ 700 k); `_p1_matrix` refuses such
+    entries. The arrays are read-only: one profile serves every grid of a
+    report.
     """
     k = np.arange(float(n))
     rho = np.maximum(k, 1.0)
     x = 1.0 / rho
     with np.errstate(all="ignore"):
         atanh, log_sq, up = np.arctanh(x), np.log1p(-x * x), np.log1p(x)
-        # element k: 1 - (k/(k+1))^(q+1)
-        edge = -np.expm1((q + 1.0) * np.log1p(-1.0 / (k + 1.0)))
 
         def beta(a):
             """beta_a(k) = ((1+x)^b + (1-x)^b - 2)/(x^2 b (b-1)), x = 1/k,
@@ -158,18 +162,22 @@ def _profile(q: float, powers: tuple, n: int):
 
         m = beta(q)
         loads = tuple(rho ** p * beta(q + p) / m for p in powers)
-        # vertex k's two element stiffnesses over its mass: element k on its
-        # right, whose r_k+1^(q+1) is (k+1) h (1 + 1/k)^q r_k^q, and element
-        # k-1 on its left
-        right = (k + 1.0) * np.exp(q * np.where(k > 0.0, up, 0.0)) * edge / (
-            (q + 1.0) * m)
-        left = np.zeros(n)
-        left[1:] = k[1:] * edge[:-1] / ((q + 1.0) * m[1:])
-        profile = (right + left, -np.sqrt(right[:-1] * left[1:]), m, loads,
-                   rho)
-    for arr in (*profile[:3], *loads, rho):
+        # vertex k's two element stiffnesses over its mass, times h^2:
+        # element k on its right, k ((1 + 1/k)^(q+1) - 1)/((q+1) m), which
+        # is 1/((q+1) m) at the origin, whose rho is 1, and element k-1 on
+        # its left, k (1 - (1 - 1/k)^(q+1))/((q+1) m), 0 at the origin
+        inv = 1.0 / ((q + 1.0) * m)
+        right = k * np.expm1((q + 1.0) * up) * inv
+        right[0] = inv[0]
+        left = -k * np.expm1((q + 1.0) * np.log1p(-x)) * inv
+        w = np.sqrt(m) * (rho / n) ** (0.5 * q)
+        profile = (right + left, -np.sqrt(right[:-1] * left[1:]), m, loads, w)
+    for arr in (*profile[:3], *loads, w):
         arr.flags.writeable = False
     return profile
+
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
@@ -179,31 +187,43 @@ def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
     (the _profile of q and the powers of vterms, at least n vertices).
 
     vterms is a list of (coeff, power) pairs, V(r) = sum coeff * r^power,
-    and scale = 2m/hbar^2. Returns (diag, off, s): the eigenvalues are
-    scale times the energies, s holds the square roots of the lumped
-    masses, and an eigenvector x is G = x/s at the vertices. Raises
-    ConvergenceError when an entry or a mass is not finite (large q on a
-    large box overflows r^q); a mass that underflows to 0 near the origin
-    (large q on a fine grid) only zeroes that vertex of a start.
+    and scale = 2m/hbar^2. Returns (diag, off): the eigenvalues are scale
+    times the energies, and an eigenvector x is G = x/w at the vertices, up
+    to one constant, w the profile's start weights. Raises
+    ConvergenceError when an entry is not finite, or when a lumped mass
+    h (h rho)^q m, or a partial product of it, leaves double range (large
+    q on a large box overflows r^q). Neither the entries nor the start
+    weights read the masses; the test keeps the boxes the oracle refuses
+    (ROADMAP item 5). A mass that underflows near the origin is no
+    refusal.
     """
-    a, o, m, loads, rho = profile
+    a, o, m, loads, _ = profile
     h = r_max / n
     try:
         with np.errstate(all="ignore"):
-            diag = a[:n] / h ** 2 + scale * sum(
-                coeff * h ** power * load[:n]
-                for (coeff, power), load in zip(vterms, loads))
+            diag = a[:n] / h ** 2
+            for (coeff, power), load in zip(vterms, loads):
+                diag += scale * coeff * h ** power * load[:n]
             off = o[:n - 1] / h ** 2
-            s = np.sqrt(h * (h * rho[:n]) ** q * m[:n])
-        finite = (np.isfinite(diag).all() and np.isfinite(off).all()
-                  and np.all(s < np.inf))
+            log_m = np.log(m[[0, 1, n - 1]])
+        # min and max carry a NaN, and off <= 0 unless NaN
+        finite = (-math.inf < diag.min() and diag.max() < math.inf
+                  and -math.inf < off.min())
     except OverflowError:  # a power of the float h
         finite = False
+    if finite:  # so h > 0
+        # the masses peak at the last vertex for q >= 0 and at the first
+        # two for q < 0, where their partial products (h rho)^q and
+        # h (h rho)^q peak too; max keeps a NaN that comes first
+        log_h = math.log(h)
+        finite = all(q * math.log(h * max(i, 1))
+                     + max(log_h + log_mi, log_h, 0.0) <= _LOG_MAX
+                     for i, log_mi in zip((0, 1, n - 1), log_m))
     if not finite:
         raise ConvergenceError(
             f"P1 elements overflow double precision for weight exponent "
             f"q={q:g} on the box r_max={r_max:g}")
-    return diag, off, s
+    return diag, off
 
 
 def _bisect(diag: np.ndarray, off: np.ndarray, j: int):
@@ -282,28 +302,40 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
     tau - sigma >= tol on return: a start close to its level is solved on
     its first factorization, and one far from it gets a nearer shift, where
     the first would converge slowly. Reductions are BLAS dot products,
-    several times faster than ufunc sums at these lengths."""
+    several times faster than ufunc sums at these lengths.
+
+    The start is first divided by its largest entry, so its square sum
+    cannot underflow however small its scale. Its own residual is not
+    taken: a closed-form start lies several times the tolerance from its
+    level, so every level takes at least one solve. T x and the residual
+    share two buffers over the steps, and dpttrs solves in place."""
+    peak = max(x.max(), -x.min())
+    if not 0.0 < peak < math.inf:
+        return None
+    x = x / peak  # a subnormal peak has no finite reciprocal
+    tx, r = np.empty_like(x), np.empty_like(x)
     tau = -math.inf
     for step in range(_STEPS + 1):
-        norm = np.sqrt(x @ x)
+        norm = math.sqrt(x @ x)
         if not 0.0 < norm < math.inf:
             return None
-        x = x / norm
-        tx = diag * x
-        tx[:-1] += off * x[1:]
-        tx[1:] += off * x[:-1]
+        x *= 1.0 / norm  # a norm above 0 is at least 1e-162
+        np.multiply(diag, x, out=tx)
+        tx[:-1] += np.multiply(off, x[1:], out=r[:-1])
+        tx[1:] += np.multiply(off, x[:-1], out=r[1:])
         sigma = float(x @ tx)
         if not tau - _DRIFT * width <= sigma <= tau - tol:
             factors = _ldl(diag, off, sigma + width, pivmin)
             if factors is None:
                 return None
             (d, l, count), tau = factors, sigma + width
-        r = tx - sigma * x
-        if np.sqrt(r @ r) <= tol:
-            return sigma, x, tau, count
+        if step:
+            np.subtract(tx, np.multiply(x, sigma, out=r), out=r)
+            if math.sqrt(r @ r) <= tol:
+                return sigma, x, tau, count
         if step == _STEPS:
             return None
-        x, info = dpttrs(d, l, x)
+        x, info = dpttrs(d, l, x, overwrite_b=1)
         if info:
             return None
 
@@ -377,7 +409,8 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
                        None if f is None else count(f[0] - width), r_max)
         pairs.append(_bisect(diag, off, j))
     values, vecs = zip(*pairs)
-    return np.array(values), how, np.column_stack(vecs)
+    # stacked as rows, one contiguous copy each, and read as columns
+    return np.array(values), how, np.array(vecs).T
 
 
 def _check_tail(vecs: np.ndarray, r_max: float, label: str) -> None:
@@ -464,26 +497,33 @@ def _solve(recs: list[RadialSolution], cfg: DiscretizationConfig,
     value on the grid and on the doubled grid was found (None without
     Richardson). The levels share the top record's weight r^q, q = c + 2p,
     potential terms, shift and profile; each of the `_runs` is solved on its
-    box, where `_refine` starts each level from s times its shape. The
+    box, where `_refine` starts each level from the profile's start weights
+    times its shape. On the n-cell grid the weights are taken times
+    2^(q/2), so that on each grid they are relative to its own box edge: a
+    start relative to twice its edge underflowed entirely at q ~ 900. The
     shapes are evaluated once per run, on the finest grid: the n-cell
-    vertices i (r_max/n) are the 2n-cell vertices 2i (r_max/2n) bit for bit.
-    They come after the matrices, which refuse a box past double range."""
+    vertices i (r_max/n) are the 2n-cell vertices 2i (r_max/2n) bit for
+    bit. They come after the matrices, which refuse a box past double
+    range."""
     top, n, scale = recs[-1], cfg.n_points, _scale(hbar, mass)
     if top.n >= n:
         raise DomainError(f"{label}: level {top.n} needs at least "
                           f"{top.n + 1} grid vertices, the grid has {n}")
     q, sizes = top.c + 2.0 * top.p, [n, 2 * n] if cfg.richardson else [n]
     profile = _profile(q, tuple(p for _, p in top.vterms), sizes[-1])
+    weights = profile[-1]
     energies, how = [], ([], [])
     for run, r_max in _runs(recs, cfg):
         matrices = [_p1_matrix(q, top.vterms, r_max, m, scale, profile)
                     for m in sizes]
         shapes = _shapes(np.arange(sizes[-1]) * (r_max / sizes[-1]),
                          [(rec.n, rec.b, rec.scale, rec.sigma) for rec in run])
-        for m, (diag, off, s), found in zip(sizes, matrices, how):
+        for m, (diag, off), found in zip(sizes, matrices, how):
+            stride = sizes[-1] // m
             values, level_how, vecs = _refine(
                 diag, off, range(run[0].n, run[-1].n + 1),
-                s * shapes[:, ::sizes[-1] // m], r_max)
+                weights[:m] * stride ** (0.5 * q) * shapes[:, ::stride],
+                r_max)
             found.extend(level_how)
             if m == n:
                 _check_tail(vecs, r_max, label)

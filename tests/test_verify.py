@@ -516,18 +516,14 @@ def test_oracle_report_overflowing_cells_fail_fast():
 
 def test_underflowing_masses_near_the_origin_pass():
     # pho at q = 96.2 on the doubled 8000-cell grid: the lumped masses
-    # h (h rho)^q underflow to 0 at the first vertices, which only zeroes
-    # those vertices of each start; nothing overflows, and the report passes
+    # h (h rho)^q underflow to 0 at the first vertices, which is no
+    # overflow, and the report passes
     params = DeformationParams(6, (0.9400338624575544, 0.9248172002503983,
                                    -0.27431931800827714, -0.36763187357255184,
                                    -0.27477731862881294, -0.18641110041319098))
     state = AngularState.from_total(6, 0.0)
     potential = Pseudoharmonic(43.24705537020759, 1.8644333792897605)
     hbar, mass = 0.5121564187139328, 1.971161562587456
-    rec = radial_solution(potential, 1, state, params, hbar, mass)
-    q = rec.c + 2.0 * rec.p
-    s = _matrix(q, rec.vterms, rec.r_max, 8000, 2.0 * mass / hbar ** 2)[2]
-    assert s[0] == 0.0 and np.all(s < np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = oracle_report(potential, params, state,
@@ -535,6 +531,125 @@ def test_underflowing_masses_near_the_origin_pass():
                             hbar, mass)
     assert rep.passed and rep.max_rel_err < 1e-9
     assert rep.grid["coarse_solve"] == rep.grid["fine_solve"] == ["rqi"] * 2
+
+
+@pytest.mark.parametrize("potential, params, ell, hbar, mass, k, n_points", [
+    (Pseudoharmonic(20.0, 2.0), DeformationParams.uniform(5, 1.0), 3.0,
+     0.15, 7.0, 1, 1000),
+    (Pseudoharmonic(20.0, 2.0), DeformationParams.uniform(5, 1.0), 3.0,
+     0.1, 5.0, 2, 1000),
+    (Pseudoharmonic(0.8873262834953853, 1.4228027558434577),
+     DeformationParams(4, (1.4756081499918072, 2.1441468362578124,
+                           1.704518487830377, 0.5033204543726593)), 1.0,
+     0.010782404259878402, 6.455402021973491, 2, 1602),
+], ids=["q448", "q567", "q894"])
+def test_large_weight_exponent_starts_refine(potential, params, ell, hbar,
+                                             mass, k, n_points):
+    # the start weights are relative to the box edge, so at large q a start
+    # is far below 1: at q = 894 its entries reach ~1e-208 on the doubled
+    # grid, whose square sum underflows unless the start is first scaled by
+    # its largest entry, and weights relative to the doubled grid's edge
+    # would be 2^-447 smaller again on the n_points grid, where the whole
+    # start underflowed. Every level refines on both grids
+    state = AngularState.from_total(params.d, ell)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = oracle_report(potential, params, state,
+                            DiscretizationConfig(n_points=n_points), k, 1e-4,
+                            hbar, mass)
+    assert rep.passed
+    assert rep.grid["coarse_solve"] == rep.grid["fine_solve"] == ["rqi"] * k
+
+
+def test_subnormal_start_is_scaled_by_its_largest_entry():
+    # every entry of the start is subnormal, so its largest entry has no
+    # finite reciprocal; divided by it, the start still refines its level
+    diag, off = np.array([1.0, 2.0, 4.0]), np.array([0.1, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, how, _ = _refine(diag, off, range(0, 1),
+                                 [np.array([5e-310, 1e-311, 0.0])], 1.0)
+    assert how == ["rqi"]
+    npt.assert_allclose(values, eigh_tridiagonal(
+        diag, off, select="i", select_range=(0, 0), eigvals_only=True),
+        rtol=1e-14)
+
+
+def _masses_overflow(q, powers, r_max, n_points):
+    """The refusal of the lumped masses as the oracle first wrote it: some
+    sqrt(h (h rho)^q m), on the n_points grid or its doubling, is not below
+    inf."""
+    n2 = 2 * n_points
+    m = verify._profile(q, powers, n2)[2]
+    for n in (n_points, n2):
+        h = r_max / n
+        with np.errstate(all="ignore"):
+            s = np.sqrt(h * (h * np.maximum(np.arange(float(n)), 1.0)) ** q
+                        * m[:n])
+        if not np.all(s < np.inf):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("potential, d, mu, ell, hbar, mass, k, n_points", [
+    # q = 889, h < 1: the partial product (h rho)^q overflows first, and
+    # the automatic box lies past the edge
+    (Pseudoharmonic(4.0, 1.5), 7, 1.0, 3.0, 0.08, 70.0, 1, 2000),
+    # q = 83, h > 1: h (h rho)^q overflows first
+    (Oscillator(6e-5), 12, 3.0, 0.0, 1.0, 1.0, 2, 400),
+], ids=["q889", "q83"])
+def test_mass_refusal_edge(potential, d, mu, ell, hbar, mass, k, n_points):
+    # the oracle refuses exactly the boxes whose lumped masses leave double
+    # range: of two boxes a relative 1e-6 around the edge, the one above is
+    # refused and the one below solved
+    params = DeformationParams.uniform(d, mu)
+    state = AngularState.from_total(d, ell)
+    rec = radial_solution(potential, k - 1, state, params, hbar, mass)
+    q, powers = rec.c + 2.0 * rec.p, tuple(p for _, p in rec.vterms)
+    lo, hi = 1e-3, 1e6
+    while hi - lo > 1e-12 * hi:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if _masses_overflow(q, powers, mid,
+                                               n_points) else (mid, hi)
+    assert _masses_overflow(q, powers, rec.r_max, n_points) == (rec.r_max > hi)
+    with pytest.raises(ConvergenceError, match="overflow"):
+        oracle_report(potential, params, state,
+                      DiscretizationConfig(r_max=hi * (1.0 + 1e-6),
+                                           n_points=n_points),
+                      k, 1e-4, hbar, mass)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = oracle_report(potential, params, state,
+                            DiscretizationConfig(r_max=lo * (1.0 - 1e-6),
+                                                 n_points=n_points),
+                            k, 1e-4, hbar, mass)
+    assert rep.passed
+
+
+@pytest.mark.parametrize("q, boxes_refused", [
+    (-0.95, "none"), (-0.4, "none"), (0.3, "none"), (2.6, "some"),
+    (83.0, "some"), (448.0, "some"), (1022.5, "all"), (1100.0, "all")])
+def test_p1_matrix_refuses_as_the_masses_did(q, boxes_refused):
+    # over boxes from 1e-140 to 1e140, where every entry of a 1/r matrix
+    # stays in double range up to q ~ 1022, the matrix is refused exactly
+    # where some lumped mass of either grid leaves it. For q < 0 the masses
+    # peak at the origin, h^(q+1) m_0, and never do. At q = 1022.5 the
+    # profile's m_1 alone is infinite (its entries at vertex 1 are 0), at
+    # q = 1100 its entries are not finite either: every box is refused
+    vterms, n_points = [(-1.0, -1.0)], 100
+    profile = verify._profile(q, (-1.0,), 2 * n_points)
+    refused = []
+    for r_max in np.geomspace(1e-140, 1e140, 561):
+        got = False
+        for n in (n_points, 2 * n_points):
+            try:
+                _p1_matrix(q, vterms, r_max, n, 2.0, profile)
+            except ConvergenceError:
+                got = True
+        assert got == _masses_overflow(q, (-1.0,), r_max, n_points), r_max
+        refused.append(got)
+    assert boxes_refused == ("all" if all(refused) else
+                             "some" if any(refused) else "none")
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +681,10 @@ def test_single_axis_rejects_fractional_count():
 # ---------------------------------------------------------------------------
 
 def _matrix(q, vterms, r_max, n, scale):
-    """_p1_matrix on a profile of its own n vertices."""
-    return _p1_matrix(q, vterms, r_max, n, scale,
-                      verify._profile(q, tuple(p for _, p in vterms), n))
+    """_p1_matrix on a profile of its own n vertices, and that profile's
+    start weights."""
+    profile = verify._profile(q, tuple(p for _, p in vterms), n)
+    return (*_p1_matrix(q, vterms, r_max, n, scale, profile), profile[-1])
 
 
 def _per_element_matrix(q, vterms, r_max, n, scale):
@@ -616,12 +732,15 @@ def _per_element_matrix(q, vterms, r_max, n, scale):
 def test_p1_entries_match_per_element_moments(q, vterms):
     # the shared-power closed forms do not cancel for vertices far from the
     # origin: every entry agrees with the exact per-element moments to a
-    # few tens of roundoffs
+    # few tens of roundoffs, and the start weights are the square roots of
+    # the masses over one constant per grid, h^((q+1)/2) n^(q/2)
     for r_max, n in ((12.0, 400), (37.3, 1234)):
-        got = _matrix(q, vterms, r_max, n, 2.0)
-        want = _per_element_matrix(q, vterms, r_max, n, 2.0)
+        *got, weights = _matrix(q, vterms, r_max, n, 2.0)
+        *want, roots = _per_element_matrix(q, vterms, r_max, n, 2.0)
         for g, w in zip(got, want):
             npt.assert_allclose(g, w, rtol=1e-14, atol=0.0)
+        npt.assert_allclose(weights * math.sqrt(r_max / n) * r_max ** (q / 2),
+                            roots, rtol=1e-14, atol=0.0)
 
 
 def _index_bisection(potential, params, state, cfg, k):
