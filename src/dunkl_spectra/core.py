@@ -118,13 +118,21 @@ def polar_to_cartesian(r, theta) -> np.ndarray:
 def cartesian_to_polar(x):
     """Radii, angles (..., d-1) and the mask of determined angles of the
     Cartesian points x (..., d), d >= 2, refusing a radius 0 or not finite.
-    On the singular set an angle whose partial radius vanishes is 0."""
+    On the singular set an angle whose partial radius vanishes is 0.
+
+    Each point is first scaled by the power of two 2^-e, e the exponent of
+    its largest |x_j|, which is exact: no square under- or overflows, and
+    r is scaled back by 2^e."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] < 2:
         raise DomainError("need at least two coordinates")
+    exp2 = np.frexp(np.max(np.abs(x), axis=-1))[1]
+    x = np.ldexp(x, -exp2[..., None])
     r = np.sqrt(np.sum(x * x, axis=-1))
-    if not np.all((0.0 < r) & (r < np.inf)):
-        raise DomainError(f"radius must be nonzero and finite, got {r}")
+    with np.errstate(over="ignore"):  # a radius past the doubles is refused
+        radius = np.ldexp(r, exp2)
+    if not np.all((0.0 < radius) & (radius < np.inf)):
+        raise DomainError(f"radius must be nonzero and finite, got {radius}")
     # partial radii rho_k = sqrt(x_1^2 + ... + x_k^2); t_{j-1} for j >= 3 is
     # atan2(rho_{j-1}, x_j) and is determined when rho_j does not vanish
     rho = np.sqrt(np.cumsum(x * x, axis=-1))
@@ -132,4 +140,4 @@ def cartesian_to_polar(x):
         (np.arctan2(x[..., 1:2], x[..., :1]) % TWO_PI,
          np.arctan2(rho[..., 1:-1], x[..., 2:])), axis=-1)
     determined = rho[..., 1:] >= 1e-15 * r[..., None]
-    return r, np.where(determined, theta, 0.0), determined
+    return radius, np.where(determined, theta, 0.0), determined

@@ -27,7 +27,9 @@ largest grid; each grid, and each per-level 1/r box, takes a prefix of it
 and scales it by its own h. The profile also holds the start weights, the
 square roots of the masses relative to the box edge: on every grid and
 every box they differ from the masses' own square roots by one constant,
-which changes no eigenvector's direction.
+which changes no eigenvector's direction. No mass is formed: the oracle
+refuses only a q from about 1022, whose profile leaves double range, and
+a box on which an entry does, never a box because r^q overflows on it.
 
 On each grid, inverse iteration (Parlett, The Symmetric Eigenvalue
 Problem, 1998, ch. 4) refines each level from its closed form, which the
@@ -129,17 +131,17 @@ def _profile(q: float, powers: tuple, n: int):
     On the vertices r_k = k h, vertex k's hat moment of r^a is
     h^(a+1) k^a beta_a(k), and element k integrates r^q to
     h^(q+1) ((k+1)^(q+1) - k^(q+1))/(q+1). Entry k depends on k alone, so
-    every grid of at most n cells takes a prefix. Returns
-    (a, o, m, loads, w): diag = a/h^2 + scale sum coeff h^power
-    loads[power], off = o/h^2, the lumped masses are h (h rho)^q m,
-    rho_k = k but 1 at the origin, whose hat moments are those of r_1, and
-    the start weights are w = sqrt(m) (rho/n)^(q/2), the masses' square
-    roots over h^((q+1)/2) n^(q/2): one constant per grid and box. Each
-    entry is formed from ratios such as (1 + 1/k)^q, never from k^q, so
-    none leaves double range unless q does the same at small k
-    ((1 + 1/k)^q overflows past q ~ 700 k); `_p1_matrix` refuses such
-    entries. The arrays are read-only: one profile serves every grid of a
-    report.
+    every grid of at most n cells takes a prefix. Returns (a, o, loads, w):
+    diag = a/h^2 + scale sum coeff h^power loads[power], off = o/h^2, and
+    the start weights w = sqrt(m) (rho/n)^(q/2), rho_k = k but 1 at the
+    origin, whose hat moments are those of r_1. The lumped masses are
+    h (h rho)^q m, so w is their square roots over h^((q+1)/2) n^(q/2),
+    one constant per grid and box, and no mass is formed. Each entry is
+    formed from ratios such as (1 + 1/k)^q, never from k^q. Raises
+    ConvergenceError when a mass ratio m leaves double range, which
+    happens first at k = 1, where (1 + 1/k)^q = 2^q, from q ~ 1022; its
+    entries there would decouple the vertex. The arrays are read-only: one
+    profile serves every grid of a report.
     """
     k = np.arange(float(n))
     rho = np.maximum(k, 1.0)
@@ -161,6 +163,9 @@ def _profile(q: float, powers: tuple, n: int):
             return out
 
         m = beta(q)
+        if not np.all(np.isfinite(m)):
+            raise ConvergenceError(f"P1 elements overflow double precision "
+                                   f"for weight exponent q={q:g}")
         loads = tuple(rho ** p * beta(q + p) / m for p in powers)
         # vertex k's two element stiffnesses over its mass, times h^2:
         # element k on its right, k ((1 + 1/k)^(q+1) - 1)/((q+1) m), which
@@ -171,13 +176,10 @@ def _profile(q: float, powers: tuple, n: int):
         right[0] = inv[0]
         left = -k * np.expm1((q + 1.0) * np.log1p(-x)) * inv
         w = np.sqrt(m) * (rho / n) ** (0.5 * q)
-        profile = (right + left, -np.sqrt(right[:-1] * left[1:]), m, loads, w)
-    for arr in (*profile[:3], *loads, w):
+        profile = (right + left, -np.sqrt(right[:-1] * left[1:]), loads, w)
+    for arr in (*profile[:2], *loads, w):
         arr.flags.writeable = False
     return profile
-
-
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
@@ -190,14 +192,11 @@ def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
     and scale = 2m/hbar^2. Returns (diag, off): the eigenvalues are scale
     times the energies, and an eigenvector x is G = x/w at the vertices, up
     to one constant, w the profile's start weights. Raises
-    ConvergenceError when an entry is not finite, or when a lumped mass
-    h (h rho)^q m, or a partial product of it, leaves double range (large
-    q on a large box overflows r^q). Neither the entries nor the start
-    weights read the masses; the test keeps the boxes the oracle refuses
-    (ROADMAP item 5). A mass that underflows near the origin is no
-    refusal.
+    ConvergenceError when an entry is not finite, a power of h included
+    (a box far past double range); the profile has already refused a q
+    whose mass ratios leave it.
     """
-    a, o, m, loads, _ = profile
+    a, o, loads, _ = profile
     h = r_max / n
     try:
         with np.errstate(all="ignore"):
@@ -205,20 +204,11 @@ def _p1_matrix(q: float, vterms, r_max: float, n: int, scale: float,
             for (coeff, power), load in zip(vterms, loads):
                 diag += scale * coeff * h ** power * load[:n]
             off = o[:n - 1] / h ** 2
-            log_m = np.log(m[[0, 1, n - 1]])
         # min and max carry a NaN, and off <= 0 unless NaN
         finite = (-math.inf < diag.min() and diag.max() < math.inf
                   and -math.inf < off.min())
     except OverflowError:  # a power of the float h
         finite = False
-    if finite:  # so h > 0
-        # the masses peak at the last vertex for q >= 0 and at the first
-        # two for q < 0, where their partial products (h rho)^q and
-        # h (h rho)^q peak too; max keeps a NaN that comes first
-        log_h = math.log(h)
-        finite = all(q * math.log(h * max(i, 1))
-                     + max(log_h + log_mi, log_h, 0.0) <= _LOG_MAX
-                     for i, log_mi in zip((0, 1, n - 1), log_m))
     if not finite:
         raise ConvergenceError(
             f"P1 elements overflow double precision for weight exponent "
@@ -372,6 +362,12 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
     # Python floats: a square past the doubles is inf, with no warning
     off_max = float(max(off.max(), -off.min()))
     tnorm = float(max(diag.max(), -diag.min())) + 2.0 * off_max
+    # far from 1, T is scaled by an exact power of two, so that no solve and
+    # no square leaves double range; the values are scaled back
+    exp2 = 0 if 2.0 ** -500 <= tnorm <= 2.0 ** 500 else -math.frexp(tnorm)[1]
+    if exp2:
+        diag, off = np.ldexp(diag, exp2), np.ldexp(off, exp2)
+        off_max, tnorm = math.ldexp(off_max, exp2), math.ldexp(tnorm, exp2)
     width, tol = _WINDOW * tnorm, _RESIDUAL * tnorm
     pivmin = sys.float_info.min * max(1.0, off_max * off_max)
 
@@ -410,7 +406,7 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
         pairs.append(_bisect(diag, off, j))
     values, vecs = zip(*pairs)
     # stacked as rows, one contiguous copy each, and read as columns
-    return np.array(values), how, np.array(vecs).T
+    return np.ldexp(np.array(values), -exp2), how, np.array(vecs).T
 
 
 def _check_tail(vecs: np.ndarray, r_max: float, label: str) -> None:

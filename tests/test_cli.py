@@ -624,13 +624,16 @@ def test_verify_explicit_default_depth(capsys):
 
 
 def test_verify_overflowing_cells_exit_3(capsys):
+    # q = 95: r^q overflows double on both automatic boxes, yet no entry
+    # does, so both levels are checked and pass
     argv = ["verify", "--potential", "coulomb", "--d", "12", "--mu", "3",
             "--ell", "3", "--levels", "2"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(argv, capsys)
-    assert (code, out) == (3, "")
-    assert err.startswith("error: ") and "q=95" in err
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)[2]
+    assert len(rows) == 2 and all(row[-1] == "true" for row in rows)
     assert not [w for w in caught if w.category is RuntimeWarning]
 
 

@@ -1,6 +1,7 @@
 """Tests for the reflections, the polar chart and the parameter records."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -160,6 +161,20 @@ def test_chart_zero_radius_rejected():
             cartesian_to_polar(x)
 
 
+def test_chart_round_trip_at_extreme_radii():
+    # r^2 underflows at r = 1e-200 and overflows at r = 1e200, yet the
+    # chart maps each point back to its radius and angles, with no warning
+    theta = np.array([0.5, 1.0, 2.5])
+    for r0 in (1e-200, 1e200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, t, determined = cartesian_to_polar(
+                polar_to_cartesian(r0, theta))
+        assert determined.all()
+        npt.assert_allclose(r, r0, rtol=1e-15)
+        npt.assert_allclose(t, theta, rtol=1e-15)
+
+
 def test_chart_refuses_bad_input():
     for r, theta in [(-1.0, (0.3, 0.4)), (0.0, (0.3,)), (math.inf, (0.3,)),
                      (math.nan, (0.3,)), ([1.0, -1.0], (0.3, 0.4)),
@@ -168,7 +183,8 @@ def test_chart_refuses_bad_input():
                      (1.0, (math.nan,)), (1.0, ())]:
         with pytest.raises(DomainError):
             polar_to_cartesian(r, theta)
-    for x in (2.0, [1.0], [[1.0], [2.0]], [math.inf, 0.0], [math.nan, 1.0]):
+    for x in (2.0, [1.0], [[1.0], [2.0]], [math.inf, 0.0], [math.nan, 1.0],
+              [1.5e308, 1.5e308]):
         with pytest.raises(DomainError):
             cartesian_to_polar(x)
 

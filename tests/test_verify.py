@@ -501,17 +501,20 @@ def test_cartesian_oracle_rejects_bad_constants():
 
 
 def test_oracle_report_overflowing_cells_fail_fast():
-    # q = 95 on the automatic boxes: r^(q+1) overflows double. Level 0 has
-    # kappa = 0 + 2*3 + 36 + 11/2 = 47.5, so eta = 1/47.5, b = 4*3 + 72 + 11
-    # = 95 and t_box = 1.5 * (0 + 190) + 50 = 335, at r = 335 * 47.5/2
+    # q = 95 on the automatic boxes, where r^(q+1) overflows double: level
+    # 0 has kappa = 0 + 2*3 + 36 + 11/2 = 47.5, so eta = 1/47.5,
+    # b = 4*3 + 72 + 11 = 95 and t_box = 1.5 * (0 + 190) + 50 = 335, at
+    # r = 335 * 47.5/2 = 7956.25. No entry and no start weight forms r^q,
+    # so the report is solved, each level refined on both grids
     params = DeformationParams.uniform(12, 3.0)
     state = AngularState.from_total(12, 3.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ConvergenceError, match=r"q=95 .*r_max=7956\.25"):
-            oracle_report(Coulomb(1.0), params, state,
-                          DiscretizationConfig(n_points=400), 2, 1e-2)
-    assert not [w for w in caught if w.category is RuntimeWarning]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = oracle_report(Coulomb(1.0), params, state,
+                            DiscretizationConfig(n_points=400), 2, 1e-2)
+    assert rep.grid["r_max"][0] == 7956.25
+    assert rep.passed and rep.max_rel_err < 1e-3
+    assert rep.grid["coarse_solve"] == rep.grid["fine_solve"] == ["rqi"] * 2
 
 
 def test_underflowing_masses_near_the_origin_pass():
@@ -575,81 +578,59 @@ def test_subnormal_start_is_scaled_by_its_largest_entry():
         rtol=1e-14)
 
 
-def _masses_overflow(q, powers, r_max, n_points):
-    """The refusal of the lumped masses as the oracle first wrote it: some
-    sqrt(h (h rho)^q m), on the n_points grid or its doubling, is not below
-    inf."""
-    n2 = 2 * n_points
-    m = verify._profile(q, powers, n2)[2]
-    for n in (n_points, n2):
-        h = r_max / n
-        with np.errstate(all="ignore"):
-            s = np.sqrt(h * (h * np.maximum(np.arange(float(n)), 1.0)) ** q
-                        * m[:n])
-        if not np.all(s < np.inf):
-            return True
-    return False
-
-
-@pytest.mark.parametrize("potential, d, mu, ell, hbar, mass, k, n_points", [
-    # q = 889, h < 1: the partial product (h rho)^q overflows first, and
-    # the automatic box lies past the edge
-    (Pseudoharmonic(4.0, 1.5), 7, 1.0, 3.0, 0.08, 70.0, 1, 2000),
-    # q = 83, h > 1: h (h rho)^q overflows first
-    (Oscillator(6e-5), 12, 3.0, 0.0, 1.0, 1.0, 2, 400),
-], ids=["q889", "q83"])
-def test_mass_refusal_edge(potential, d, mu, ell, hbar, mass, k, n_points):
-    # the oracle refuses exactly the boxes whose lumped masses leave double
-    # range: of two boxes a relative 1e-6 around the edge, the one above is
-    # refused and the one below solved
-    params = DeformationParams.uniform(d, mu)
-    state = AngularState.from_total(d, ell)
-    rec = radial_solution(potential, k - 1, state, params, hbar, mass)
-    q, powers = rec.c + 2.0 * rec.p, tuple(p for _, p in rec.vterms)
-    lo, hi = 1e-3, 1e6
-    while hi - lo > 1e-12 * hi:
-        mid = math.sqrt(lo * hi)
-        lo, hi = (lo, mid) if _masses_overflow(q, powers, mid,
-                                               n_points) else (mid, hi)
-    assert _masses_overflow(q, powers, rec.r_max, n_points) == (rec.r_max > hi)
-    with pytest.raises(ConvergenceError, match="overflow"):
-        oracle_report(potential, params, state,
-                      DiscretizationConfig(r_max=hi * (1.0 + 1e-6),
-                                           n_points=n_points),
-                      k, 1e-4, hbar, mass)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = oracle_report(potential, params, state,
-                            DiscretizationConfig(r_max=lo * (1.0 - 1e-6),
-                                                 n_points=n_points),
-                            k, 1e-4, hbar, mass)
-    assert rep.passed
+def test_rescaled_matrix_gives_the_same_eigenpairs():
+    # T times 2^600 or 2^-600, whose squares or solves leave double range,
+    # is scaled back by a power of two inside _refine: each value is the
+    # unscaled one times the same power, bit for bit, and each vector and
+    # how it was found are the same; the zero start of level 2 is bisected
+    q, vterms, r_max, n = 4.8, [(1.0, 2.0)], 6.0, 400
+    diag, off, weights = _matrix(q, vterms, r_max, n, 2.0)
+    r = np.arange(n) * (r_max / n)
+    shape = np.exp(-0.5 * r * r)
+    starts = [weights * shape, weights * shape * (1.0 - r * r / 2.9),
+              np.zeros(n)]
+    want, want_how, want_vecs = _refine(diag, off, range(3), starts, r_max)
+    assert want_how == ["rqi", "rqi", "bisection"]
+    for exp2 in (600, -600):
+        got, how, vecs = _refine(np.ldexp(diag, exp2), np.ldexp(off, exp2),
+                                 range(3), starts, r_max)
+        assert [v.hex() for v in got] == [
+            v.hex() for v in np.ldexp(want, exp2)]
+        assert how == want_how
+        assert np.array_equal(vecs, want_vecs)
 
 
 @pytest.mark.parametrize("q, boxes_refused", [
-    (-0.95, "none"), (-0.4, "none"), (0.3, "none"), (2.6, "some"),
-    (83.0, "some"), (448.0, "some"), (1022.5, "all"), (1100.0, "all")])
-def test_p1_matrix_refuses_as_the_masses_did(q, boxes_refused):
-    # over boxes from 1e-140 to 1e140, where every entry of a 1/r matrix
-    # stays in double range up to q ~ 1022, the matrix is refused exactly
-    # where some lumped mass of either grid leaves it. For q < 0 the masses
-    # peak at the origin, h^(q+1) m_0, and never do. At q = 1022.5 the
-    # profile's m_1 alone is infinite (its entries at vertex 1 are 0), at
-    # q = 1100 its entries are not finite either: every box is refused
+    (-0.95, "none"), (-0.4, "none"), (0.3, "none"), (2.6, "none"),
+    (83.0, "none"), (448.0, "none"), (1022.5, "all"), (1100.0, "all")])
+def test_p1_matrix_refuses_only_non_finite_entries(q, boxes_refused):
+    # over boxes from 1e-140 to 1e140 every entry of a 1/r matrix stays in
+    # double range up to q ~ 1022, and no box is refused, whatever r^q on
+    # it. From q ~ 1022 the profile's mass ratio m_1 = (2^(q+2) - 2)/
+    # ((q+1)(q+2)) is infinite, so its entries at vertex 1 would be 0, a
+    # vertex decoupled from its neighbours: the profile itself is refused,
+    # once for every box
     vterms, n_points = [(-1.0, -1.0)], 100
-    profile = verify._profile(q, (-1.0,), 2 * n_points)
-    refused = []
-    for r_max in np.geomspace(1e-140, 1e140, 561):
-        got = False
-        for n in (n_points, 2 * n_points):
-            try:
-                _p1_matrix(q, vterms, r_max, n, 2.0, profile)
-            except ConvergenceError:
-                got = True
-        assert got == _masses_overflow(q, (-1.0,), r_max, n_points), r_max
-        refused.append(got)
-    assert boxes_refused == ("all" if all(refused) else
-                             "some" if any(refused) else "none")
+    try:
+        profile = verify._profile(q, (-1.0,), 2 * n_points)
+    except ConvergenceError as exc:
+        assert f"q={q:g}" in str(exc) and "r_max" not in str(exc)
+        refused = [True]
+    else:
+        a, o, _, weights = profile
+        assert np.all(a > 0.0) and np.all(o < 0.0)
+        assert np.all(np.isfinite(weights))
+        refused = []
+        for r_max in np.geomspace(1e-140, 1e140, 561):
+            for n in (n_points, 2 * n_points):
+                try:
+                    diag, off = _p1_matrix(q, vterms, r_max, n, 2.0, profile)
+                except ConvergenceError:
+                    refused.append(True)
+                    continue
+                assert np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
+                refused.append(False)
+    assert set(refused) == {boxes_refused == "all"}
 
 
 # ---------------------------------------------------------------------------
@@ -1437,6 +1418,42 @@ def test_seeded_sweep_agrees_with_closed_forms():
         assert rep.max_rel_err < (1e-4 if tag == "coulomb" else 1e-6)
         assert rep.grid["coarse_solve"] == rep.grid["fine_solve"] == ["rqi"] * k
     assert solved >= 80
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_seeded_large_weight_exponents_pass(seed):
+    # d 2-200, mu_j in (-1/2, 20), L 0-5 and q = c + 2p up to 1000, about
+    # a fifth of the draws past q = 700: every report of the three
+    # potentials passes at the CLI's settings, none is refused and none
+    # warns; the 1/r levels, whose starts underflow past q ~ 700, are then
+    # found by bisection
+    rng = np.random.default_rng(seed)
+    worst, reports = {}, 0
+    while reports < 120:
+        tag = ("oscillator", "coulomb", "pho")[reports % 3]
+        d = int(rng.integers(2, 201))
+        params = DeformationParams(d, tuple(
+            float(m) for m in rng.uniform(-0.5, rng.uniform(-0.4, 20.0), d)))
+        state = AngularState.from_total(d, int(rng.integers(0, 11)) / 2.0)
+        potential = {"oscillator": Oscillator(1.0), "coulomb": Coulomb(1.0),
+                     "pho": Pseudoharmonic(float(np.exp(rng.uniform(
+                         np.log(0.5), np.log(50.0)))), 1.0)}[tag]
+        try:
+            rec = radial_solution(potential, 0, state, params)
+        except InvalidStateError:  # 1/r with Kummer b <= 0 at d = 2
+            continue
+        if rec.c + 2.0 * rec.p > 1000.0:
+            continue
+        k, tol, n_points = _CLI_SETTINGS[tag]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = oracle_report(potential, params, state,
+                                DiscretizationConfig(n_points=n_points), k, tol)
+        assert rep.passed, (tag, params, state.two_ell)
+        worst[tag] = max(worst.get(tag, 0.0), rep.max_rel_err)
+        reports += 1
+    assert worst["coulomb"] < 1e-5
+    assert worst["oscillator"] < 1e-6 and worst["pho"] < 1e-6
 
 
 def _tight_coulomb_report():
