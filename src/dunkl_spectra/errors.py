@@ -42,8 +42,9 @@ def check_count(value, name: str, error: type = DomainError) -> int:
 
 
 def check_levels(k, name: str = "k") -> int:
-    """k as an int; DomainError unless it is a whole number of at least 1."""
+    """k as an int; DomainError unless it is a whole number of at least 1,
+    a count of levels or the size of a rule, as `name` says."""
     k = check_count(k, name)
     if k < 1:
-        raise DomainError(f"need at least one level, got {name}={k}")
+        raise DomainError(f"{name} must be at least 1, got {k}")
     return k

@@ -19,7 +19,7 @@ import numpy as np
 import mpmath
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConvergenceError, DomainError, check_count
+from .errors import ConvergenceError, DomainError, check_count, check_levels
 
 __all__ = [
     "laguerre",
@@ -195,13 +195,6 @@ def _gauss_rule(diag, off_sq, mu0: float):
     return nodes, 1.0 / total
 
 
-def _npoints(npoints) -> int:
-    n = check_count(npoints, "npoints")
-    if n < 1:
-        raise DomainError("npoints must be positive")
-    return n
-
-
 def gauss_jacobi(alpha: float, beta: float, npoints: int):
     """Gauss rule (nodes, weights) for the weight (1-u)^alpha (1+u)^beta on
     [-1, 1], exact for polynomial f up to degree 2 * npoints - 1.
@@ -210,7 +203,7 @@ def gauss_jacobi(alpha: float, beta: float, npoints: int):
     coefficients; the zeroth moment is the closed-form norm h_0.
     """
     mu0 = jacobi_norm_sq(0, alpha, beta)
-    n = _npoints(npoints)
+    n = check_levels(npoints, "npoints")
     ab = alpha + beta
     s = 2.0 * np.arange(n) + ab  # 2k + alpha + beta, k = 0 .. n-1
     diag = (beta - alpha) / (s + 2.0)
@@ -270,7 +263,7 @@ def build_quadrature(gamma: float, variant: str, npoints: int):
     """
     if not gamma > -1.0:
         raise DomainError(f"weight exponent must exceed -1, got {gamma}")
-    n = _npoints(npoints)
+    n = check_levels(npoints, "npoints")
     if variant not in ("exp_r", "exp_r2"):
         raise DomainError(f"unknown quadrature variant {variant!r}")
     mu0 = _exp(_lgamma(gamma + 1.0) if variant == "exp_r"

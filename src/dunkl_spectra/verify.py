@@ -37,13 +37,14 @@ discrete eigenvector matches to O(h^2), with a shift tau just above the
 start's Rayleigh quotient. One LDL^T factorization of T - tau I (LAPACK
 dpttrf, restarted past each non-positive pivot) serves twice: LAPACK dpttrs
 solves on it, and its number of non-positive pivots is the Sturm count of
-the eigenvalues at most tau. The levels refined on one grid form a run,
-certified at once by those counts and their disjoint windows, plus one
-count-only pass below the run when it starts above index 0. When a run
-fails, each level is checked alone; one whose counts do not place it at
-its index is bisected at the index instead (logged at DEBUG level under the
-`dunkl_spectra` logger). So a level's value depends only on its index, the
-box and the grid, never on its start.
+the eigenvalues at most tau. One pass over the levels refined on a grid
+certifies each by its own count and the count below its window. The
+certified level below supplies that one when its window lies under this
+one's; otherwise, as for a run's first level above index 0 or a level
+above a rejected one, a count-only pass does. A level whose counts do not
+place it at its index is bisected at the index instead (logged at DEBUG
+level under the `dunkl_spectra` logger). So a level's value depends only
+on its index, the box and the grid, never on its start.
 
 Absorbing the exact power matters: the naive substitution u = r^{c/2} U
 with a Dirichlet origin converges to the wrong self-adjoint extension
@@ -336,28 +337,23 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
     "bisection" for how each was found, and the vectors as columns.
 
     Each level's inverse iteration starts from its vector in `starts` and
-    its Rayleigh quotient. One rule certifies a run of levels lo .. hi-1
-    (Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 3 and 10): every
-    level converged to a quotient sigma_j whose factorization at tau_j
-    counts j + 1 eigenvalues at most tau_j, with sigma_j <= tau_j - tol; the
-    windows (sigma_j - w, tau_j] are disjoint, tau_j-1 < sigma_j - w; and a
-    count-only pass at sigma_lo - w is lo (skipped at lo = 0). A converged
-    quotient lies within its residual tol of an eigenvalue, so each window
-    holds at least one; tau_j-1 and tau_j leave one eigenvalue between them,
-    and the count below the run leaves lo below it, so window j holds
-    lambda_j alone (at lo = 0 the count at tau_0 already leaves none below
-    the first window). Each count is the number of non-positive pivots of
-    one LDL^T pass (`_ldl`), so the solve's own factorization is its level's
-    count, and a run takes one more pass at most.
-
-    The rule is applied to the whole run first. When that fails, it is
-    applied to each level alone, which for level j > 0 adds its own count
-    at sigma_j - w, and each level it rejects is bisected at its index.
-    A run passes only when each of its levels would pass alone, so every
-    "rqi" or "bisection" and every value is the per-level check's: this is
-    one acceptance rule, not a second path. Each level's iteration uses
-    its own start alone, so each value depends on its index and the matrix
-    alone, never on which other levels are solved with it.
+    its Rayleigh quotient. One pass over the levels certifies each in turn
+    (Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 3 and 10): level
+    j is kept when it converged to a quotient sigma_j whose factorization
+    at tau_j >= sigma_j + tol counts j + 1 eigenvalues at most tau_j, and
+    exactly j lie at most sigma_j - w. The certified level j - 1 shows the
+    latter when its tau_j-1, where it counted j, lies below sigma_j - w;
+    otherwise (the first level above index 0, a level above a rejected
+    one, or overlapping windows) one count-only pass at sigma_j - w must
+    give j. A converged quotient lies within its residual tol of an
+    eigenvalue, so the window (sigma_j - w, tau_j] then holds lambda_j
+    alone. Each count is the number of non-positive pivots of one LDL^T
+    pass (`_ldl`), so the solve's own factorization is its level's count.
+    A level that fails is bisected at its index. A count the level below
+    supplies is the one an explicit pass would give, so each level's
+    outcome is that of checking it alone, from its own start: each value
+    depends on its index and the matrix alone, never on which other levels
+    are solved with it.
     """
     # Python floats: a square past the doubles is inf, with no warning
     off_max = float(max(off.max(), -off.min()))
@@ -376,28 +372,21 @@ def _refine(diag: np.ndarray, off: np.ndarray, levels: range, starts,
         factors = _ldl(diag, off, x, pivmin)
         return None if factors is None else factors[2]
 
-    def certified(lo, found):
-        if any(f is None for f in found):
-            return False
-        top = -math.inf  # tau of the level below, none for the first
-        for j, (sigma, _, tau, below) in enumerate(found, lo):
-            # written as differences, so a non-finite pair fails
-            if not (below == j + 1 and tau - sigma >= tol
-                    and sigma - width > top):
-                return False
-            top = tau
-        return lo == 0 or count(found[0][0] - width) == lo
-
-    found = [_inverse_iteration(diag, off, start, tol, width, pivmin)
-             for start in starts]
-    whole = certified(levels.start, found)
+    # tau of the certified level below: none below level 0, and NaN, which
+    # no comparison passes, when the level below was not certified
+    top = -math.inf if levels.start == 0 else math.nan
     how, pairs = [], []
-    for j, f in zip(levels, found):
-        if whole or certified(j, [f]):
+    for j, start in zip(levels, starts):
+        f = _inverse_iteration(diag, off, start, tol, width, pivmin)
+        # written as differences, so a non-finite pair fails
+        if f is not None and f[3] == j + 1 and f[2] - f[0] >= tol and (
+                f[0] - width > top or count(f[0] - width) == j):
             how.append("rqi")
             pairs.append(f[:2])
+            top = f[2]
             continue
         how.append("bisection")
+        top = math.nan
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("level %d: refinement on the %d-point grid "
                        "rejected (Sturm index %s), bisected at its index "
@@ -474,17 +463,15 @@ def _scale(hbar: float, mass: float) -> float:
     """2m/hbar^2, the factor from energies to eigenvalues of the weighted
     form; DomainError when it leaves double range. Where hbar^2 alone
     leaves it, the factor is taken as 2 (m/hbar)/hbar."""
+    hbar, mass = np.float64(hbar), np.float64(mass)
     with np.errstate(all="ignore"):  # numpy scalars give inf or 0
-        try:
-            scale = 2.0 * mass / hbar ** 2
-        except (OverflowError, ZeroDivisionError):
-            scale = math.nan
+        scale = 2.0 * mass / hbar ** 2
         if not 0.0 < scale < math.inf:
             scale = 2.0 * (mass / hbar) / hbar
     if not 0.0 < scale < math.inf:
         raise DomainError(f"2 mass/hbar^2 leaves double range for "
                           f"hbar={hbar:g}, mass={mass:g}")
-    return scale
+    return float(scale)
 
 
 def _solve(recs: list[RadialSolution], cfg: DiscretizationConfig,

@@ -406,3 +406,15 @@ def test_theta_eigenfunction_out_of_range_fails_fast(two_l, mu):
         with pytest.raises(DomainError, match="double range"):
             theta_eigenfunction(1, state, DeformationParams(2, (mu, mu)),
                                 np.linspace(0.1, 1.4, 5))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_theta_eigenfunction_refuses_a_rounded_jacobi_parameter(axis):
+    # mu_j = nextafter(-1/2, 0) is a valid coupling, but mu_j - 1/2 rounds
+    # to -1.0, where the level-1 Jacobi weight is not integrable
+    mu = [0.3, 0.3]
+    mu[axis] = math.nextafter(-0.5, 0.0)
+    state = AngularState.from_total(2, 0.0)
+    with pytest.raises(InvalidStateError,
+                       match=r"jacobi parameters out of range: \(.*-1\.0"):
+        theta_eigenfunction(1, state, DeformationParams(2, tuple(mu)), 0.5)

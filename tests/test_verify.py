@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -633,6 +634,23 @@ def test_p1_matrix_refuses_only_non_finite_entries(q, boxes_refused):
     assert set(refused) == {boxes_refused == "all"}
 
 
+@pytest.mark.parametrize("r_max", [1e300, 1e-300])
+@pytest.mark.parametrize("potential", [
+    Oscillator(1.0), Pseudoharmonic(5.0, 1.2), Coulomb(1.0)],
+    ids=["osc", "pho", "coulomb"])
+def test_box_whose_cell_square_leaves_double_range_is_refused(potential,
+                                                              r_max):
+    # h = r_max/n is a Python float: at r_max = 1e300 its square raises
+    # OverflowError, and at 1e-300 it is 0, so a/h^2 is infinite. Were h a
+    # numpy float, a/h^2 at 1e300 would underflow to 0 and the 1/r matrix
+    # would pass with every off-diagonal -0.0
+    params = DeformationParams.uniform(3, 0.4)
+    state = AngularState.from_total(3, 0.5)
+    with pytest.raises(ConvergenceError, match=re.escape(f"r_max={r_max:g}")):
+        oracle_report(potential, params, state,
+                      DiscretizationConfig(r_max=r_max), 2, 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # level counts
 # ---------------------------------------------------------------------------
@@ -884,7 +902,8 @@ def test_refinement_refuses_a_neighbour_in_its_window():
 # a mixture), and the outcome per level; every rejected level is bisected
 _RUN_CASES = {
     # levels 1, 2 both converge to 2.0, whose window also holds 2 + 1e-10:
-    # both counts agree with the run, only the overlapping windows refuse it
+    # level 1 counts 3 at its tau, and level 2, above a rejected level,
+    # counts 1 below its window
     "overlapping_windows": (
         [1.0, 2.0, 2.0 + 1e-10, 4.0, 5.0], range(1, 3), [1, 1],
         ["bisection", "bisection"]),
@@ -944,10 +963,10 @@ def test_run_certificate_counts(monkeypatch):
                          ids=["warning", "debug"])
 def test_rejected_level_counts_its_sturm_index_only_for_debug(
         monkeypatch, caplog, level, counts):
-    # each level takes one factorization; level 2's counts 4 at its tau and
-    # refuses the run, then level 1 alone takes one count-only pass and
-    # level 2 none; the rejected level 2 takes one more, for its DEBUG
-    # message alone
+    # each level takes one factorization; level 1 converges to 1.0, below
+    # its index, and is bisected, so level 2 takes one count-only pass at
+    # the bottom of its window; the rejected level 1 takes one more, for its
+    # DEBUG message alone
     calls = []
     ldl = verify._ldl
     monkeypatch.setattr(verify, "_ldl",
@@ -959,6 +978,28 @@ def test_rejected_level_counts_its_sturm_index_only_for_debug(
                             [eye[row] for row in rows], 1.0)
     assert how == want_how and len(calls) == counts
     assert len(caplog.records) == (level == logging.DEBUG)
+
+
+def test_certified_levels_below_a_rejected_one_take_no_count(monkeypatch,
+                                                             caplog):
+    # levels 0 and 1 refine at once from their unit vectors; the even
+    # mixture of e_2 and e_3 drifts to 4.0, which level 2's counts refuse.
+    # Level 1's window lies above level 0's shift, which counts 1 there, so
+    # it takes no count-only pass at 2 - w: every shift lies above its
+    # level's value, one factorization each for levels 0 and 1
+    shifts = []
+    ldl = verify._ldl
+    monkeypatch.setattr(verify, "_ldl",
+                        lambda *args: shifts.append(args[2]) or ldl(*args))
+    diag, eye = np.array([1.0, 2.0, 3.0, 4.0]), np.eye(4)
+    with caplog.at_level(logging.WARNING, logger="dunkl_spectra"):
+        values, how, _ = _refine(diag, np.zeros(3), range(0, 3),
+                                 [eye[0], eye[1], eye[2] + eye[3]], 1.0)
+    assert how == ["rqi", "rqi", "bisection"]
+    npt.assert_array_equal(values, [1.0, 2.0, 3.0])
+    width = verify._WINDOW * 4.0
+    assert [x for x in shifts if x < 3.0] == [1.0 + width, 2.0 + width]
+    assert len(shifts) == 13
 
 
 def _reference_count(diag, off, x):
@@ -1151,8 +1192,8 @@ def _two_count_refine(diag, off, levels, starts, r_max):
 
 def test_run_certificate_matches_the_per_level_check(monkeypatch):
     # seeded reports whose iterations now and then fail or converge to a
-    # wrong index (an exact eigenpair of another level); the run rule must
-    # give every value and every rqi/bisection of the per-level check
+    # wrong index (an exact eigenpair of another level); the one-pass rule
+    # must give every value and every rqi/bisection of the per-level check
     rng = np.random.default_rng(20261018)
     inverse_iteration = verify._inverse_iteration
 
