@@ -17,8 +17,10 @@ next to this module).
 
 The CLI is a thin shell: every number it prints is produced by a library
 call and serialized losslessly, so parsing the output recovers the library
-values bit for bit. Each constant field of a class in `POTENTIALS` is one
-float flag, default 1.0, named by `_flag`, with its "help" metadata.
+values bit for bit. Each constant name of the classes in `POTENTIALS` is
+one float flag, default 1.0, named by `_flag`, with the "help" metadata of
+the first class that declares it; potentials that share a constant name
+share its flag.
 
 Exit codes: 0 success, 1 a verify comparison exceeded its tolerance,
 2 usage error, 3 invalid physical inputs.
@@ -42,8 +44,8 @@ from .core import DeformationParams
 from .errors import (ConvergenceError, DomainError, InvalidStateError,
                      check_levels)
 from .polar import AngularState
-from .spectra import (POTENTIALS, Coulomb, Oscillator, Pseudoharmonic,
-                      bound_energy, radial_solution, reduced_density)
+from .spectra import (POTENTIALS, Coulomb, Oscillator, bound_energy,
+                      radial_solution, reduced_density)
 from .verify import DiscretizationConfig, oracle_report
 
 __all__ = ["main", "build_parser"]
@@ -121,10 +123,6 @@ def _constants(args, tag: str) -> dict:
     return {_flag(f): getattr(args, _flag(f)) for f in fields(POTENTIALS[tag])}
 
 
-def _potential(args, tag: str):
-    return POTENTIALS[tag](*_constants(args, tag).values())
-
-
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -156,7 +154,9 @@ def _write(args, path, meta: dict, columns, rows, kind: str) -> None:
 def _inputs(args):
     """Parameters, angular state and potential of a spectrum or density run."""
     params = DeformationParams(d=args.d, mu=_parse_mu(args.mu or "0", args.d))
-    return params, _angular_state(args, args.d), _potential(args, args.potential)
+    tag = args.potential
+    return (params, _angular_state(args, args.d),
+            POTENTIALS[tag](*_constants(args, tag).values()))
 
 
 def _meta(args, params: DeformationParams, state: AngularState,
@@ -210,24 +210,28 @@ def cmd_density(args) -> int:
 
 
 # per potential: levels, tolerance, grid points, dimensions, uniform
-# couplings (pho's validated envelope is mu >= 0), doubled L values
+# couplings (pho's validated envelope is mu >= 0), doubled L values, and
+# the values swept, by flag, of each constant that no flag gives
 _SWEEP = {"oscillator": (4, 1e-4, 4000, (3, 4, 5), (-0.3, 0.0, 0.4),
-                         (0, 1, 2)),
-          "coulomb": (3, 1e-3, 8000, (3, 4, 5), (-0.3, 0.0, 0.4), (0, 1)),
-          "pho": (2, 1e-4, 4000, (3, 4), (0.0, 0.4), (0,))}
+                         (0, 1, 2), {}),
+          "coulomb": (3, 1e-3, 8000, (3, 4, 5), (-0.3, 0.0, 0.4), (0, 1),
+                      {}),
+          "pho": (2, 1e-4, 4000, (3, 4), (0.0, 0.4), (0,),
+                  {"De": (2.0, 8.0)})}
 
 
 def _verify_reports(args):
     """Yield the oracle report of each comparison: every flag given, and
-    the potential's `_SWEEP` row for the rest."""
+    the potential's `_SWEEP` row for the rest; a constant that neither
+    gives is 1.0."""
     for tag in [args.potential] if args.potential else list(_SWEEP):
-        k, tol, n_points, ds, mus, ells = _SWEEP[tag]
+        k, tol, n_points, ds, mus, ells, swept = _SWEEP[tag]
         k = k if args.levels is None else args.levels
         n_points = n_points if args.grid is None else args.grid
         cfg = DiscretizationConfig(r_max=args.rmax, n_points=n_points)
-        potentials = ([Pseudoharmonic(de, args.re) for de in (2.0, 8.0)]
-                      if tag == "pho" and args.De is None  # depth sweep
-                      else [_potential(args, tag)])
+        values = [[value] if value is not None else swept.get(flag, (1.0,))
+                  for flag, value in _constants(args, tag).items()]
+        potentials = [POTENTIALS[tag](*v) for v in product(*values)]
         for d, mu, two_l, potential in product(
                 ds if args.d is None else [args.d],
                 mus if args.mu is None else [args.mu],
@@ -328,10 +332,13 @@ def _add_inputs(parser: argparse.ArgumentParser, d_default) -> None:
                         help="reflection signs, comma-separated +1/-1")
     parser.add_argument("--hbar", type=float, default=1.0)
     parser.add_argument("--mass", type=float, default=1.0)
+    helps = {}
     for cls in POTENTIALS.values():
         for constant in fields(cls):
-            parser.add_argument(f"--{_flag(constant)}", type=float,
-                                default=1.0, help=constant.metadata["help"])
+            helps.setdefault(_flag(constant), constant.metadata["help"])
+    for flag, help_text in helps.items():
+        parser.add_argument(f"--{flag}", type=float, default=1.0,
+                            help=help_text)
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -369,9 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify",
                            help="closed forms vs finite-element eigensolver")
-    p_ver.add_argument("--potential", default=None,
-                       choices=tuple(POTENTIALS),
-                       help="restrict to one family (default: all three)")
+    p_ver.add_argument("--potential", default=None, choices=tuple(_SWEEP),
+                       help="restrict to one family (default: every family)")
     p_ver.add_argument("--levels", type=int, default=None,
                        help="levels per comparison (default per potential)")
     _add_inputs(p_ver, d_default=None)
@@ -380,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--grid", type=int, default=None,
                        help="coarse grid's cell count (default per potential)")
     _add_output(p_ver)
-    # None tells an explicit --De 1.0 from the default depth sweep
-    p_ver.set_defaults(func=cmd_verify, De=None)
+    # None tells an explicit value, such as --De 1.0, from the sweep
+    p_ver.set_defaults(func=cmd_verify, **{
+        flag: None for row in _SWEEP.values() for flag in row[-1]})
 
     p_fig = sub.add_parser("figure", help="data series behind the standard plots")
     p_fig.add_argument("--id", required=True, choices=tuple(_FIGURES))

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the checks that physical
 constants are positive and finite and that counts are whole numbers."""
 
-import math
 import numbers
+import sys
 
 
 class DomainError(ValueError):
@@ -24,7 +24,7 @@ class TailLeakWarning(UserWarning):
 def check_positive(**constants: float) -> None:
     """Raise DomainError unless every named constant is positive and finite."""
     for name, value in constants.items():
-        if not 0.0 < value < math.inf:
+        if not 0.0 < value <= sys.float_info.max:
             raise DomainError(f"{name} must be positive and finite, got {value}")
 
 

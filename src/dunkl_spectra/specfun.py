@@ -187,11 +187,14 @@ def _gauss_rule(diag, off_sq, mu0: float):
     q_prev = np.zeros_like(nodes)
     q = np.full_like(nodes, 1.0 / math.sqrt(mu0))
     total = q * q
-    for j in range(len(diag) - 1):
-        b_prev = off[j - 1] if j > 0 else 0.0
-        q_next = ((nodes - diag[j]) * q - b_prev * q_prev) / off[j]
-        q_prev, q = q, q_next
-        total += q * q
+    # a sum that overflows gives a weight of 0, which build_quadrature
+    # refuses as an invalid rule
+    with np.errstate(over="ignore"):
+        for j in range(len(diag) - 1):
+            b_prev = off[j - 1] if j > 0 else 0.0
+            q_next = ((nodes - diag[j]) * q - b_prev * q_prev) / off[j]
+            q_prev, q = q, q_next
+            total += q * q
     return nodes, 1.0 / total
 
 

@@ -79,7 +79,7 @@ from .core import DeformationParams, cartesian_to_polar, reflect_cartesian
 from .errors import (ConvergenceError, DomainError, TailLeakWarning,
                      check_count, check_levels, check_positive)
 from .polar import AngularState, theta_eigenfunction
-from .specfun import _exp, build_quadrature, kummer_m
+from .specfun import _exp, _lgamma, build_quadrature, laguerre
 from .spectra import (PotentialSpec, RadialSolution, _level,
                       radial_solution, radial_wavefunction)
 
@@ -639,29 +639,39 @@ def orthogonality_matrix(potential: PotentialSpec, params: DeformationParams,
     M(-n, b, 2 lam r^sigma), lam = scale/sigma, so in t = rho r^sigma,
     rho = lam_i + lam_j, a pair's integrand is t^alpha e^{-t} (the record's
     alpha) times a polynomial of degree below 2 n_max: one Gauss-Laguerre
-    rule integrates every pair exactly.
+    rule integrates every pair exactly. M is evaluated as
+    n!/(b)_n L_n^{(b-1)} (DLMF 13.6.19), by the Laguerre recurrence, with
+    the factor kept in each state's log constant. Past double range, from
+    n_max ~ 180 at small alpha and earlier at large alpha, the rule raises
+    ConvergenceError, or an entry's sum DomainError.
     """
     n_max = check_levels(n_max, "n_max")
     sols = [radial_solution(potential, n, state, params, hbar, mass)
             for n in range(n_max)]
     sigma, alpha = sols[0].sigma, sols[0].alpha
     nodes, weights = build_quadrature(alpha, "exp_r", n_max + 6)
+    log_const = [math.log(s.norm) + _lgamma(n + 1.0) + _lgamma(s.b)
+                 - _lgamma(n + s.b) for n, s in enumerate(sols)]
 
     @cache
-    def kummer(n: int, x: float) -> np.ndarray:
-        # M(-n, b, 2 lam r^sigma) at the nodes, x = 2 lam/rho: x = 1 for
+    def poly(n: int, x: float) -> np.ndarray:
+        # L_n^{(b-1)}(2 lam r^sigma) at the nodes, x = 2 lam/rho: x = 1 for
         # every Gaussian pair, so each state is evaluated once there
-        return kummer_m(-n, sols[n].b, x * nodes)
+        return laguerre(n, sols[n].b - 1.0, x * nodes)
 
     gram = np.empty((n_max, n_max))
     for i, si in enumerate(sols):
         for j, sj in enumerate(sols[:i + 1]):
             rate = si.scale + sj.scale  # sigma * rho
-            vals = (kummer(i, 2.0 * si.scale / rate)
-                    * kummer(j, 2.0 * sj.scale / rate))
-            gram[i, j] = gram[j, i] = float(np.sum(weights * vals)) * _exp(
-                math.log(si.norm) + math.log(sj.norm) - math.log(sigma)
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = float(np.sum(weights * poly(i, 2.0 * si.scale / rate)
+                                     * poly(j, 2.0 * sj.scale / rate)))
+            gram[i, j] = gram[j, i] = total * _exp(
+                log_const[i] + log_const[j] - math.log(sigma)
                 - (alpha + 1.0) * math.log(rate / sigma), "Gram prefactor")
+            if not math.isfinite(gram[i, j]):
+                raise DomainError(f"Gram entry ({i}, {j}) leaves double "
+                                  f"range")
     return gram
 
 

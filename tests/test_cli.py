@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -21,17 +22,20 @@ from dunkl_spectra import (
     TailLeakWarning,
     bound_energy,
     coulomb_energy,
+    oracle_report,
     oscillator_energy,
     radial_eigenvalues,
     radial_solution,
     reduced_density,
 )
-from dunkl_spectra.spectra import POTENTIALS, Oscillator
+from dunkl_spectra import cli
+from dunkl_spectra.spectra import POTENTIALS, Oscillator, _Potential
 from dunkl_spectra.cli import build_parser, main
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "dunkl_spectra",
     "output_schema.json")
+README_PATH = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def run(argv, capsys):
@@ -208,6 +212,34 @@ def test_usage_errors_exit_2(capsys):
         ["spectrum", "--potential", "coulomb", "--d", "3", "--mu",
          "0.1,0.2", "--levels", "1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--potential", "oscillator", "--ell", "1/3"],
+    ["spectrum", "--potential", "oscillator", "--ell", "0.3"],
+    ["spectrum", "--potential", "oscillator", "--ell", "x"],
+    ["spectrum", "--potential", "oscillator", "--d", "3", "--mu", "0.1,x"],
+    ["spectrum", "--potential", "oscillator", "--d", "3", "--parity",
+     "+1,2,+1"],
+    ["spectrum", "--potential", "oscillator", "--d", "3", "--ell", "1,1,1"],
+    ["density", "--potential", "oscillator", "--grid", "1"],
+], ids=["ell_third", "ell_decimal", "ell_word", "mu_word", "parity_entry",
+        "ell_count", "density_grid"])
+def test_flag_values_refused_after_parsing_exit_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:")
+
+
+def test_ell_takes_one_entry_per_level(capsys):
+    # d - 1 entries set each level's quantum number
+    code, out, err = run(["spectrum", "--potential", "oscillator", "--d", "3",
+                          "--ell", "1,1", "--levels", "3"], capsys)
+    assert code == 0
+    state = AngularState(two_ell=(2, 2), parity=(1, 1, 1))
+    params = DeformationParams.uniform(3, 0.0)
+    assert [float(row[1]) for row in parse_csv(out)[2]] == [
+        bound_energy(Oscillator(1.0), n, state, params) for n in range(3)]
 
 
 def test_inconsistent_state_exits_3(capsys):
@@ -568,6 +600,58 @@ def test_constant_flags_come_from_the_potential_fields(command):
             assert action.help == field.metadata["help"]
             default = None if (command, flag) == ("verify", "--De") else 1.0
             assert action.default == parsed[action.dest] == default
+
+
+def readme_kratzer():
+    """The Kratzer class that README's "Adding a potential" declares."""
+    with open(README_PATH, encoding="utf-8") as fh:
+        [block] = re.findall(r"```\n(@dataclass.*?class Kratzer.*?)```",
+                             fh.read(), re.S)
+    namespace = {"dataclass": dataclasses.dataclass,
+                 "field": dataclasses.field, "_Potential": _Potential}
+    exec(block, namespace)
+    return namespace["Kratzer"]
+
+
+def test_readme_potential_needs_no_cli_edit(monkeypatch, capsys):
+    # registered with a _SWEEP row alone, the README's Kratzer shares --e2
+    # with Coulomb, adds --g, and every subcommand prints the library's
+    # values bit for bit
+    kratzer = readme_kratzer()
+    monkeypatch.setitem(POTENTIALS, "kratzer", kratzer)
+    # verify takes no potential without a sweep row: a usage error
+    code, out, err = run(["verify", "--potential", "kratzer"], capsys)
+    assert (code, out) == (2, "") and "invalid choice: 'kratzer'" in err
+    monkeypatch.setitem(cli._SWEEP, "kratzer", (2, 1e-3, 8000, (3,), (0.0,),
+                                                (0,), {"g": (0.5, 2.0)}))
+    params = DeformationParams.uniform(3, 0.0)
+    state = AngularState.from_total(3, 0.0)
+    base = ["--potential", "kratzer", "--d", "3", "--format", "json"]
+
+    code, out, err = run(["spectrum", *base, "--e2", "2", "--g", "0.5",
+                          "--levels", "3"], capsys)
+    assert (code, err) == (0, "")
+    assert [row["energy"] for row in json.loads(out)["levels"]] == [
+        float(bound_energy(kratzer(2.0, 0.5), n, state, params))
+        for n in range(3)]
+
+    code, out, err = run(["density", *base, "--n", "1", "--grid", "32"],
+                         capsys)
+    assert (code, err) == (0, "")
+    samples = json.loads(out)["samples"]
+    sol = radial_solution(kratzer(1.0, 1.0), 1, state, params)
+    assert [s["rho"] for s in samples] == list(
+        reduced_density(sol, np.array([s["r"] for s in samples])))
+
+    code, out, err = run(["verify", *base], capsys)
+    assert (code, err) == (0, "")
+    cfg = DiscretizationConfig(n_points=8000)
+    want = [oracle_report(kratzer(1.0, g), params, state, cfg, 2, 1e-3)
+            for g in (0.5, 2.0)]
+    assert [(r["energy"], r["numeric"], r["passed"])
+            for r in json.loads(out)["levels"]] == [
+        (a, b, True) for report in want
+        for a, b in zip(report.analytic, report.numeric)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -61,6 +61,17 @@ def test_constant_out_of_range_is_a_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: DiscretizationConfig(r_max=10 ** 400),
+    lambda: Oscillator(10 ** 400),
+], ids=["r_max", "omega"])
+def test_int_constant_past_double_range_is_refused_when_built(build):
+    # an int compares exactly, and 10**400 < inf: the bound is the largest
+    # double, so no OverflowError waits for the first float conversion
+    with pytest.raises(DomainError, match="positive and finite"):
+        build()
+
+
 def test_oracle_scale_in_range_when_hbar_squared_is_not():
     # 2 m/hbar^2 = 2e-160 although hbar^2 = 1e320 overflows; at hbar =
     # 1e-170 the factor itself is past the doubles

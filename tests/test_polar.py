@@ -384,6 +384,22 @@ def test_inner_product_rejects_mixed_sectors():
         angular_inner_product(1, a, b, params)
 
 
+@pytest.mark.parametrize("level", [0, 3])
+def test_theta_eigenfunction_refuses_a_level_outside_the_tower(level):
+    # d = 3 has levels 1 and 2
+    with pytest.raises(DomainError, match=r"level must lie in \[1, 2\]"):
+        theta_eigenfunction(level, AngularState.from_total(3, 0.0),
+                            DeformationParams.uniform(3, 0.2), 0.5)
+
+
+def test_inner_product_rejects_states_that_differ_below_the_level():
+    params = DeformationParams.uniform(3, 0.2)
+    a = AngularState(two_ell=(0, 2), parity=(1, 1, 1))
+    b = AngularState(two_ell=(2, 2), parity=(1, 1, 1))
+    with pytest.raises(InvalidStateError, match="differ below"):
+        angular_inner_product(2, a, b, params)
+
+
 def test_inner_product_out_of_range_fails_fast():
     # degree 400 Jacobi values at a = b = 299.5 overflow: no inf comes back
     s = AngularState(two_ell=(800,), parity=(1, 1))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import dunkl_spectra
 from dunkl_spectra import (
+    ConvergenceError,
     DomainError,
     build_quadrature,
     jacobi,
@@ -326,6 +328,15 @@ def test_build_quadrature_domain_errors():
     for variant in ("exp_r", "exp_r2"):
         with pytest.raises(DomainError, match="must exceed -1"):
             build_quadrature(math.nan, variant, 8)
+
+
+def test_build_quadrature_overflowing_sums_refused_alone():
+    # the Christoffel sums of 206 points at gamma = 1.7 overflow: the rule
+    # is refused with no RuntimeWarning before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="invalid rule"):
+            build_quadrature(1.7, "exp_r", 206)
 
 
 @pytest.mark.parametrize("gamma, variant", [(343.0, "exp_r2"),

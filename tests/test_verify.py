@@ -407,6 +407,47 @@ def test_gram_validation():
         orthogonality_matrix(Oscillator(1.0), params, state, 0)
 
 
+_GRAM_SETUPS = [(3, 0.4, 0.0), (12, 3.0, 2.0)]
+
+
+def _gram_error(potential, setup, n_max):
+    d, mu, ell = setup
+    gram = orthogonality_matrix(potential, DeformationParams.uniform(d, mu),
+                                AngularState.from_total(d, ell), n_max)
+    return float(np.max(np.abs(gram - np.eye(n_max))))
+
+
+@pytest.mark.parametrize("setup", _GRAM_SETUPS)
+@pytest.mark.parametrize("potential", [
+    Oscillator(1.0), Coulomb(1.0), Pseudoharmonic(2.0, 1.1)])
+def test_gram_at_high_levels(potential, setup):
+    # M(-n, b, t) through the Laguerre recurrence: no 45-digit series runs
+    # out of digits at n ~ 90
+    assert _gram_error(potential, setup, 120) < 1e-11
+
+
+@pytest.mark.parametrize("setup, n_max, error", [
+    ((3, 0.4, 0.0), 200, ConvergenceError),
+    ((3, 0.4, 0.0), 220, ConvergenceError),
+    ((40, 3.0, 2.0), 180, DomainError)])
+@pytest.mark.parametrize("potential", [Oscillator(1.0),
+                                       Pseudoharmonic(2.0, 1.1)])
+def test_gram_past_double_range_refuses(potential, setup, n_max, error):
+    # the Gauss rule's Christoffel sums (ConvergenceError) or an entry's
+    # sum (DomainError) leave double range: refused, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="invalid rule|double range"):
+            _gram_error(potential, setup, n_max)
+
+
+@pytest.mark.parametrize("n_max", [180, 200, 220])
+@pytest.mark.parametrize("potential", [Oscillator(1.0),
+                                       Pseudoharmonic(2.0, 1.1)])
+def test_gram_in_double_range_at_high_levels(potential, n_max):
+    assert _gram_error(potential, (12, 3.0, 2.0), n_max) < 1e-11
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
